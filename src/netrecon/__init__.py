@@ -37,6 +37,7 @@ from .errors import (
     ConsistencyError,
     DegenerateDataError,
     DivergenceError,
+    EmptyReconstructionError,
     FormatError,
     NetreconError,
 )
@@ -82,6 +83,7 @@ from .train import (
     accuracy,
     adam_step,
     fit_mse,
+    iter_students,
     query_teacher,
     steps_for,
     train_ensemble,

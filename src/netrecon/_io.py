@@ -1,7 +1,11 @@
 """Atomic file writes: interrupted runs must never leave partial artifacts."""
 
+import csv
+import io
 import os
 import tempfile
+
+import numpy as np
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -23,3 +27,19 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_csv(path: str, header: str, rows) -> None:
+    """Write a table under a comma-separated `header` line, one row per line.
+
+    Floats, numpy ones included, are written as repr(float(x)) so they read
+    back exactly; other cells as str(x).
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(
+        [repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
+        for row in rows
+    )
+    atomic_write_text(path, buf.getvalue())

@@ -15,17 +15,6 @@ import numpy as np
 
 from .data import ImageDataset
 
-KINDS = (
-    "identity",
-    "random_rotations",
-    "hv_flips",
-    "uniform_noise",
-    "biased_noise",
-    "grid",
-    "grid_biased_noise",
-)
-
-_NOISE_KINDS = ("uniform_noise", "biased_noise", "grid_biased_noise")
 _GRID_KINDS = ("grid", "grid_biased_noise")
 
 
@@ -264,22 +253,22 @@ def grid_composition_biased_noise(ds: ImageDataset, grid_x: int, grid_y: int,
     )
 
 
+# kind -> strategy run on (spec, base dataset); `KINDS` lists the valid kinds
+_STRATEGIES = {
+    "identity": lambda spec, ds: identity(ds),
+    "random_rotations": lambda spec, ds: random_rotations(ds, spec.copies, spec.seed),
+    "hv_flips": lambda spec, ds: hv_flips(ds),
+    "uniform_noise": lambda spec, ds: uniform_noise(ds, spec.lo, spec.hi, spec.copies,
+                                                    spec.seed),
+    "biased_noise": lambda spec, ds: biased_noise(ds, spec.magnitude, spec.seed),
+    "grid": lambda spec, ds: grid_composition(ds, spec.grid_x, spec.grid_y, spec.count,
+                                              spec.seed),
+    "grid_biased_noise": lambda spec, ds: grid_composition_biased_noise(
+        ds, spec.grid_x, spec.grid_y, spec.count, spec.magnitude, spec.seed),
+}
+KINDS = tuple(_STRATEGIES)
+
+
 def build(spec: AugmentationSpec, ds: ImageDataset) -> AugmentedSet:
     """Run the strategy a spec describes against a base dataset."""
-    if spec.kind == "identity":
-        return identity(ds)
-    if spec.kind == "random_rotations":
-        return random_rotations(ds, spec.copies, spec.seed)
-    if spec.kind == "hv_flips":
-        return hv_flips(ds)
-    if spec.kind == "uniform_noise":
-        return uniform_noise(ds, spec.lo, spec.hi, spec.copies, spec.seed)
-    if spec.kind == "biased_noise":
-        return biased_noise(ds, spec.magnitude, spec.seed)
-    if spec.kind == "grid":
-        return grid_composition(ds, spec.grid_x, spec.grid_y, spec.count, spec.seed)
-    if spec.kind == "grid_biased_noise":
-        return grid_composition_biased_noise(
-            ds, spec.grid_x, spec.grid_y, spec.count, spec.magnitude, spec.seed
-        )
-    raise ValueError(f"unknown augmentation kind {spec.kind!r}")
+    return _STRATEGIES[spec.kind](spec, ds)

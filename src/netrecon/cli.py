@@ -14,25 +14,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import nan
 from statistics import median
 
-import numpy as np
-
-from ._io import atomic_write_text
+from ._io import atomic_write_csv, atomic_write_text
 from .augment import build
 from .config import ExperimentConfig, load_config
 from .data import ImageDataset, load_idx, load_queryset, save_queryset, standardize, subset
-from .errors import ConfigError, DivergenceError, NetreconError
+from .errors import ConfigError, DivergenceError, EmptyReconstructionError, NetreconError
 from .metrics import scatter_table, write_losses_csv
 from .network import Mlp, load_mlp, save_mlp
-from .reconstruct import (
-    cluster_neurons,
-    collapse,
-    evaluate_reconstruction,
-    extract_neurons,
-    fine_tune,
+from .reconstruct import evaluate_reconstruction, run_reconstruction
+from .train import (
+    StudentEnsemble,
+    accuracy,
+    final_loss,
+    iter_students,
+    query_teacher,
+    train_teacher,
 )
-from .train import _train_indexed, accuracy, query_teacher, train_teacher
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,6 +40,7 @@ EXIT_DIVERGED = 3
 EXIT_EMPTY_RECONSTRUCTION = 4
 
 REPORT_COLUMNS = "method,r,N,m/r,avg_dw,max_dw,avg_da,max_da,Q"
+HISTORY_COLUMNS = "step,loss,lr"
 
 
 def _require_files(*paths: str) -> None:
@@ -57,24 +58,17 @@ def _teacher_training_set(cfg: ExperimentConfig) -> tuple[ImageDataset, float, f
     return standardize(ds)
 
 
-def _history_csv(history, extra_header: str = "", extra: str = "") -> str:
-    header = "step,loss,lr" + extra_header
-    lines = [header]
-    lines += [f"{step},{loss!r},{lr!r}{extra}" for step, loss, lr in history]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_train_teacher(cfg: ExperimentConfig, out_dir: str) -> int:
     ds, mean, std = _teacher_training_set(cfg)
     teacher, history = train_teacher(ds, cfg.teacher.hidden, cfg.teacher.train)
     os.makedirs(out_dir, exist_ok=True)
     save_mlp(teacher, os.path.join(out_dir, "teacher.mlp"))
-    atomic_write_text(os.path.join(out_dir, "teacher_history.csv"), _history_csv(history))
+    atomic_write_csv(os.path.join(out_dir, "teacher_history.csv"), HISTORY_COLUMNS, history)
     acc = accuracy(teacher, ds)
     print(f"teacher: r={teacher.r} d={teacher.d} c={teacher.c} "
           f"samples={ds.n_samples} mean={mean:.6g} std={std:.6g}")
     print(f"teacher train accuracy: {acc:.4f}")
-    print(f"teacher final loss: {history[-1][1]:.6e}" if history else "teacher: no steps")
+    print(f"teacher final loss: {final_loss(history):.6e}")
     return EXIT_OK
 
 
@@ -102,68 +96,56 @@ def _student_path(out_dir: str, index: int) -> str:
 
 def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                        resume: bool = False) -> int:
+    """Train the students, saving each model file as soon as that student is done."""
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(queries_path)
     qs = load_queryset(queries_path)
     n = cfg.students.n
-    r_student = cfg.students.rho * cfg.teacher.hidden
     os.makedirs(os.path.join(out_dir, "students"), exist_ok=True)
 
     students: list[Mlp | None] = [None] * n
     summaries: list[tuple[int, float, int, str]] = []
-    history_rows: list[str] = []
+    history_rows: list[tuple[int, float, float, int]] = []
     todo = []
     for i in range(n):
         if resume and os.path.isfile(_student_path(out_dir, i)):
             students[i] = load_mlp(_student_path(out_dir, i))
-            summaries.append((i, float("nan"), 0, "resumed"))
+            summaries.append((i, nan, 0, "resumed"))
         else:
-            todo.append((i, qs, r_student, cfg.students.train))
-    if jobs > 1 and len(todo) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_train_indexed, todo))
-    else:
-        results = [_train_indexed(p) for p in todo]
-    for index, net, history, message in sorted(results, key=lambda item: item[0]):
+            todo.append(i)
+    r_student = cfg.students.rho * cfg.teacher.hidden
+    for index, net, history, message in iter_students(qs, r_student, cfg.students.train,
+                                                      todo, jobs):
+        path = _student_path(out_dir, index)
         if net is None:
-            summaries.append((index, float("nan"), 0, f"diverged: {message}"))
+            # a model file left by an earlier run must not stand in for this student
+            if os.path.exists(path):
+                os.remove(path)
+            summaries.append((index, nan, 0, f"diverged: {message}"))
             print(f"student {index}: DIVERGED ({message})", file=sys.stderr)
             continue
         students[index] = net
-        save_mlp(net, _student_path(out_dir, index))
-        final = history[-1][1] if history else float("nan")
-        steps = history[-1][0] if history else 0
-        summaries.append((index, final, steps, "trained"))
-        history_rows += [
-            f"{step},{loss!r},{lr!r},{index}" for step, loss, lr in history
-        ]
+        save_mlp(net, path)
+        summaries.append((index, final_loss(history), history[-1][0], "trained"))
+        history_rows += [(step, loss, lr, index) for step, loss, lr in history]
     summaries.sort(key=lambda item: item[0])
 
-    atomic_write_text(
-        os.path.join(out_dir, "students", "losses.csv"),
-        "\n".join(["step,loss,lr,student_index"] + history_rows) + "\n",
-    )
-    atomic_write_text(
-        os.path.join(out_dir, "students", "ensemble_summary.csv"),
-        "\n".join(
-            ["student_index,final_loss,steps,status"]
-            + [f"{i},{loss!r},{steps},{status}" for i, loss, steps, status in summaries]
-        ) + "\n",
-    )
+    atomic_write_csv(os.path.join(out_dir, "students", "losses.csv"),
+                     HISTORY_COLUMNS + ",student_index", history_rows)
+    atomic_write_csv(os.path.join(out_dir, "students", "ensemble_summary.csv"),
+                     "student_index,final_loss,steps,status", summaries)
 
     trained = [s for s in students if s is not None]
     finals = [loss for _, loss, _, status in summaries if status == "trained"]
     if finals:
         print(f"students: trained={len(finals)} final loss "
               f"min={min(finals):.3e} median={median(finals):.3e} max={max(finals):.3e}")
-    if len(trained) >= 2 and cfg.eval_sets:
-        _write_scatter(cfg, out_dir, qs, trained)
     if len(trained) < 2:
         print("fewer than two students trained; reconstruction is impossible",
               file=sys.stderr)
         return EXIT_DIVERGED
+    if cfg.eval_sets:
+        _write_scatter(cfg, out_dir, qs, trained)
     return EXIT_OK
 
 
@@ -181,76 +163,62 @@ def _write_scatter(cfg: ExperimentConfig, out_dir: str, qs, students: list[Mlp])
     print(f"losses.csv: {len(rows)} rows over {len(eval_sets)} datasets")
 
 
-def _report_csv(method: str, r: int, n_students: int, report, Q: int) -> str:
+def _write_report(out_dir: str, method: str, r: int, n_students: int, report,
+                  Q: int) -> None:
+    """report.csv and report.txt; `report` None records an empty reconstruction."""
+    lines = [f"method: {method}", f"students: {n_students}", f"Q: {Q}"]
     if report is None:
-        row = f"{method},{r},{n_students},0.0,nan,nan,nan,nan,{Q}"
+        scores = (0.0, nan, nan, nan, nan)
+        lines.append("no accepted clusters; nothing reconstructed (m = 0)")
     else:
-        row = (
-            f"{method},{r},{n_students},{report.m_over_r!r},{report.avg_dw!r},"
-            f"{report.max_dw!r},{report.avg_da!r},{report.max_da!r},{Q}"
-        )
-    return REPORT_COLUMNS + "\n" + row + "\n"
-
-
-def _report_text(method: str, report, n_students: int, Q: int) -> str:
-    if report is None:
-        return (f"method: {method}\nstudents: {n_students}\nQ: {Q}\n"
-                "no accepted clusters; nothing reconstructed (m = 0)\n")
-    lines = [
-        f"method: {method}",
-        f"students: {n_students}",
-        f"Q: {Q}",
-        f"recovered neurons: m={report.m} of r={report.r} (m/r = {report.m_over_r:.3f})",
-        f"input-weight cosine distance: avg {report.avg_dw:.3e}, max {report.max_dw:.3e}",
-        f"output-weight cosine distance: avg {report.avg_da:.3e}, max {report.max_da:.3e}",
-        "matched pairs (recon -> teacher: d_w, d_a):",
-    ]
-    lines += [
-        f"  {p.recon_index:3d} -> {p.teacher_index:3d}: {p.dw:.3e}, {p.da:.3e}"
-        for p in report.pairs
-    ]
-    return "\n".join(lines) + "\n"
+        scores = (report.m_over_r, report.avg_dw, report.max_dw, report.avg_da,
+                  report.max_da)
+        lines += [
+            f"recovered neurons: m={report.m} of r={report.r} (m/r = {report.m_over_r:.3f})",
+            f"input-weight cosine distance: avg {report.avg_dw:.3e}, max {report.max_dw:.3e}",
+            f"output-weight cosine distance: avg {report.avg_da:.3e}, max {report.max_da:.3e}",
+            "matched pairs (recon -> teacher: d_w, d_a):",
+        ]
+        lines += [
+            f"  {p.recon_index:3d} -> {p.teacher_index:3d}: {p.dw:.3e}, {p.da:.3e}"
+            for p in report.pairs
+        ]
+    atomic_write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
+                     [(method, r, n_students, *scores, Q)])
+    atomic_write_text(os.path.join(out_dir, "report.txt"), "\n".join(lines) + "\n")
 
 
 def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
+    """Reconstruct from an ensemble of [students] n slots; a missing model file is a None slot."""
     teacher_path = os.path.join(out_dir, "teacher.mlp")
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(teacher_path, queries_path)
     teacher = load_mlp(teacher_path)
     qs = load_queryset(queries_path)
-    students = []
-    for i in range(cfg.students.n):
-        path = _student_path(out_dir, i)
-        if os.path.isfile(path):
-            students.append(load_mlp(path))
-    if len(students) < 2:
+    n = cfg.students.n
+    paths = [_student_path(out_dir, i) for i in range(n)]
+    ensemble = StudentEnsemble(
+        students=[load_mlp(p) if os.path.isfile(p) else None for p in paths],
+        histories=[[] for _ in range(n)],
+        final_losses=[nan] * n,
+        rho=cfg.students.rho,
+        teacher_r=cfg.teacher.hidden,
+    )
+    if len(ensemble.trained) < 2:
         raise ConfigError("need at least two trained students; run train-students first")
 
-    vectors = extract_neurons(students)
-    result = cluster_neurons(vectors, len(students), cfg.reconstruct.gamma,
-                             cfg.reconstruct.beta)
-    method = qs.provenance
-    report_csv_path = os.path.join(out_dir, "report.csv")
-    report_txt_path = os.path.join(out_dir, "report.txt")
-    if not any(result.accepted):
-        atomic_write_text(report_csv_path,
-                          _report_csv(method, teacher.r, len(students), None, qs.Q))
-        atomic_write_text(report_txt_path,
-                          _report_text(method, None, len(students), qs.Q))
+    try:
+        tuned, _, history = run_reconstruction(ensemble, qs, cfg.reconstruct.gamma,
+                                               cfg.reconstruct.beta,
+                                               cfg.reconstruct.fine_tune)
+    except EmptyReconstructionError:
+        _write_report(out_dir, qs.provenance, teacher.r, n, None, qs.Q)
         print("reconstruction: no accepted clusters (m = 0)", file=sys.stderr)
         return EXIT_EMPTY_RECONSTRUCTION
-
-    biases = np.mean([s.c_out for s in students], axis=0)
-    collapsed = collapse(result, qs.d, qs.c, output_bias=biases)
-    tuned, history = fine_tune(collapsed, qs, cfg.reconstruct.fine_tune)
     report = evaluate_reconstruction(tuned, teacher)
     save_mlp(tuned, os.path.join(out_dir, "reconstructed.mlp"))
-    atomic_write_text(os.path.join(out_dir, "finetune_history.csv"),
-                      _history_csv(history))
-    atomic_write_text(report_csv_path,
-                      _report_csv(method, teacher.r, len(students), report, qs.Q))
-    atomic_write_text(report_txt_path,
-                      _report_text(method, report, len(students), qs.Q))
+    atomic_write_csv(os.path.join(out_dir, "finetune_history.csv"), HISTORY_COLUMNS, history)
+    _write_report(out_dir, qs.provenance, teacher.r, n, report, qs.Q)
     print(f"reconstruction: m/r={report.m_over_r:.3f} "
           f"avg_dw={report.avg_dw:.3e} max_dw={report.max_dw:.3e}")
     return EXIT_OK

@@ -27,3 +27,7 @@ class DivergenceError(NetreconError):
 
 class ConfigError(NetreconError):
     """An experiment config file is missing, malformed, or inconsistent."""
+
+
+class EmptyReconstructionError(NetreconError, ValueError):
+    """No neuron cluster spans enough students to be accepted (m = 0)."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_csv
 from .network import Mlp, forward, mse_loss
 
 
@@ -100,21 +100,14 @@ def scatter_table(teacher: Mlp, students: list[Mlp],
 
 
 def write_losses_csv(rows: list[tuple[int, str, int, float]], path: str) -> None:
-    lines = ["student,dataset,Q,loss"]
-    lines += [f"{i},{name},{q},{loss!r}" for i, name, q, loss in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_csv(path, "student,dataset,Q,loss", rows)
 
 
 def write_variability_csv(rows: list[tuple[str, VariabilityStats]], path: str) -> None:
-    lines = ["strategy,mean_std,sem_std"]
-    lines += [f"{name},{s.mean_std!r},{s.sem_std!r}" for name, s in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_csv(path, "strategy,mean_std,sem_std",
+                     [(name, s.mean_std, s.sem_std) for name, s in rows])
 
 
 def write_histogram_csv(hist: Histogram, path: str) -> None:
-    lines = ["bin_lo,bin_hi,count"]
-    lines += [
-        f"{hist.edges[i]!r},{hist.edges[i + 1]!r},{int(hist.counts[i])}"
-        for i in range(len(hist.counts))
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_csv(path, "bin_lo,bin_hi,count",
+                     zip(hist.edges[:-1], hist.edges[1:], hist.counts))

@@ -135,14 +135,18 @@ def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
     return Gradients(W=dW, b=db, A=dA, c_out=dc_out)
 
 
-def mse_loss(net: Mlp, X: np.ndarray, Y: np.ndarray) -> float:
-    """Imitation loss: (1/Q) sum over rows of the squared error summed over outputs."""
-    out = forward(net, X).out
+def _mse(out: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Residual out - Y and the imitation loss it gives."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != out.shape:
         raise ValueError(f"targets must have shape {out.shape}, got {Y.shape}")
     err = out - Y
-    return float(np.sum(err * err) / X.shape[0])
+    return err, float(np.sum(err * err) / out.shape[0])
+
+
+def mse_loss(net: Mlp, X: np.ndarray, Y: np.ndarray) -> float:
+    """Imitation loss: (1/Q) sum over rows of the squared error summed over outputs."""
+    return _mse(forward(net, X).out, Y)[1]
 
 
 def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[Gradients, float]:
@@ -153,15 +157,9 @@ def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[Gradients, flo
     output width.
     """
     X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
     trace = forward(net, X)
-    if Y.shape != trace.out.shape:
-        raise ValueError(f"targets must have shape {trace.out.shape}, got {Y.shape}")
-    Q = X.shape[0]
-    err = trace.out - Y
-    loss = float(np.sum(err * err) / Q)
-    dout = (2.0 / Q) * err
-    return backprop_from_dout(net, trace, X, dout), loss
+    err, loss = _mse(trace.out, Y)
+    return backprop_from_dout(net, trace, X, (2.0 / X.shape[0]) * err), loss
 
 
 def init_mlp(r: int, d: int, c: int, scheme: str = "uniform", seed: int = 0) -> Mlp:

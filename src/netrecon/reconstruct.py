@@ -19,6 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import squareform
 
 from .data import QuerySet
+from .errors import EmptyReconstructionError
 from .network import Mlp
 from .train import HistoryPoint, StudentEnsemble, TrainConfig, fit_mse
 
@@ -160,7 +161,8 @@ def collapse(result: ClusterResult, d: int, c: int,
     """
     accepted = result.accepted_clusters
     if not accepted:
-        raise ValueError("no accepted clusters to collapse")
+        raise EmptyReconstructionError(f"no cluster spans ceil({result.gamma} * "
+                                       f"{result.n_students}) students")
     m = len(accepted)
     W = np.zeros((m, d))
     b = np.zeros(m)
@@ -241,11 +243,13 @@ def run_reconstruction(ensemble: StudentEnsemble, qs: QuerySet, gamma: float,
                        ) -> tuple[Mlp, ClusterResult, list[HistoryPoint]]:
     """Extract, cluster, collapse and fine-tune in one call.
 
-    Raises ValueError when no cluster is accepted; callers decide whether that
-    is a failure or a reportable empty result.
+    A cluster is accepted when it spans ceil(gamma * N) students, N =
+    ensemble.n_students counting diverged and missing (None) students.
+    Raises EmptyReconstructionError when no cluster is accepted; callers
+    decide whether that is a failure or a reportable empty result.
     """
     vectors = extract_neurons(ensemble)
-    result = cluster_neurons(vectors, len(ensemble.trained), gamma, beta)
+    result = cluster_neurons(vectors, ensemble.n_students, gamma, beta)
     biases = np.mean([s.c_out for s in ensemble.trained], axis=0)
     collapsed = collapse(result, qs.d, qs.c, output_bias=biases)
     tuned, history = fine_tune(collapsed, qs, cfg)

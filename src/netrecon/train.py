@@ -8,8 +8,10 @@ reconstruction stage clusters.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -140,25 +142,22 @@ def steps_for(epochs: int, dataset_size: int, batch_size: int) -> int:
     return (epochs * dataset_size) // batch_size
 
 
+def _cross_entropy(out: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of softmax(out) against integer labels, and softmax(out)."""
+    shifted = out - out.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1)
+    loss = float(np.mean(np.log(total) - shifted[np.arange(out.shape[0]), labels]))
+    return loss, exp / total[:, None]
+
+
 def _softmax_ce(net: Mlp, X: np.ndarray, labels: np.ndarray) -> tuple[Gradients, float]:
     """Mean cross-entropy of softmax(logits) against integer labels, with gradients."""
     trace = forward(net, X)
     B = X.shape[0]
-    shifted = trace.out - trace.out.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=1)
-    idx = np.arange(B)
-    loss = float(np.mean(np.log(total) - shifted[idx, labels]))
-    p = exp / total[:, None]
-    p[idx, labels] -= 1.0
+    loss, p = _cross_entropy(trace.out, labels)
+    p[np.arange(B), labels] -= 1.0
     return backprop_from_dout(net, trace, X, p / B), loss
-
-
-def _ce_loss(net: Mlp, X: np.ndarray, labels: np.ndarray) -> float:
-    out = forward(net, X).out
-    shifted = out - out.max(axis=1, keepdims=True)
-    total = np.exp(shifted).sum(axis=1)
-    return float(np.mean(np.log(total) - shifted[np.arange(X.shape[0]), labels]))
 
 
 def accuracy(net: Mlp, ds: ImageDataset) -> float:
@@ -232,7 +231,7 @@ def train_teacher(ds: ImageDataset, r: int, cfg: TrainConfig) -> tuple[Mlp, list
     return _fit(
         net, X,
         grad_fn=lambda m, idx: _softmax_ce(m, X[idx], labels[idx]),
-        eval_fn=lambda m: _ce_loss(m, X, labels),
+        eval_fn=lambda m: _cross_entropy(forward(m, X).out, labels)[0],
         cfg=cfg,
     )
 
@@ -286,13 +285,34 @@ class StudentEnsemble:
         return [s for s in self.students if s is not None]
 
 
-def _train_indexed(args) -> tuple[int, Mlp | None, list[HistoryPoint], str]:
-    index, qs, r_student, cfg = args
+def _train_one(qs: QuerySet, r_student: int, cfg: TrainConfig,
+               index: int) -> tuple[int, Mlp | None, list[HistoryPoint], str]:
     try:
         net, history = train_student(qs, r_student, replace(cfg, seed=cfg.seed + index))
         return index, net, history, ""
     except DivergenceError as exc:
         return index, None, [], str(exc)
+
+
+def iter_students(qs: QuerySet, r_student: int, cfg: TrainConfig, indices,
+                  jobs: int = 1) -> Iterator[tuple[int, Mlp | None, list[HistoryPoint], str]]:
+    """Train one width-r_student student per seed index i (seed cfg.seed + i).
+
+    Yields (index, net, history, message) in the order of the `indices`
+    sequence as each student finishes; a diverged one yields (index, None, [],
+    message). `jobs` > 1 trains in parallel processes, bit-identically.
+    """
+    work = partial(_train_one, qs, r_student, cfg)
+    if jobs > 1 and len(indices) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(work, indices)
+    else:
+        yield from map(work, indices)
+
+
+def final_loss(history: list[HistoryPoint]) -> float:
+    """Full-set loss of the parameters a training run returned (nan if none)."""
+    return history[-1][1] if history else float("nan")
 
 
 def train_ensemble(qs: QuerySet, teacher_r: int, rho: int, N: int,
@@ -306,22 +326,12 @@ def train_ensemble(qs: QuerySet, teacher_r: int, rho: int, N: int,
         raise ValueError("an ensemble needs N >= 2 students")
     if rho < 1 or teacher_r < 1:
         raise ValueError("rho and teacher_r must be >= 1")
-    r_student = rho * teacher_r
-    payloads = [(i, qs, r_student, cfg) for i in range(N)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_train_indexed, payloads))
-    else:
-        results = [_train_indexed(p) for p in payloads]
-    results.sort(key=lambda item: item[0])
-    ensemble = StudentEnsemble(
+    results = list(iter_students(qs, rho * teacher_r, cfg, range(N), jobs))
+    return StudentEnsemble(
         students=[net for _, net, _, _ in results],
         histories=[hist for _, _, hist, _ in results],
-        final_losses=[
-            hist[-1][1] if hist else float("nan") for _, _, hist, _ in results
-        ],
+        final_losses=[final_loss(hist) for _, _, hist, _ in results],
         rho=rho,
         teacher_r=teacher_r,
+        failures=[(i, msg) for i, net, _, msg in results if net is None],
     )
-    ensemble.failures = [(i, msg) for i, net, _, msg in results if net is None]
-    return ensemble

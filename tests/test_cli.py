@@ -1,7 +1,11 @@
+import shutil
+
 import pytest
 
+from netrecon import train
 from netrecon.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_EMPTY_RECONSTRUCTION,
     EXIT_OK,
     REPORT_COLUMNS,
@@ -121,15 +125,66 @@ class TestStages:
         run(workdir, "train-teacher", out_b)
         assert (out_a / "teacher.mlp").read_bytes() == (out_b / "teacher.mlp").read_bytes()
 
-    def test_resume_skips_existing_students(self, workdir):
+    def test_resume_retrains_only_missing_students(self, workdir):
         out = workdir / "stages"
         target = out / "students" / "student_01.mlp"
         before = target.read_bytes()
+        target.unlink()
         marker = out / "students" / "student_00.mlp"
         marker_stat = marker.stat().st_mtime_ns
         assert run(workdir, "train-students", out, "--resume") == EXIT_OK
         assert marker.stat().st_mtime_ns == marker_stat  # untouched
         assert target.read_bytes() == before
+
+
+class TestStudentFiles:
+    @pytest.fixture(scope="class")
+    def queries(self, workdir):
+        """An output directory holding a teacher and its query set."""
+        out = workdir / "queries"
+        assert run(workdir, "train-teacher", out) == EXIT_OK
+        assert run(workdir, "build-queries", out) == EXIT_OK
+        return out
+
+    @staticmethod
+    def copy_queries(queries, out):
+        out.mkdir()
+        for name in ("teacher.mlp", "queries.qs"):
+            shutil.copy(queries / name, out / name)
+
+    def test_students_saved_as_they_finish(self, workdir, queries, monkeypatch):
+        out = workdir / "interrupted"
+        self.copy_queries(queries, out)
+        real = train.train_student
+        calls = []
+
+        def interrupt_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(train, "train_student", interrupt_third)
+        with pytest.raises(KeyboardInterrupt):
+            run(workdir, "train-students", out)
+        assert (out / "students" / "student_00.mlp").is_file()
+        assert (out / "students" / "student_01.mlp").is_file()
+        assert not (out / "students" / "student_02.mlp").exists()
+
+    def test_diverged_student_leaves_no_model_file(self, workdir, queries):
+        out = workdir / "diverged"
+        self.copy_queries(queries, out)
+        stale = out / "students" / "student_01.mlp"
+        stale.parent.mkdir()
+        stale.write_bytes(b"model file of an earlier run")
+        config = workdir / "diverge.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(
+            "learning_rate = 0.02", "learning_rate = 1e300"))
+        code = main(["train-students", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        assert not stale.exists()
+        summary = (out / "students" / "ensemble_summary.csv").read_text().splitlines()
+        assert summary[2].startswith("1,nan,0,diverged: ")
 
 
 class TestPipeline:

@@ -174,3 +174,5 @@ class TestCsvEmission:
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 5
         assert sum(int(line.split(",")[2]) for line in lines[1:]) == hist.total
+        edges = [(float(lo), float(hi)) for lo, hi, _ in (l.split(",") for l in lines[1:])]
+        assert edges == list(zip(hist.edges[:-1], hist.edges[1:]))  # exact round trip

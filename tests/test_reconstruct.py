@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netrecon.data import QuerySet
+from netrecon.errors import EmptyReconstructionError
 from netrecon.network import Mlp, forward
 from netrecon.reconstruct import (
     ClusterResult,
@@ -253,8 +254,24 @@ class TestRunReconstruction:
         X = rng.normal(size=(50, 6))
         qs = QuerySet(inputs=X, targets=forward(students[0], X).out)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_steps=10, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyReconstructionError):
             run_reconstruction(ensemble, qs, gamma=1.0, beta=8.0, cfg=cfg)
+
+    def test_gamma_counts_missing_students(self):
+        # three students carry every teacher neuron, the fourth slot is empty:
+        # gamma=1.0 needs ceil(1.0 * 4) = 4 students per cluster, not 3
+        rng = np.random.default_rng(23)
+        teacher = random_teacher(rng, r=4, d=6, c=3)
+        students = [padded_student(teacher, extra=4, seed=s) for s in range(3)] + [None]
+        ensemble = StudentEnsemble(students=students,
+                                   histories=[[] for _ in students],
+                                   final_losses=[0.0] * 3 + [float("nan")],
+                                   rho=2, teacher_r=4)
+        X = rng.normal(size=(50, 6))
+        qs = QuerySet(inputs=X, targets=forward(teacher, X).out)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_steps=10, seed=0)
+        with pytest.raises(EmptyReconstructionError):
+            run_reconstruction(ensemble, qs, gamma=1.0, beta=3.0, cfg=cfg)
 
 
 class TestEvaluateReconstruction:

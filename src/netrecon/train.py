@@ -172,7 +172,9 @@ def _fit(net: Mlp, X: np.ndarray, grad_fn, eval_fn,
 
     `grad_fn(net, idx)` returns (Gradients, batch loss); `eval_fn(net)` the
     full-set loss used for the history, the scheduler and early stopping.
-    The last short batch of each epoch is kept.
+    The last short batch of each epoch is kept. Returns the evaluated
+    parameters with the lowest full-set loss, step 0 included: the first
+    argmin of the history, not necessarily the last iterate.
     """
     n = X.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -186,6 +188,7 @@ def _fit(net: Mlp, X: np.ndarray, grad_fn, eval_fn,
     if initial <= cfg.target_loss:
         return net, history
     sched.step(initial)
+    best, best_loss = net, initial
     order = rng.permutation(n)
     pos = 0
     step = 0
@@ -211,10 +214,12 @@ def _fit(net: Mlp, X: np.ndarray, grad_fn, eval_fn,
             if not np.isfinite(full):
                 raise DivergenceError(step)
             history.append((step, full, sched.lr))
+            if full < best_loss:
+                best, best_loss = net, full
             sched.step(full)
             if full <= cfg.target_loss:
                 break
-    return net, history
+    return best, history
 
 
 def train_teacher(ds: ImageDataset, r: int, cfg: TrainConfig) -> tuple[Mlp, list[HistoryPoint]]:
@@ -312,7 +317,7 @@ def iter_students(qs: QuerySet, r_student: int, cfg: TrainConfig, indices,
 
 def final_loss(history: list[HistoryPoint]) -> float:
     """Full-set loss of the parameters a training run returned (nan if none)."""
-    return history[-1][1] if history else float("nan")
+    return min(loss for _, loss, _ in history) if history else float("nan")
 
 
 def train_ensemble(qs: QuerySet, teacher_r: int, rho: int, N: int,

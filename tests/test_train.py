@@ -4,7 +4,7 @@ import pytest
 from netrecon.augment import biased_noise, identity
 from netrecon.data import make_synthetic_classification, standardize
 from netrecon.errors import DivergenceError
-from netrecon.network import Gradients, Mlp, forward, init_mlp
+from netrecon.network import Gradients, Mlp, forward, init_mlp, mse_loss
 from netrecon.train import (
     AdamState,
     PlateauScheduler,
@@ -213,6 +213,17 @@ class TestStudentTraining:
         )
         assert history[-1][1] < 1e-5
         assert history[-1][1] < history[0][1] * 1e-7
+
+    def test_returns_best_evaluated_parameters(self, tiny_queries):
+        # the loss oscillates at this learning rate: the last iterate is not the best
+        ens = train_ensemble(tiny_queries, teacher_r=3, rho=2, N=2,
+                             cfg=cfg(learning_rate=1.0, max_steps=60, eval_every=5))
+        for net, history, final in zip(ens.students, ens.histories, ens.final_losses):
+            best = min(loss for _, loss, _ in history)
+            assert mse_loss(net, tiny_queries.inputs, tiny_queries.targets) == best
+            assert final == best
+        assert any(history[-1][1] > final
+                   for history, final in zip(ens.histories, ens.final_losses))
 
     def test_history_records_lr_and_steps(self, tiny_queries):
         _, history = train_student(tiny_queries, 6, cfg(max_steps=120, eval_every=40))

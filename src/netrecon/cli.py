@@ -101,6 +101,7 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     _require_files(queries_path)
     qs = load_queryset(queries_path)
     n = cfg.students.n
+    r_student = cfg.students.rho * cfg.teacher.hidden
     os.makedirs(os.path.join(out_dir, "students"), exist_ok=True)
 
     students: list[Mlp | None] = [None] * n
@@ -113,7 +114,6 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
             summaries.append((i, nan, 0, "resumed"))
         else:
             todo.append(i)
-    r_student = cfg.students.rho * cfg.teacher.hidden
     for index, net, history, message in iter_students(qs, r_student, cfg.students.train,
                                                       todo, jobs):
         path = _student_path(out_dir, index)
@@ -140,12 +140,12 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     if finals:
         print(f"students: trained={len(finals)} final loss "
               f"min={min(finals):.3e} median={median(finals):.3e} max={max(finals):.3e}")
+    if len(trained) >= 2 and cfg.eval_sets:
+        _write_scatter(cfg, out_dir, qs, trained)
     if len(trained) < 2:
         print("fewer than two students trained; reconstruction is impossible",
               file=sys.stderr)
         return EXIT_DIVERGED
-    if cfg.eval_sets:
-        _write_scatter(cfg, out_dir, qs, trained)
     return EXIT_OK
 
 

@@ -125,7 +125,7 @@ class TestStages:
         run(workdir, "train-teacher", out_b)
         assert (out_a / "teacher.mlp").read_bytes() == (out_b / "teacher.mlp").read_bytes()
 
-    def test_resume_retrains_only_missing_students(self, workdir):
+    def test_resume_skips_existing_students(self, workdir):
         out = workdir / "stages"
         target = out / "students" / "student_01.mlp"
         before = target.read_bytes()

@@ -22,20 +22,23 @@ trace = forward(net, X)
 print(f"\nforward pass: pre {trace.pre.shape}, hidden {trace.hidden.shape}, "
       f"out {trace.out.shape}")
 
-# The backward pass is exact. Compare one gradient block against central
-# finite differences.
+# All parameters live in one vector theta, in model-file order; W, b, A and
+# c_out are views of it, and gradients share the layout.
+print(f"parameters: theta has {net.n_params} entries, "
+      f"W {net.W.shape} + b {net.b.shape} + A {net.A.shape} + c_out {net.c_out.shape}")
+
+# The backward pass is exact. Compare the gradient against central finite
+# differences, one entry of theta at a time.
 Y = rng.normal(size=(5, 3))
-grads, loss = backward_mse(net, X, Y)
+grad, loss = backward_mse(net, X, Y)
 h = 1e-5
-numeric = np.zeros_like(net.W)
-for i in range(net.r):
-    for j in range(net.d):
-        W_up, W_dn = net.W.copy(), net.W.copy()
-        W_up[i, j] += h
-        W_dn[i, j] -= h
-        up = mse_loss(Mlp(W=W_up, b=net.b, A=net.A, c_out=net.c_out), X, Y)
-        down = mse_loss(Mlp(W=W_dn, b=net.b, A=net.A, c_out=net.c_out), X, Y)
-        numeric[i, j] = (up - down) / (2 * h)
-err = np.max(np.abs(grads.W - numeric) / np.maximum(np.abs(numeric), 1e-8))
+numeric = np.zeros_like(grad)
+for i in range(net.n_params):
+    up, down = net.theta.copy(), net.theta.copy()
+    up[i] += h
+    down[i] -= h
+    numeric[i] = (mse_loss(Mlp.from_flat(up, net.r, net.d, net.c), X, Y)
+                  - mse_loss(Mlp.from_flat(down, net.r, net.d, net.c), X, Y)) / (2 * h)
+err = np.max(np.abs(grad - numeric) / np.maximum(np.abs(numeric), 1e-8))
 print(f"\nloss = {loss:.6f}")
-print(f"analytic dW vs finite differences: worst relative error {err:.2e}")
+print(f"analytic gradient vs finite differences: worst relative error {err:.2e}")

@@ -52,7 +52,6 @@ from .metrics import (
 )
 from .network import (
     ForwardTrace,
-    Gradients,
     Mlp,
     activation,
     activation_prime,

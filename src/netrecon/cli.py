@@ -90,13 +90,19 @@ def cmd_build_queries(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _student_path(out_dir: str, index: int) -> str:
-    return os.path.join(out_dir, "students", f"student_{index:02d}.mlp")
+def _student_files(out_dir: str, index: int) -> tuple[str, str]:
+    """Model file and training-history file of the student in slot `index`."""
+    stem = os.path.join(out_dir, "students", f"student_{index:02d}")
+    return stem + ".mlp", stem + ".history.csv"
 
 
 def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                        resume: bool = False) -> int:
-    """Train the students, saving each model file as soon as that student is done."""
+    """Train the students, saving each one's history file and then its model file.
+
+    `resume` skips slots that have both files. The ensemble CSVs are built
+    from every slot's files, so they do not depend on what was resumed.
+    """
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(queries_path)
     qs = load_queryset(queries_path)
@@ -104,48 +110,47 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     r_student = cfg.students.rho * cfg.teacher.hidden
     os.makedirs(os.path.join(out_dir, "students"), exist_ok=True)
 
-    students: list[Mlp | None] = [None] * n
-    summaries: list[tuple[int, float, int, str]] = []
-    history_rows: list[tuple[int, float, float, int]] = []
-    todo = []
-    for i in range(n):
-        if resume and os.path.isfile(_student_path(out_dir, i)):
-            students[i] = load_mlp(_student_path(out_dir, i))
-            summaries.append((i, nan, 0, "resumed"))
-        else:
-            todo.append(i)
+    files = [_student_files(out_dir, i) for i in range(n)]
+    todo = [i for i in range(n) if not (resume and all(map(os.path.isfile, files[i])))]
+    failures: dict[int, str] = {}
     for index, net, history, message in iter_students(qs, r_student, cfg.students.train,
                                                       todo, jobs):
-        path = _student_path(out_dir, index)
         if net is None:
-            # a model file left by an earlier run must not stand in for this student
-            if os.path.exists(path):
+            # files left by an earlier run must not stand in for this student
+            for path in filter(os.path.exists, files[index]):
                 os.remove(path)
-            summaries.append((index, nan, 0, f"diverged: {message}"))
+            failures[index] = message
             print(f"student {index}: DIVERGED ({message})", file=sys.stderr)
             continue
-        students[index] = net
-        save_mlp(net, path)
-        summaries.append((index, final_loss(history), history[-1][0], "trained"))
-        history_rows += [(step, loss, lr, index) for step, loss, lr in history]
-    summaries.sort(key=lambda item: item[0])
+        atomic_write_csv(files[index][1], HISTORY_COLUMNS, history)
+        save_mlp(net, files[index][0])
 
+    summaries, history_rows = [], []
+    for i in range(n):
+        if i in failures:
+            summaries.append((i, nan, 0, f"diverged: {failures[i]}"))
+            continue
+        with open(files[i][1]) as f:
+            rows = [line.split(",") for line in f.read().splitlines()[1:]]
+        history = [(int(step), float(loss), float(lr)) for step, loss, lr in rows]
+        summaries.append((i, final_loss(history), history[-1][0], "trained"))
+        history_rows += [(step, loss, lr, i) for step, loss, lr in history]
     atomic_write_csv(os.path.join(out_dir, "students", "losses.csv"),
                      HISTORY_COLUMNS + ",student_index", history_rows)
     atomic_write_csv(os.path.join(out_dir, "students", "ensemble_summary.csv"),
                      "student_index,final_loss,steps,status", summaries)
 
-    trained = [s for s in students if s is not None]
     finals = [loss for _, loss, _, status in summaries if status == "trained"]
     if finals:
         print(f"students: trained={len(finals)} final loss "
               f"min={min(finals):.3e} median={median(finals):.3e} max={max(finals):.3e}")
-    if len(trained) >= 2 and cfg.eval_sets:
-        _write_scatter(cfg, out_dir, qs, trained)
-    if len(trained) < 2:
+    if len(finals) < 2:
         print("fewer than two students trained; reconstruction is impossible",
               file=sys.stderr)
         return EXIT_DIVERGED
+    if cfg.eval_sets:
+        _write_scatter(cfg, out_dir, qs,
+                       [load_mlp(files[i][0]) for i in range(n) if i not in failures])
     return EXIT_OK
 
 
@@ -196,7 +201,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
     teacher = load_mlp(teacher_path)
     qs = load_queryset(queries_path)
     n = cfg.students.n
-    paths = [_student_path(out_dir, i) for i in range(n)]
+    paths = [_student_files(out_dir, i)[0] for i in range(n)]
     ensemble = StudentEnsemble(
         students=[load_mlp(p) if os.path.isfile(p) else None for p in paths],
         histories=[[] for _ in range(n)],

@@ -81,6 +81,8 @@ class QuerySet:
             raise ValueError("inputs and targets must be matrices")
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError("inputs and targets must have the same number of rows")
+        if min(*inputs.shape, targets.shape[1]) < 1:
+            raise ValueError(f"Q, d and c must all be >= 1, got {inputs.shape} {targets.shape}")
         inputs.flags.writeable = False
         targets.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
@@ -226,11 +228,14 @@ def load_queryset(path: str) -> QuerySet:
     inputs = np.frombuffer(raw, dtype="<f8", count=Q * d, offset=offset)
     offset += 8 * Q * d
     targets = np.frombuffer(raw, dtype="<f8", count=Q * c, offset=offset)
-    return QuerySet(
-        inputs=inputs.reshape(Q, d).astype(np.float64),
-        targets=targets.reshape(Q, c).astype(np.float64),
-        provenance=provenance,
-    )
+    try:
+        return QuerySet(
+            inputs=inputs.reshape(Q, d).astype(np.float64),
+            targets=targets.reshape(Q, c).astype(np.float64),
+            provenance=provenance,
+        )
+    except ValueError as exc:  # zero dims
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def make_synthetic_classification(n_samples: int,

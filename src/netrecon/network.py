@@ -40,58 +40,71 @@ def activation_prime(z):
     return expit(z) + 4.0 * s4 * (1.0 - s4)
 
 
-def _as_block(name, value, shape):
-    arr = np.ascontiguousarray(value, dtype=np.float64)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
 class Mlp:
-    """y = A g(W x + b) + c_out with hidden width r, input dim d, output dim c."""
+    """y = A g(W x + b) + c_out with hidden width r, input dim d, output dim c.
 
-    W: np.ndarray  # (r, d) hidden input weights
-    b: np.ndarray  # (r,)   hidden biases
-    A: np.ndarray  # (c, r) output weights
-    c_out: np.ndarray  # (c,) output biases
+    The parameters are one read-only float64 vector `theta`, laid out like the
+    body of an NRML model file: W (r*d, row-major), b (r), A (c*r), c_out (c).
+    W, b, A and c_out are views of it. An Mlp is immutable.
+    """
 
-    def __post_init__(self):
-        W = np.ascontiguousarray(self.W, dtype=np.float64)
-        if W.ndim != 2:
-            raise ValueError("W must be a matrix")
-        r, d = W.shape
-        if not np.all(np.isfinite(W)):
-            raise ValueError("W contains non-finite entries")
-        b = _as_block("b", self.b, (r,))
-        A = np.ascontiguousarray(self.A, dtype=np.float64)
-        if A.ndim != 2 or A.shape[1] != r:
-            raise ValueError(f"A must have shape (c, {r}), got {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("A contains non-finite entries")
-        c_out = _as_block("c_out", self.c_out, (A.shape[0],))
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "c_out", c_out)
+    __slots__ = ("r", "d", "c", "theta", "W", "b", "A", "c_out")
 
-    @property
-    def r(self) -> int:
-        return self.W.shape[0]
+    def __init__(self, W, b, A, c_out):
+        """Copy the four blocks into a fresh `theta`; the inputs are not aliased."""
+        W = np.asarray(W, dtype=np.float64)
+        A = np.asarray(A, dtype=np.float64)
+        if W.ndim != 2 or A.ndim != 2:
+            raise ValueError("W and A must be matrices")
+        self._set_dims(*W.shape, A.shape[0])
+        theta = np.empty(self.n_params)
+        for name, view, value in zip(("W", "b", "A", "c_out"), self.blocks(theta),
+                                     (W, b, A, c_out)):
+            value = np.asarray(value, dtype=np.float64)
+            if value.shape != view.shape:
+                raise ValueError(f"{name} must have shape {view.shape}, got {value.shape}")
+            view[...] = value
+        self._adopt(theta)
 
-    @property
-    def d(self) -> int:
-        return self.W.shape[1]
+    @classmethod
+    def from_flat(cls, theta, r: int, d: int, c: int) -> Mlp:
+        """Net on `theta`, a vector in NRML body order; adopted without a copy and made read-only."""
+        net = object.__new__(cls)
+        net._set_dims(r, d, c)
+        net._adopt(np.ascontiguousarray(theta, dtype=np.float64))
+        return net
 
-    @property
-    def c(self) -> int:
-        return self.A.shape[0]
+    def _set_dims(self, r, d, c):
+        if r < 1 or d < 1 or c < 1:
+            raise ValueError(f"r, d and c must all be >= 1, got r={r} d={d} c={c}")
+        for name, value in zip(("r", "d", "c"), (r, d, c)):
+            object.__setattr__(self, name, int(value))
+
+    def _adopt(self, theta):
+        if theta.shape != (self.n_params,):
+            raise ValueError(f"theta must have shape ({self.n_params},), got {theta.shape}")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("parameters contain non-finite entries")
+        theta.flags.writeable = False
+        for name, value in zip(("theta", "W", "b", "A", "c_out"), (theta, *self.blocks(theta))):
+            object.__setattr__(self, name, value)
+
+    def blocks(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Views (W, b, A, c_out) of a vector laid out like `theta`: the one place the layout lives."""
+        r, d, c = self.r, self.d, self.c
+        i, j, k = r * d, r * d + r, r * d + r + c * r
+        return vec[:i].reshape(r, d), vec[i:j], vec[j:k].reshape(c, r), vec[k:k + c]
 
     @property
     def n_params(self) -> int:
-        return self.W.size + self.b.size + self.A.size + self.c_out.size
+        return self.r * self.d + self.r + self.c * self.r + self.c
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Mlp is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        """Pickle theta and the dims only; unpickling rebuilds the views."""
+        return Mlp.from_flat, (self.theta, self.r, self.d, self.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,16 +114,6 @@ class ForwardTrace:
     pre: np.ndarray  # (batch, r) pre-activations W x + b
     hidden: np.ndarray  # (batch, r) activation(pre)
     out: np.ndarray  # (batch, c) logits
-
-
-@dataclass(eq=False)
-class Gradients:
-    """Loss gradients, one block per parameter block of :class:`Mlp`."""
-
-    W: np.ndarray
-    b: np.ndarray
-    A: np.ndarray
-    c_out: np.ndarray
 
 
 def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
@@ -125,14 +128,16 @@ def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
 
 
 def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
-                       dout: np.ndarray) -> Gradients:
-    """Pull a gradient w.r.t. the logits back onto the parameter blocks."""
-    dA = dout.T @ trace.hidden
-    dc_out = dout.sum(axis=0)
+                       dout: np.ndarray) -> np.ndarray:
+    """Pull a gradient w.r.t. the logits back onto the parameters, in `theta`'s layout."""
+    grad = np.empty(net.n_params)
+    dW, db, dA, dc_out = net.blocks(grad)
+    np.matmul(dout.T, trace.hidden, out=dA)
+    dout.sum(axis=0, out=dc_out)
     dpre = (dout @ net.A) * activation_prime(trace.pre)
-    dW = dpre.T @ X
-    db = dpre.sum(axis=0)
-    return Gradients(W=dW, b=db, A=dA, c_out=dc_out)
+    np.matmul(dpre.T, X, out=dW)
+    dpre.sum(axis=0, out=db)
+    return grad
 
 
 def _mse(out: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -149,8 +154,10 @@ def mse_loss(net: Mlp, X: np.ndarray, Y: np.ndarray) -> float:
     return _mse(forward(net, X).out, Y)[1]
 
 
-def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[Gradients, float]:
-    """Exact analytic gradients of :func:`mse_loss` plus the loss value.
+def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact analytic gradient of :func:`mse_loss` plus the loss value.
+
+    The gradient is laid out like `net.theta`; `net.blocks(grad)` splits it.
 
     The loss normalizes by the batch size Q only; the sum over output
     coordinates stays inside, so values are comparable run-to-run for a fixed
@@ -178,16 +185,12 @@ def init_mlp(r: int, d: int, c: int, scheme: str = "uniform", seed: int = 0) -> 
 
 # Model container layout (all integers little-endian):
 #   magic "NRML" | u32 version | u64 r | u64 d | u64 c
-#   float64-LE blocks W (r*d), b (r), A (c*r), c_out (c)
+#   float64-LE theta: W (r*d), b (r), A (c*r), c_out (c)
 #   u32 crc32 over everything after the magic
 
 def save_mlp(net: Mlp, path: str) -> None:
     header = struct.pack("<IQQQ", MODEL_VERSION, net.r, net.d, net.c)
-    blocks = b"".join(
-        np.ascontiguousarray(block, dtype="<f8").tobytes()
-        for block in (net.W, net.b, net.A, net.c_out)
-    )
-    body = header + blocks
+    body = header + np.ascontiguousarray(net.theta, dtype="<f8").tobytes()
     atomic_write_bytes(path, MODEL_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
 
 
@@ -211,13 +214,8 @@ def load_mlp(path: str) -> Mlp:
     (crc,) = struct.unpack_from("<I", raw, expected - 4)
     if crc != zlib.crc32(raw[len(MODEL_MAGIC):expected - 4]):
         raise FormatError(f"{path}: checksum mismatch")
-    flat = np.frombuffer(raw, dtype="<f8", count=n_floats, offset=head)
-    pos = 0
-    W = flat[pos:pos + r * d].reshape(r, d).astype(np.float64)
-    pos += r * d
-    b = flat[pos:pos + r].astype(np.float64)
-    pos += r
-    A = flat[pos:pos + c * r].reshape(c, r).astype(np.float64)
-    pos += c * r
-    c_out = flat[pos:pos + c].astype(np.float64)
-    return Mlp(W=W, b=b, A=A, c_out=c_out)
+    theta = np.frombuffer(raw, dtype="<f8", count=n_floats, offset=head)
+    try:
+        return Mlp.from_flat(theta.astype(np.float64), r, d, c)
+    except ValueError as exc:  # zero dims or non-finite parameters
+        raise FormatError(f"{path}: {exc}") from exc

@@ -92,15 +92,17 @@ def extract_neurons(ensemble: StudentEnsemble | list[Mlp],
                     min_norm: float = 1e-12) -> list[NeuronVector]:
     """Pool every hidden neuron of every student as a normalized direction.
 
-    Neurons whose [w; b] norm is below `min_norm` carry no usable direction
-    and are excluded; the excluded count is the difference between the pooled
-    total and len(result).
+    `student_index` is the student's slot in the ensemble, counting diverged
+    and missing (None) students. Neurons whose [w; b] norm is below
+    `min_norm` carry no usable direction and are excluded; the excluded count
+    is the difference between the pooled total and len(result).
     """
-    students = ensemble.trained if isinstance(ensemble, StudentEnsemble) else list(ensemble)
+    slots = ensemble.students if isinstance(ensemble, StudentEnsemble) else list(ensemble)
+    students = [(i, net) for i, net in enumerate(slots) if net is not None]
     if not students:
         raise ValueError("ensemble contains no trained students")
     vectors: list[NeuronVector] = []
-    for s_idx, net in enumerate(students):
+    for s_idx, net in students:
         dirs, norms = _directions(net.W, net.b)
         for i in range(net.r):
             if norms[i] < min_norm:
@@ -182,8 +184,7 @@ def collapse(result: ClusterResult, d: int, c: int,
             else:
                 per_student[v.student_index] = v.outgoing.copy()
         A[:, j] = np.mean(list(per_student.values()), axis=0)
-    c_out = np.zeros(c) if output_bias is None else np.asarray(output_bias, dtype=np.float64)
-    return Mlp(W=W, b=b, A=A, c_out=c_out)
+    return Mlp(W=W, b=b, A=A, c_out=np.zeros(c) if output_bias is None else output_bias)
 
 
 def fine_tune(net: Mlp, qs: QuerySet,

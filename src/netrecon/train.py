@@ -19,7 +19,6 @@ from .augment import AugmentedSet
 from .data import ImageDataset, QuerySet
 from .errors import DivergenceError
 from .network import (
-    Gradients,
     Mlp,
     backprop_from_dout,
     backward_mse,
@@ -67,41 +66,32 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class AdamState:
-    """First/second moment accumulators, one pair per parameter block."""
+    """First and second moment accumulators, vectors laid out like `Mlp.theta`."""
 
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros_like(cls, net: Mlp) -> "AdamState":
-        zero = lambda a: np.zeros_like(a)
-        return cls(
-            m=Gradients(zero(net.W), zero(net.b), zero(net.A), zero(net.c_out)),
-            v=Gradients(zero(net.W), zero(net.b), zero(net.A), zero(net.c_out)),
-        )
+        return cls(m=np.zeros_like(net.theta), v=np.zeros_like(net.theta))
 
 
-def adam_step(net: Mlp, grads: Gradients, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[Mlp, AdamState]:
-    """One Adam update with bias correction; returns the new net and state."""
-    t = state.t + 1
-    corr1 = 1.0 - beta1**t
-    corr2 = 1.0 - beta2**t
+def adam_step(net: Mlp, grad: np.ndarray, state: AdamState, lr: float,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> Mlp:
+    """One Adam update with bias correction; `grad` is laid out like `net.theta`.
 
-    def upd(p, g, m, v):
-        m_new = beta1 * m + (1.0 - beta1) * g
-        v_new = beta2 * v + (1.0 - beta2) * (g * g)
-        step_dir = (m_new / corr1) / (np.sqrt(v_new / corr2) + eps)
-        return p - lr * step_dir, m_new, v_new
-
-    W, mW, vW = upd(net.W, grads.W, state.m.W, state.v.W)
-    b, mb, vb = upd(net.b, grads.b, state.m.b, state.v.b)
-    A, mA, vA = upd(net.A, grads.A, state.m.A, state.v.A)
-    c_out, mc, vc = upd(net.c_out, grads.c_out, state.m.c_out, state.v.c_out)
-    new_state = AdamState(m=Gradients(mW, mb, mA, mc), v=Gradients(vW, vb, vA, vc), t=t)
-    return Mlp(W=W, b=b, A=A, c_out=c_out), new_state
+    Updates `state` in place and returns a new net, leaving `net` as it is.
+    Raises ValueError when the update makes a parameter non-finite.
+    """
+    state.t += 1
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grad
+    state.v *= beta2
+    state.v += (1.0 - beta2) * (grad * grad)
+    step_dir = ((state.m / (1.0 - beta1**state.t))
+                / (np.sqrt(state.v / (1.0 - beta2**state.t)) + eps))
+    return Mlp.from_flat(net.theta - lr * step_dir, net.r, net.d, net.c)
 
 
 class PlateauScheduler:
@@ -151,8 +141,8 @@ def _cross_entropy(out: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
     return loss, exp / total[:, None]
 
 
-def _softmax_ce(net: Mlp, X: np.ndarray, labels: np.ndarray) -> tuple[Gradients, float]:
-    """Mean cross-entropy of softmax(logits) against integer labels, with gradients."""
+def _softmax_ce(net: Mlp, X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean cross-entropy of softmax(logits) against integer labels, with its gradient."""
     trace = forward(net, X)
     B = X.shape[0]
     loss, p = _cross_entropy(trace.out, labels)
@@ -170,11 +160,12 @@ def _fit(net: Mlp, X: np.ndarray, grad_fn, eval_fn,
          cfg: TrainConfig) -> tuple[Mlp, list[HistoryPoint]]:
     """Shared minibatch Adam loop with epoch-wise shuffling and plateau scheduling.
 
-    `grad_fn(net, idx)` returns (Gradients, batch loss); `eval_fn(net)` the
-    full-set loss used for the history, the scheduler and early stopping.
-    The last short batch of each epoch is kept. Returns the evaluated
-    parameters with the lowest full-set loss, step 0 included: the first
-    argmin of the history, not necessarily the last iterate.
+    `grad_fn(net, idx)` returns (gradient laid out like `net.theta`, batch
+    loss); `eval_fn(net)` the full-set loss used for the history, the
+    scheduler and early stopping. The last short batch of each epoch is kept.
+    Returns the evaluated net with the lowest full-set loss, step 0 included
+    (the first argmin of the history); nets are immutable, so it is kept
+    without a copy.
     """
     n = X.shape[0]
     rng = np.random.default_rng(cfg.seed)
@@ -200,12 +191,12 @@ def _fit(net: Mlp, X: np.ndarray, grad_fn, eval_fn,
         pos += cfg.batch_size
         with np.errstate(over="ignore", invalid="ignore"):
             # a diverging run overflows before it is caught; keep that quiet
-            grads, batch_loss = grad_fn(net, batch_idx)
+            grad, batch_loss = grad_fn(net, batch_idx)
         if not np.isfinite(batch_loss):
             raise DivergenceError(step)
         try:
-            net, state = adam_step(net, grads, state, sched.lr,
-                                   cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            net = adam_step(net, grad, state, sched.lr,
+                            cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
         except ValueError as exc:  # non-finite parameters with a still-finite loss
             raise DivergenceError(step, f"diverged at step {step}: {exc}") from exc
         step += 1

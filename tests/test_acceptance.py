@@ -106,23 +106,20 @@ def test_criterion_01_gradient_correctness():
                   A=rng.normal(size=(c, r)), c_out=rng.normal(size=c))
         X = rng.normal(size=(batch, d))
         Y = rng.normal(size=(batch, c))
-        grads, _ = backward_mse(net, X, Y)
-        for attr in ("W", "b", "A", "c_out"):
-            param = getattr(net, attr)
-            analytic = getattr(grads, attr)
-            for idx in np.ndindex(param.shape):
-                blocks = {a: getattr(net, a).copy() for a in ("W", "b", "A", "c_out")}
-                blocks[attr][idx] = param[idx] + h
-                up = mse_loss(Mlp(**blocks), X, Y)
-                blocks[attr][idx] = param[idx] - h
-                down = mse_loss(Mlp(**blocks), X, Y)
-                numeric = (up - down) / (2 * h)
-                # the difference quotient itself carries ~eps*loss/h ~ 1e-9
-                # of roundoff, so coordinates far below the typical O(1-100)
-                # gradient magnitude cannot be compared purely relatively;
-                # floor the scale at 1e-3 (five decades under typical)
-                scale = max(abs(numeric), abs(analytic[idx]), 1e-3)
-                worst = max(worst, abs(analytic[idx] - numeric) / scale)
+        grad, _ = backward_mse(net, X, Y)
+        # every entry of theta, so all four blocks W, b, A, c_out
+        for i in range(net.n_params):
+            up, down = net.theta.copy(), net.theta.copy()
+            up[i] += h
+            down[i] -= h
+            numeric = (mse_loss(Mlp.from_flat(up, r, d, c), X, Y)
+                       - mse_loss(Mlp.from_flat(down, r, d, c), X, Y)) / (2 * h)
+            # the difference quotient itself carries ~eps*loss/h ~ 1e-9
+            # of roundoff, so coordinates far below the typical O(1-100)
+            # gradient magnitude cannot be compared purely relatively;
+            # floor the scale at 1e-3 (five decades under typical)
+            scale = max(abs(numeric), abs(grad[i]), 1e-3)
+            worst = max(worst, abs(grad[i] - numeric) / scale)
     elapsed = time.time() - start
     assert worst < 1e-5
     assert elapsed < 10.0

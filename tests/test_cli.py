@@ -96,6 +96,8 @@ class TestStages:
         assert run(workdir, "train-students", out) == EXIT_OK
         for i in range(3):
             assert (out / "students" / f"student_{i:02d}.mlp").is_file()
+            history = (out / "students" / f"student_{i:02d}.history.csv").read_text()
+            assert history.startswith("step,loss,lr\n0,")
         losses = (out / "students" / "losses.csv").read_text().splitlines()
         assert losses[0] == "step,loss,lr,student_index"
         summary = (out / "students" / "ensemble_summary.csv").read_text().splitlines()
@@ -128,13 +130,15 @@ class TestStages:
     def test_resume_skips_existing_students(self, workdir):
         out = workdir / "stages"
         target = out / "students" / "student_01.mlp"
-        before = target.read_bytes()
+        tables = [out / "students" / name for name in ("losses.csv", "ensemble_summary.csv")]
+        before = [path.read_bytes() for path in [target, *tables]]
         target.unlink()
         marker = out / "students" / "student_00.mlp"
         marker_stat = marker.stat().st_mtime_ns
         assert run(workdir, "train-students", out, "--resume") == EXIT_OK
         assert marker.stat().st_mtime_ns == marker_stat  # untouched
-        assert target.read_bytes() == before
+        # the resumed students keep their training record
+        assert [path.read_bytes() for path in [target, *tables]] == before
 
 
 class TestStudentFiles:
@@ -177,12 +181,14 @@ class TestStudentFiles:
         stale = out / "students" / "student_01.mlp"
         stale.parent.mkdir()
         stale.write_bytes(b"model file of an earlier run")
+        stale_history = out / "students" / "student_01.history.csv"
+        stale_history.write_text("step,loss,lr\n0,1.0,0.02\n")
         config = workdir / "diverge.ini"
         config.write_text((workdir / "run.ini").read_text().replace(
             "learning_rate = 0.02", "learning_rate = 1e300"))
         code = main(["train-students", "--config", str(config), "--out", str(out)])
         assert code == EXIT_DIVERGED
-        assert not stale.exists()
+        assert not stale.exists() and not stale_history.exists()
         summary = (out / "students" / "ensemble_summary.csv").read_text().splitlines()
         assert summary[2].startswith("1,nan,0,diverged: ")
 

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -198,6 +199,16 @@ class TestQuerySetFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.qs"
         path.write_bytes(b"\x00" * 64)
+        with pytest.raises(FormatError):
+            load_queryset(str(path))
+
+    def test_zero_rows_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            QuerySet(inputs=np.zeros((0, 3)), targets=np.zeros((0, 2)))
+        # a valid checksum around a header that declares Q = 0
+        body = struct.pack("<IQQQQ", 1, 0, 3, 2, 0)
+        path = tmp_path / "empty.qs"
+        path.write_bytes(b"NRQS" + body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FormatError):
             load_queryset(str(path))
 

@@ -1,4 +1,8 @@
+import hashlib
 import math
+import pickle
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +19,13 @@ from netrecon.network import (
     mse_loss,
     save_mlp,
 )
+
+
+def shifted(net, i, delta):
+    """Copy of `net` with theta[i] moved by `delta`."""
+    theta = net.theta.copy()
+    theta[i] += delta
+    return Mlp.from_flat(theta, net.r, net.d, net.c)
 
 
 def random_net(rng, r, d, c):
@@ -111,30 +122,26 @@ class TestBackwardMse:
         net = random_net(rng, 3, 4, 2)
         X = rng.normal(size=(6, 4))
         Y = forward(net, X).out
-        grads, loss = backward_mse(net, X, Y)
+        grad, loss = backward_mse(net, X, Y)
         assert loss == 0.0
-        for block in (grads.W, grads.b, grads.A, grads.c_out):
-            assert np.max(np.abs(block)) < 1e-12
+        assert grad.shape == net.theta.shape
+        assert np.max(np.abs(grad)) < 1e-12
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         net = random_net(rng, 3, 4, 2)
         X = rng.normal(size=(5, 4))
         Y = rng.normal(size=(5, 2))
-        grads, _ = backward_mse(net, X, Y)
+        grad, _ = backward_mse(net, X, Y)
         h = 1e-5
-        for attr in ("W", "b", "A", "c_out"):
-            analytic = getattr(grads, attr)
-            param = getattr(net, attr)
-            numeric = np.zeros_like(param)
-            for idx in np.ndindex(param.shape):
-                bumped = {a: getattr(net, a).copy() for a in ("W", "b", "A", "c_out")}
-                bumped[attr][idx] = param[idx] + h
-                up = mse_loss(Mlp(**bumped), X, Y)
-                bumped[attr][idx] = param[idx] - h
-                down = mse_loss(Mlp(**bumped), X, Y)
-                numeric[idx] = (up - down) / (2 * h)
-            assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8), attr
+        numeric = np.zeros_like(grad)
+        for i in range(net.n_params):
+            up = mse_loss(shifted(net, i, h), X, Y)
+            down = mse_loss(shifted(net, i, -h), X, Y)
+            numeric[i] = (up - down) / (2 * h)
+        for attr, analytic, num in zip(("W", "b", "A", "c_out"), net.blocks(grad),
+                                       net.blocks(numeric)):
+            assert np.allclose(analytic, num, rtol=1e-5, atol=1e-8), attr
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(13)
@@ -243,3 +250,80 @@ class TestModelFile:
         bad.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_mlp(str(bad))
+
+    def test_bytes_match_recorded_layout(self, tmp_path):
+        # sha256 of this file as written before parameters became one vector
+        path = str(tmp_path / "net.mlp")
+        save_mlp(init_mlp(3, 4, 2, seed=0), path)
+        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        assert digest == "7ecadcc120486125ea4407ea3acf9f766f66d4c920c3455daa600fbf8bc8be3a"
+
+    @staticmethod
+    def crafted(tmp_path, r, d, c, theta):
+        """A model file with a valid checksum around an arbitrary header and body."""
+        body = struct.pack("<IQQQ", 1, r, d, c) + np.asarray(theta, dtype="<f8").tobytes()
+        path = tmp_path / "crafted.mlp"
+        path.write_bytes(b"NRML" + body + struct.pack("<I", zlib.crc32(body)))
+        return str(path)
+
+    def test_zero_dims_rejected(self, tmp_path):
+        with pytest.raises(FormatError):
+            load_mlp(self.crafted(tmp_path, 0, 0, 0, []))
+
+    def test_non_finite_body_rejected(self, tmp_path):
+        theta = init_mlp(3, 4, 2, seed=0).theta.copy()
+        theta[5] = np.nan
+        with pytest.raises(FormatError):
+            load_mlp(self.crafted(tmp_path, 3, 4, 2, theta))
+
+
+class TestFlatParameters:
+    def test_blocks_are_views_in_file_order(self):
+        net = random_net(np.random.default_rng(31), 3, 4, 2)
+        assert net.theta.shape == (net.n_params,) == (3 * 4 + 3 + 2 * 3 + 2,)
+        expected = np.concatenate([net.W.ravel(), net.b, net.A.ravel(), net.c_out])
+        assert np.array_equal(net.theta, expected)
+        for block in (net.W, net.b, net.A, net.c_out):
+            assert np.shares_memory(block, net.theta)
+
+    def test_parameters_are_read_only(self):
+        net = init_mlp(3, 4, 2, seed=0)
+        with pytest.raises(ValueError):
+            net.W[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            net.theta[0] = 1.0
+        with pytest.raises(AttributeError):
+            net.W = np.zeros((3, 4))
+
+    def test_constructor_copies_its_inputs(self):
+        W = np.ones((2, 3))
+        net = Mlp(W=W, b=np.zeros(2), A=np.ones((1, 2)), c_out=np.zeros(1))
+        W[0, 0] = 5.0
+        assert net.W[0, 0] == 1.0
+
+    def test_pickle_round_trip(self):
+        net = random_net(np.random.default_rng(37), 4, 3, 2)
+        back = pickle.loads(pickle.dumps(net))
+        assert (back.r, back.d, back.c) == (4, 3, 2)
+        assert np.array_equal(back.theta, net.theta)
+        for block in (back.theta, back.W, back.b, back.A, back.c_out):
+            assert not block.flags.writeable
+        assert np.shares_memory(back.W, back.theta)
+
+    def test_from_flat_validates(self):
+        theta = init_mlp(3, 4, 2, seed=0).theta
+        assert np.array_equal(Mlp.from_flat(theta, 3, 4, 2).theta, theta)
+        with pytest.raises(ValueError):
+            Mlp.from_flat(theta[:-1], 3, 4, 2)
+        with pytest.raises(ValueError):
+            Mlp.from_flat(np.zeros(2), 0, 5, 2)
+        with pytest.raises(ValueError):
+            Mlp.from_flat(np.full(theta.size, np.inf), 3, 4, 2)
+
+    def test_constructor_rejects_bad_blocks(self):
+        with pytest.raises(ValueError):
+            Mlp(W=np.zeros((2, 3)), b=np.zeros(3), A=np.zeros((1, 2)), c_out=np.zeros(1))
+        with pytest.raises(ValueError):
+            Mlp(W=np.zeros((0, 3)), b=np.zeros(0), A=np.zeros((1, 0)), c_out=np.zeros(1))
+        with pytest.raises(ValueError):
+            Mlp(W=np.zeros((2, 3)), b=[0.0, np.nan], A=np.zeros((1, 2)), c_out=np.zeros(1))

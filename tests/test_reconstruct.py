@@ -97,6 +97,16 @@ class TestExtractNeurons:
         assert len(vectors) == 1
         assert vectors[0].neuron_index == 0
 
+    def test_numbers_students_by_ensemble_slot(self):
+        rng = np.random.default_rng(4)
+        ensemble = StudentEnsemble(students=[None, random_teacher(rng), random_teacher(rng)],
+                                   histories=[[], [], []],
+                                   final_losses=[float("nan"), 0.0, 0.0],
+                                   rho=1, teacher_r=4)
+        vectors = extract_neurons(ensemble)
+        assert len(vectors) == 2 * 4
+        assert {v.student_index for v in vectors} == {1, 2}
+
 
 class TestClusterNeurons:
     def test_recovers_synthetic_bundles(self):

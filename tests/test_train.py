@@ -4,7 +4,7 @@ import pytest
 from netrecon.augment import biased_noise, identity
 from netrecon.data import make_synthetic_classification, standardize
 from netrecon.errors import DivergenceError
-from netrecon.network import Gradients, Mlp, forward, init_mlp, mse_loss
+from netrecon.network import Mlp, forward, init_mlp, mse_loss
 from netrecon.train import (
     AdamState,
     PlateauScheduler,
@@ -70,48 +70,56 @@ class TestAdam:
     def test_zero_gradient_is_identity(self):
         net = init_mlp(3, 4, 2, seed=0)
         state = AdamState.zeros_like(net)
-        zero = Gradients(np.zeros_like(net.W), np.zeros_like(net.b),
-                         np.zeros_like(net.A), np.zeros_like(net.c_out))
-        updated, state = adam_step(net, zero, state, lr=0.1)
+        updated = adam_step(net, np.zeros(net.n_params), state, lr=0.1)
         for attr in ("W", "b", "A", "c_out"):
             assert np.array_equal(getattr(updated, attr), getattr(net, attr))
 
     def test_moments_decay_toward_zero(self):
         net = init_mlp(2, 2, 1, seed=0)
         state = AdamState.zeros_like(net)
-        grads = Gradients(np.ones_like(net.W), np.ones_like(net.b),
-                          np.ones_like(net.A), np.ones_like(net.c_out))
-        net, state = adam_step(net, grads, state, lr=0.01)
-        first = np.abs(state.m.W).max()
-        zero = Gradients(np.zeros_like(net.W), np.zeros_like(net.b),
-                         np.zeros_like(net.A), np.zeros_like(net.c_out))
+        net = adam_step(net, np.ones(net.n_params), state, lr=0.01)
+        first = np.abs(state.m).max()
         for _ in range(50):
-            net, state = adam_step(net, zero, state, lr=0.01)
-        assert np.abs(state.m.W).max() < first * 1e-2
+            net = adam_step(net, np.zeros(net.n_params), state, lr=0.01)
+        assert np.abs(state.m).max() < first * 1e-2
 
     def test_first_step_magnitude(self):
         # first update moves each coordinate by lr * |g| / (|g| + eps)
         net = init_mlp(2, 3, 2, seed=1)
         state = AdamState.zeros_like(net)
         rng = np.random.default_rng(2)
-        g = rng.normal(size=net.W.shape)
-        grads = Gradients(g, np.zeros_like(net.b), np.zeros_like(net.A),
-                          np.zeros_like(net.c_out))
+        grad = np.zeros(net.n_params)
+        g = net.blocks(grad)[0]
+        g[...] = rng.normal(size=g.shape)
         lr, eps = 0.05, 1e-8
-        updated, _ = adam_step(net, grads, state, lr=lr, eps=eps)
+        updated = adam_step(net, grad, state, lr=lr, eps=eps)
         delta = np.abs(updated.W - net.W)
         expected = lr * np.abs(g) / (np.abs(g) + eps)
         assert np.allclose(delta, expected, rtol=1e-12)
 
     def test_converges_on_quadratic(self):
         # oracle: 100 Adam steps on f(theta) = theta^2 from theta=1, lr=0.1
-        theta = np.array([[1.0]])
-        net = Mlp(W=theta, b=[0.0], A=[[0.0]], c_out=[0.0])
+        net = Mlp(W=[[1.0]], b=[0.0], A=[[0.0]], c_out=[0.0])
         state = AdamState.zeros_like(net)
         for _ in range(100):
-            grads = Gradients(2 * net.W, np.zeros(1), np.zeros((1, 1)), np.zeros(1))
-            net, state = adam_step(net, grads, state, lr=0.1)
+            grad = np.zeros(net.n_params)
+            net.blocks(grad)[0][...] = 2 * net.W
+            net = adam_step(net, grad, state, lr=0.1)
         assert abs(net.W[0, 0]) < 0.05
+
+    def test_state_is_updated_in_place(self):
+        net = init_mlp(2, 3, 2, seed=3)
+        state = AdamState.zeros_like(net)
+        m, v = state.m, state.v
+        updated = adam_step(net, np.ones(net.n_params), state, lr=0.1)
+        assert state.m is m and state.v is v and state.t == 1
+        assert m.ndim == 1 and np.all(m > 0) and np.all(v > 0)
+        assert updated is not net and not np.array_equal(updated.theta, net.theta)
+
+    def test_non_finite_update_raises(self):
+        net = init_mlp(2, 3, 2, seed=3)
+        with pytest.raises(ValueError):
+            adam_step(net, np.ones(net.n_params), AdamState.zeros_like(net), lr=np.inf)
 
 
 class TestPlateauScheduler:

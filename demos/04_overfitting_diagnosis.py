@@ -39,7 +39,7 @@ for label, qs in (
                                                    1.0, seed=2))),
 ):
     ensemble = nr.train_ensemble(qs, teacher_r=8, rho=4, N=2, cfg=student_cfg, jobs=2)
-    rows = nr.scatter_table(teacher, ensemble.trained,
+    rows = nr.scatter_table(teacher, ensemble.students,
                             [("train", qs.inputs), ("ood", ood.images)])
     for student, dataset, q, loss in rows:
         print(f"  {label:<12} student {student}  {dataset:<5} Q={q:<6} loss={loss:.3e}")

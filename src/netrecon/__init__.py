@@ -40,6 +40,7 @@ from .errors import (
     EmptyReconstructionError,
     FormatError,
     NetreconError,
+    TruncatedFileError,
 )
 from .metrics import (
     Histogram,
@@ -64,7 +65,7 @@ from .network import (
 )
 from .reconstruct import (
     ClusterResult,
-    NeuronVector,
+    Neurons,
     ReconstructionReport,
     cluster_neurons,
     collapse,

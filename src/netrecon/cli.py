@@ -150,11 +150,12 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         return EXIT_DIVERGED
     if cfg.eval_sets:
         _write_scatter(cfg, out_dir, qs,
-                       [load_mlp(files[i][0]) for i in range(n) if i not in failures])
+                       [None if i in failures else load_mlp(files[i][0]) for i in range(n)])
     return EXIT_OK
 
 
-def _write_scatter(cfg: ExperimentConfig, out_dir: str, qs, students: list[Mlp]) -> None:
+def _write_scatter(cfg: ExperimentConfig, out_dir: str, qs,
+                   students: list[Mlp | None]) -> None:
     teacher = load_mlp(os.path.join(out_dir, "teacher.mlp"))
     _, mean, std = _teacher_training_set(cfg)
     eval_sets = [("train", qs.inputs)]

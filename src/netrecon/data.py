@@ -6,14 +6,16 @@ network returned for them), which is the training corpus for imitators.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
+from math import prod
 
 import numpy as np
 
 from ._io import atomic_write_bytes
-from .errors import ConsistencyError, DegenerateDataError, FormatError
+from .errors import ConsistencyError, DegenerateDataError, FormatError, TruncatedFileError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -45,6 +47,8 @@ class ImageDataset:
             raise ValueError("images must be a (n_samples, d) matrix")
         if images.shape[0] < 1:
             raise ValueError("dataset needs at least one sample")
+        if self.height < 1 or self.width < 1:
+            raise ValueError(f"images must be at least 1x1, got {self.height}x{self.width}")
         if images.shape[1] != self.height * self.width:
             raise ValueError(
                 f"d={images.shape[1]} does not equal height*width="
@@ -101,42 +105,53 @@ class QuerySet:
         return self.targets.shape[1]
 
 
-def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise EOFError(f"{f.name}: expected {n} more bytes, file is truncated")
-    return data
+def _read_idx(path: str, magic: int, n_dims: int, kind: str) -> tuple[list[int], bytes]:
+    """Header dimensions and payload of one IDX file of unsigned bytes.
+
+    The file size is checked against the header before the payload is read,
+    so a corrupt header cannot ask for more memory than the file holds.
+    """
+    with open(path, "rb") as f:
+        head = f.read(4 * (1 + n_dims))
+        if len(head) < 4 * (1 + n_dims):
+            raise TruncatedFileError(f"{path}: truncated {kind} header")
+        found, *dims = struct.unpack(f">{1 + n_dims}I", head)
+        if found != magic:
+            raise FormatError(f"{path}: bad {kind} magic 0x{found:08x}")
+        size = prod(dims)
+        available = os.fstat(f.fileno()).st_size - len(head)
+        if available < size:
+            raise TruncatedFileError(
+                f"{path}: header announces {size} bytes of {kind}, file holds {available}"
+            )
+        return dims, f.read(size)
 
 
 def load_idx(images_path: str, labels_path: str, name: str | None = None) -> ImageDataset:
     """Read an IDX image/label file pair into a raw dataset (pixels 0..255).
 
-    Raises FormatError on a bad magic number, EOFError on truncation, and
-    ConsistencyError when the two headers disagree on the sample count.
+    Raises TruncatedFileError (a FormatError and an EOFError) when a file is
+    shorter than its header says, FormatError on a bad magic number or an
+    empty dataset, and ConsistencyError when the two headers disagree on the
+    sample count.
     """
-    with open(labels_path, "rb") as f:
-        magic, n_labels = struct.unpack(">II", _read_exact(f, 8))
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: bad labels magic 0x{magic:08x}")
-        labels = np.frombuffer(_read_exact(f, n_labels), dtype=np.uint8)
-    with open(images_path, "rb") as f:
-        magic, n_images, rows, cols = struct.unpack(">IIII", _read_exact(f, 16))
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"{images_path}: bad images magic 0x{magic:08x}")
-        if n_images != n_labels:
-            raise ConsistencyError(
-                f"{n_images} images vs {n_labels} labels between"
-                f" {images_path} and {labels_path}"
-            )
-        pixels = np.frombuffer(_read_exact(f, n_images * rows * cols), dtype=np.uint8)
-    images = pixels.reshape(n_images, rows * cols).astype(np.float64)
-    return ImageDataset(
-        images=images,
-        labels=labels.astype(np.int64),
-        height=rows,
-        width=cols,
-        name=name or images_path,
-    )
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "labels")
+    (n_images, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "images")
+    if n_images != n_labels:
+        raise ConsistencyError(
+            f"{n_images} images vs {n_labels} labels between"
+            f" {images_path} and {labels_path}"
+        )
+    try:
+        return ImageDataset(
+            images=np.frombuffer(pixels, dtype=np.uint8).reshape(n_images, rows * cols),
+            labels=np.frombuffer(labels, dtype=np.uint8),
+            height=rows,
+            width=cols,
+            name=name or images_path,
+        )
+    except ValueError as exc:  # no samples or zero-size images
+        raise FormatError(f"{images_path}: {exc}") from exc
 
 
 def save_idx(ds: ImageDataset, images_path: str, labels_path: str) -> None:
@@ -223,7 +238,6 @@ def load_queryset(path: str) -> QuerySet:
     (crc,) = struct.unpack_from("<I", raw, expected - 4)
     if crc != zlib.crc32(raw[len(QUERYSET_MAGIC):expected - 4]):
         raise FormatError(f"{path}: checksum mismatch")
-    provenance = raw[head:head + prov_len].decode("utf-8")
     offset = head + prov_len
     inputs = np.frombuffer(raw, dtype="<f8", count=Q * d, offset=offset)
     offset += 8 * Q * d
@@ -232,9 +246,9 @@ def load_queryset(path: str) -> QuerySet:
         return QuerySet(
             inputs=inputs.reshape(Q, d).astype(np.float64),
             targets=targets.reshape(Q, c).astype(np.float64),
-            provenance=provenance,
+            provenance=raw[head:head + prov_len].decode("utf-8"),
         )
-    except ValueError as exc:  # zero dims
+    except ValueError as exc:  # zero dims or a provenance that is not UTF-8
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -9,6 +9,10 @@ class FormatError(NetreconError):
     """A binary container (IDX file, model file, query-set file) is malformed."""
 
 
+class TruncatedFileError(FormatError, EOFError):
+    """A binary file ends before the payload its header announces."""
+
+
 class ConsistencyError(NetreconError):
     """Two files that must describe the same data disagree with each other."""
 

@@ -82,17 +82,20 @@ def preactivation_histogram(net: Mlp, X: np.ndarray, bins: int) -> Histogram:
     return Histogram(counts=counts.astype(np.int64), edges=edges)
 
 
-def scatter_table(teacher: Mlp, students: list[Mlp],
+def scatter_table(teacher: Mlp, students: list[Mlp | None],
                   eval_sets: list[tuple[str, np.ndarray]],
                   ) -> list[tuple[int, str, int, float]]:
     """Imitation losses for every (student, evaluation set) pair.
 
     Rows are (student_index, dataset_name, Q, loss); plotting train loss
     against a differently-distributed set's loss from this table is the
-    quickest overfitting check.
+    quickest overfitting check. `student_index` is the student's slot in
+    `students`; missing (None) students get no rows.
     """
     rows = []
     for i, student in enumerate(students):
+        if student is None:
+            continue
         for name, X in eval_sets:
             point = imitation_loss(student, teacher, X, dataset_name=name)
             rows.append((i, name, point.Q, point.loss))

@@ -25,33 +25,43 @@ from .train import HistoryPoint, StudentEnsemble, TrainConfig, fit_mse
 
 
 @dataclass(frozen=True, eq=False)
-class NeuronVector:
-    """One student hidden neuron, normalized for comparison across students."""
+class Neurons:
+    """Every pooled student hidden neuron, one row each, in slot then hidden order."""
 
-    direction: np.ndarray  # (d + 1,) unit-norm [w_i; b_i]
-    raw_norm: float  # norm of the unnormalized [w_i; b_i]
-    outgoing: np.ndarray  # (c,) column of A fed by this neuron, unscaled
-    student_index: int
-    neuron_index: int
+    directions: np.ndarray  # (n, d + 1) unit-norm [w_i; b_i]
+    norms: np.ndarray  # (n,) norm of the unnormalized [w_i; b_i]
+    outgoing: np.ndarray  # (n, c) column of A fed by the neuron, unscaled
+    student: np.ndarray  # (n,) ensemble slot of the neuron's student
+    index: np.ndarray  # (n,) hidden index within that student
+
+    def __len__(self) -> int:
+        return len(self.norms)
 
 
 @dataclass(frozen=True, eq=False)
 class ClusterResult:
-    """Clusters of neuron directions plus the acceptance decision for each.
+    """A cluster label per neuron plus the acceptance decision for each cluster.
 
     A cluster is accepted when its members span at least ceil(gamma * N)
     distinct students; `beta` sets the dendrogram cut at cosine distance
     10**-beta.
     """
 
-    clusters: list[list[NeuronVector]]
-    accepted: list[bool]
+    neurons: Neurons
+    labels: np.ndarray  # (n,) cluster of each neuron, numbered by lowest member row
+    accepted: np.ndarray  # (clusters,) bool
     gamma: float
     beta: float
     n_students: int
 
     @property
-    def accepted_clusters(self) -> list[list[NeuronVector]]:
+    def clusters(self) -> list[np.ndarray]:
+        """Member rows of each cluster, ascending."""
+        counts = np.bincount(self.labels, minlength=len(self.accepted))
+        return np.split(np.argsort(self.labels, kind="stable"), np.cumsum(counts))[:-1]
+
+    @property
+    def accepted_clusters(self) -> list[np.ndarray]:
         return [c for c, ok in zip(self.clusters, self.accepted) if ok]
 
 
@@ -89,64 +99,56 @@ def _directions(W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def extract_neurons(ensemble: StudentEnsemble | list[Mlp],
-                    min_norm: float = 1e-12) -> list[NeuronVector]:
+                    min_norm: float = 1e-12) -> Neurons:
     """Pool every hidden neuron of every student as a normalized direction.
 
-    `student_index` is the student's slot in the ensemble, counting diverged
-    and missing (None) students. Neurons whose [w; b] norm is below
-    `min_norm` carry no usable direction and are excluded; the excluded count
-    is the difference between the pooled total and len(result).
+    `student` is the student's slot in the ensemble, counting diverged and
+    missing (None) students. Neurons whose [w; b] norm is below `min_norm`
+    carry no usable direction and are excluded; the excluded count is the
+    difference between the pooled total and len(result).
     """
     slots = ensemble.students if isinstance(ensemble, StudentEnsemble) else list(ensemble)
     students = [(i, net) for i, net in enumerate(slots) if net is not None]
     if not students:
         raise ValueError("ensemble contains no trained students")
-    vectors: list[NeuronVector] = []
-    for s_idx, net in students:
-        dirs, norms = _directions(net.W, net.b)
-        for i in range(net.r):
-            if norms[i] < min_norm:
-                continue
-            vectors.append(NeuronVector(
-                direction=dirs[i],
-                raw_norm=float(norms[i]),
-                outgoing=net.A[:, i].copy(),
-                student_index=s_idx,
-                neuron_index=i,
-            ))
-    return vectors
+    dirs, norms = _directions(np.vstack([net.W for _, net in students]),
+                              np.concatenate([net.b for _, net in students]))
+    keep = norms >= min_norm
+    return Neurons(
+        directions=dirs[keep],
+        norms=norms[keep],
+        outgoing=np.hstack([net.A for _, net in students]).T[keep],
+        student=np.repeat([i for i, _ in students], [net.r for _, net in students])[keep],
+        index=np.concatenate([np.arange(net.r) for _, net in students])[keep],
+    )
 
 
-def cluster_neurons(vectors: list[NeuronVector], n_students: int,
+def cluster_neurons(neurons: Neurons, n_students: int,
                     gamma: float, beta: float) -> ClusterResult:
     """Group neuron directions by average-linkage clustering under cosine distance.
 
     The dendrogram is cut at distance 10**-beta; clusters spanning at least
     ceil(gamma * n_students) distinct students are accepted. Deterministic:
-    clusters are ordered by their lowest member index.
+    clusters are numbered by their lowest member row.
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0, 1]")
-    if not vectors:
-        return ClusterResult([], [], gamma, beta, n_students)
-    tau = 10.0 ** (-beta)
-    if len(vectors) == 1:
-        labels = np.array([1])
+    if len(neurons) > 1:
+        # one n x n matrix at a time: built in place, freed before linkage copies
+        dist = neurons.directions @ neurons.directions.T
+        np.subtract(1.0, dist, out=dist)
+        np.clip(dist, 0.0, None, out=dist)
+        dist = squareform(dist, checks=False)
+        Z = linkage(dist, method="average")
+        labels = fcluster(Z, t=10.0 ** (-beta), criterion="distance")
     else:
-        dirs = np.stack([v.direction for v in vectors])
-        dist = np.clip(1.0 - dirs @ dirs.T, 0.0, None)
-        Z = linkage(squareform(dist, checks=False), method="average")
-        labels = fcluster(Z, t=tau, criterion="distance")
-    by_label: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels):
-        by_label.setdefault(int(lab), []).append(idx)
-    ordered = sorted(by_label.values(), key=min)
-    need = ceil(gamma * n_students)
-    clusters = [[vectors[i] for i in members] for members in ordered]
-    accepted = [
-        len({v.student_index for v in cluster}) >= need for cluster in clusters
-    ]
-    return ClusterResult(clusters, accepted, gamma, beta, n_students)
+        labels = np.ones(len(neurons), dtype=int)
+    _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[labels]
+    # one row per distinct (cluster, student) pair, so bincount counts students
+    spans = np.unique(np.column_stack([labels, neurons.student]), axis=0)[:, 0]
+    accepted = np.bincount(spans, minlength=len(first)) >= ceil(gamma * n_students)
+    return ClusterResult(neurons, labels, accepted, gamma, beta, n_students)
 
 
 def collapse(result: ClusterResult, d: int, c: int,
@@ -165,25 +167,22 @@ def collapse(result: ClusterResult, d: int, c: int,
     if not accepted:
         raise EmptyReconstructionError(f"no cluster spans ceil({result.gamma} * "
                                        f"{result.n_students}) students")
+    neurons = result.neurons
     m = len(accepted)
     W = np.zeros((m, d))
     b = np.zeros(m)
     A = np.zeros((c, m))
-    for j, cluster in enumerate(accepted):
-        norms = np.array([v.raw_norm for v in cluster])
-        dirs = np.stack([v.direction for v in cluster])
-        mean_dir = (norms[:, None] * dirs).sum(axis=0) / norms.sum()
+    for j, rows in enumerate(accepted):
+        norms = neurons.norms[rows]
+        mean_dir = (norms[:, None] * neurons.directions[rows]).sum(axis=0) / norms.sum()
         mean_dir /= np.linalg.norm(mean_dir)
         wb = norms.mean() * mean_dir
         W[j] = wb[:d]
         b[j] = wb[d]
-        per_student: dict[int, np.ndarray] = {}
-        for v in cluster:
-            if v.student_index in per_student:
-                per_student[v.student_index] = per_student[v.student_index] + v.outgoing
-            else:
-                per_student[v.student_index] = v.outgoing.copy()
-        A[:, j] = np.mean(list(per_student.values()), axis=0)
+        students, slot = np.unique(neurons.student[rows], return_inverse=True)
+        per_student = np.zeros((len(students), c))
+        np.add.at(per_student, slot, neurons.outgoing[rows])
+        A[:, j] = per_student.mean(axis=0)
     return Mlp(W=W, b=b, A=A, c_out=np.zeros(c) if output_bias is None else output_bias)
 
 
@@ -249,8 +248,8 @@ def run_reconstruction(ensemble: StudentEnsemble, qs: QuerySet, gamma: float,
     Raises EmptyReconstructionError when no cluster is accepted; callers
     decide whether that is a failure or a reportable empty result.
     """
-    vectors = extract_neurons(ensemble)
-    result = cluster_neurons(vectors, ensemble.n_students, gamma, beta)
+    neurons = extract_neurons(ensemble)
+    result = cluster_neurons(neurons, ensemble.n_students, gamma, beta)
     biases = np.mean([s.c_out for s in ensemble.trained], axis=0)
     collapsed = collapse(result, qs.d, qs.c, output_bias=biases)
     tuned, history = fine_tune(collapsed, qs, cfg)

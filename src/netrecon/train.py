@@ -62,6 +62,13 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if self.eval_every is not None and self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        if self.plateau_patience < 1:
+            raise ValueError("plateau_patience must be >= 1")
 
 
 @dataclass(eq=False)

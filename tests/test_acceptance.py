@@ -33,7 +33,7 @@ from netrecon.metrics import (
 )
 from netrecon.network import Mlp, backward_mse, forward, mse_loss
 from netrecon.reconstruct import (
-    NeuronVector,
+    Neurons,
     cluster_neurons,
     collapse,
     evaluate_reconstruction,
@@ -79,8 +79,8 @@ def recovery_run(desk):
     base = subset(desk["ds"], 2048, seed=1)
     qs = query_teacher(desk["teacher"], biased_noise(base, 1.0, seed=2))
     ensemble = train_ensemble(qs, teacher_r=8, rho=4, N=8, cfg=STUDENT_CFG, jobs=2)
-    vectors = extract_neurons(ensemble)
-    clusters = cluster_neurons(vectors, ensemble.n_students, GAMMA, BETA)
+    neurons = extract_neurons(ensemble)
+    clusters = cluster_neurons(neurons, ensemble.n_students, GAMMA, BETA)
     bias = np.mean([s.c_out for s in ensemble.trained], axis=0)
     collapsed = collapse(clusters, qs.d, qs.c, output_bias=bias)
     pre_report = evaluate_reconstruction(collapsed, desk["teacher"])
@@ -194,8 +194,8 @@ def test_criterion_04_overfit_failure_with_identity_queries(desk):
     ood_losses = [imitation_loss(s, teacher, ood.images).loss
                   for s in ensemble.trained]
     ratios = [o / t for o, t in zip(ood_losses, train_losses)]
-    vectors = extract_neurons(ensemble)
-    clusters = cluster_neurons(vectors, ensemble.n_students, GAMMA, BETA)
+    neurons = extract_neurons(ensemble)
+    clusters = cluster_neurons(neurons, ensemble.n_students, GAMMA, BETA)
     if clusters.accepted_clusters:
         bias = np.mean([s.c_out for s in ensemble.trained], axis=0)
         tuned, _ = fine_tune(collapse(clusters, qs.d, qs.c, output_bias=bias),
@@ -291,21 +291,24 @@ def test_criterion_08_clustering_oracle():
                 separation = (1 - centers @ centers.T + 2 * np.eye(n_dirs)).min()
                 if separation > 0.1:
                     break
-            vectors, truth = [], set()
+            directions, truth = [], set()
             for j in range(n_dirs):
                 members = []
                 for s in range(n_students):
                     direction = centers[j] + 1e-6 * rng.normal(size=12)
                     direction /= np.linalg.norm(direction)
                     assert 1 - direction @ centers[j] < 1e-4
-                    members.append(len(vectors))
-                    vectors.append(NeuronVector(
-                        direction=direction, raw_norm=1.0,
-                        outgoing=np.zeros(2), student_index=s, neuron_index=j))
+                    members.append(len(directions))
+                    directions.append(direction)
                 truth.add(frozenset(members))
-            result = cluster_neurons(vectors, n_students, gamma=0.75, beta=3.0)
+            n = len(directions)
+            neurons = Neurons(directions=np.array(directions), norms=np.ones(n),
+                              outgoing=np.zeros((n, 2)),
+                              student=np.tile(np.arange(n_students), n_dirs),
+                              index=np.repeat(np.arange(n_dirs), n_students))
+            result = cluster_neurons(neurons, n_students, gamma=0.75, beta=3.0)
             got = {
-                frozenset(vectors.index(v) for v in cluster)
+                frozenset(cluster.tolist())
                 for cluster, ok in zip(result.clusters, result.accepted) if ok
             }
             assert got == truth, (n_dirs, n_students)

@@ -11,7 +11,9 @@ from netrecon.cli import (
     REPORT_COLUMNS,
     main,
 )
+from netrecon.config import load_config
 from netrecon.data import make_synthetic_classification, save_idx
+from netrecon.errors import DivergenceError
 
 CONFIG = """
 [run]
@@ -192,6 +194,25 @@ class TestStudentFiles:
         summary = (out / "students" / "ensemble_summary.csv").read_text().splitlines()
         assert summary[2].startswith("1,nan,0,diverged: ")
 
+    def test_losses_csv_numbers_students_by_slot(self, workdir, queries, monkeypatch):
+        out = workdir / "first_diverged"
+        self.copy_queries(queries, out)
+        config = workdir / "short.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(
+            "max_steps = 6000", "max_steps = 20"))
+        real = train.train_student
+
+        def diverge_first(qs, r_student, cfg):
+            if cfg.seed == load_config(str(config)).students.train.seed:
+                raise DivergenceError(0)
+            return real(qs, r_student, cfg)
+
+        monkeypatch.setattr(train, "train_student", diverge_first)
+        code = main(["train-students", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_OK
+        rows = (out / "losses.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"1", "2"}
+
 
 class TestPipeline:
     def test_runs_end_to_end_and_is_deterministic(self, workdir):
@@ -219,6 +240,30 @@ class TestPipeline:
         code = main(["pipeline", "--config", str(config), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    def test_adam_beta1_of_one_is_a_config_error(self, workdir):
+        # bias correction divides by 1 - beta1**t = 0: not a training divergence
+        config = workdir / "beta1.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(
+            "[students]\n", "[students]\nadam_beta1 = 1.0\n"))
+        out = workdir / "never3"
+        code = main(["pipeline", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_truncated_images_file_is_a_format_error(self, workdir, capsys):
+        bad = workdir / "truncated"
+        bad.mkdir()
+        blob = (workdir / "train_images.idx").read_bytes()
+        (bad / "train_images.idx").write_bytes(blob[:len(blob) // 2])
+        shutil.copy(workdir / "train_labels.idx", bad / "train_labels.idx")
+        config = workdir / "truncated.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(
+            f"{workdir}/train_", f"{bad}/train_"))
+        code = main(["train-teacher", "--config", str(config), "--out", str(bad / "out")])
+        assert code == EXIT_CONFIG
+        assert "truncated" in capsys.readouterr().err
+        assert not (bad / "out" / "teacher.mlp").exists()
 
     def test_empty_reconstruction_exit_code(self, workdir):
         # an impossibly tight threshold on undertrained students accepts nothing

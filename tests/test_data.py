@@ -76,6 +76,31 @@ class TestLoadIdx:
         with pytest.raises(EOFError):
             load_idx(imgs, labs)
 
+    def test_truncated_is_format_error(self, tmp_path):
+        imgs, labs = write_idx_pair(tmp_path, [0] * 12, [0], rows=4, cols=3)
+        blob = open(imgs, "rb").read()
+        open(imgs, "wb").write(blob[:-5])
+        with pytest.raises(FormatError, match="truncated|holds"):
+            load_idx(imgs, labs)
+
+    def test_header_larger_than_file_is_rejected_before_reading(self, tmp_path):
+        # 20 images of 60000x60000 pixels would be 72 GB; the body has 500 bytes
+        imgs, labs = write_idx_pair(tmp_path, [], [0] * 20, rows=1, cols=1)
+        open(imgs, "wb").write(struct.pack(">IIII", 0x803, 20, 60000, 60000) + bytes(500))
+        with pytest.raises(FormatError, match="72000000000 bytes"):
+            load_idx(imgs, labs)
+
+    def test_zero_size_images_rejected(self, tmp_path):
+        imgs, labs = write_idx_pair(tmp_path, [], [0, 1], rows=1, cols=1)
+        open(imgs, "wb").write(struct.pack(">IIII", 0x803, 2, 0, 0))
+        with pytest.raises(FormatError, match="1x1"):
+            load_idx(imgs, labs)
+
+    def test_zero_samples_rejected(self, tmp_path):
+        imgs, labs = write_idx_pair(tmp_path, [], [], rows=2, cols=2)
+        with pytest.raises(FormatError):
+            load_idx(imgs, labs)
+
 
 class TestIdxRoundTrip:
     def test_write_then_read_identity(self, tmp_path):

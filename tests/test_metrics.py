@@ -136,6 +136,16 @@ class TestScatterTable:
         assert len(rows) == 6
         assert {name for _, name, _, _ in rows} == {"train", "ood"}
 
+    def test_numbers_students_by_slot(self):
+        rng = np.random.default_rng(16)
+        teacher = random_net(rng)
+        a, b = random_net(rng), random_net(rng)
+        sets = [("train", rng.normal(size=(8, 5)))]
+        rows = scatter_table(teacher, [None, a, b], sets)
+        assert {student for student, _, _, _ in rows} == {1, 2}
+        dense = scatter_table(teacher, [a, b], sets)
+        assert [row[1:] for row in rows] == [row[1:] for row in dense]
+
     def test_reproducible(self):
         rng = np.random.default_rng(15)
         teacher = random_net(rng)

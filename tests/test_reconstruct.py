@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from netrecon.errors import EmptyReconstructionError
 from netrecon.network import Mlp, forward
 from netrecon.reconstruct import (
     ClusterResult,
-    NeuronVector,
+    Neurons,
     cluster_neurons,
     collapse,
     cosine_distance,
@@ -42,7 +45,8 @@ def synthetic_bundles(rng, n_dirs, n_students, dim, spread=1e-6, separation=0.1)
 
     Directions are re-drawn until pairwise cosine distances exceed
     `separation`; members are unit vectors within `spread` of their center.
-    Returns (vectors, ground-truth partition as index sets).
+    Row j * n_students + s is student s's copy of direction j. Returns
+    (neurons, ground-truth partition as row sets).
     """
     while True:
         centers = rng.normal(size=(n_dirs, dim))
@@ -50,52 +54,83 @@ def synthetic_bundles(rng, n_dirs, n_students, dim, spread=1e-6, separation=0.1)
         gram = centers @ centers.T
         if (1 - gram + 2 * np.eye(n_dirs)).min() > separation:
             break
-    vectors = []
+    directions, norms, outgoing = [], [], []
     partition = []
     for j in range(n_dirs):
         members = []
         for s in range(n_students):
-            direction = unit(centers[j] + spread * rng.normal(size=dim))
-            members.append(len(vectors))
-            vectors.append(NeuronVector(
-                direction=direction, raw_norm=1.0 + rng.uniform(0, 0.5),
-                outgoing=rng.normal(size=2), student_index=s,
-                neuron_index=j,
-            ))
+            members.append(len(directions))
+            directions.append(unit(centers[j] + spread * rng.normal(size=dim)))
+            norms.append(1.0 + rng.uniform(0, 0.5))
+            outgoing.append(rng.normal(size=2))
         partition.append(frozenset(members))
-    return vectors, set(partition)
+    neurons = Neurons(directions=np.array(directions), norms=np.array(norms),
+                      outgoing=np.array(outgoing),
+                      student=np.tile(np.arange(n_students), n_dirs),
+                      index=np.repeat(np.arange(n_dirs), n_students))
+    return neurons, set(partition)
+
+
+def take(neurons, rows):
+    """The table restricted to `rows` (a mask or row indices)."""
+    return Neurons(**{f.name: getattr(neurons, f.name)[rows] for f in fields(Neurons)})
+
+
+def duplicated_ensemble():
+    """Padded students that each split two teacher neurons into two exact copies.
+
+    The copies divide the outgoing weight between them; slot 2 is empty.
+    """
+    rng = np.random.default_rng(31)
+    teacher = random_teacher(rng, r=4, d=6, c=3)
+    students = []
+    for s in range(4):
+        base = padded_student(teacher, extra=3, seed=40 + s)
+        g = np.random.default_rng(50 + s)
+        dup = g.choice(teacher.r, size=2, replace=False)
+        share = g.uniform(0.2, 0.8, size=2)
+        A = base.A.copy()
+        A[:, dup] *= share
+        students.append(Mlp(W=np.vstack([base.W, teacher.W[dup]]),
+                            b=np.concatenate([base.b, teacher.b[dup]]),
+                            A=np.hstack([A, teacher.A[:, dup] * (1 - share)]),
+                            c_out=base.c_out))
+    students.insert(2, None)
+    return teacher, StudentEnsemble(students=students, histories=[[] for _ in students],
+                                    final_losses=[0.0, 0.0, float("nan"), 0.0, 0.0],
+                                    rho=2, teacher_r=4)
 
 
 class TestExtractNeurons:
     def test_counts(self):
         rng = np.random.default_rng(0)
         students = [random_teacher(rng, r=6, d=4, c=2) for _ in range(3)]
-        vectors = extract_neurons(students)
-        assert len(vectors) == 3 * 6
+        neurons = extract_neurons(students)
+        assert len(neurons) == 3 * 6
 
     def test_directions_unit_norm(self):
         rng = np.random.default_rng(1)
-        vectors = extract_neurons([random_teacher(rng) for _ in range(2)])
-        for v in vectors:
-            assert abs(np.linalg.norm(v.direction) - 1.0) < 1e-12
+        neurons = extract_neurons([random_teacher(rng) for _ in range(2)])
+        for direction in neurons.directions:
+            assert abs(np.linalg.norm(direction) - 1.0) < 1e-12
 
     def test_teacher_directions_appear_in_padded_student(self):
         rng = np.random.default_rng(2)
         teacher = random_teacher(rng)
         student = padded_student(teacher, extra=5, seed=3)
-        vectors = extract_neurons([student])
+        neurons = extract_neurons([student])
         wb = np.hstack([teacher.W, teacher.b[:, None]])
         for i in range(teacher.r):
             expected = unit(wb[i])
-            assert np.allclose(vectors[i].direction, expected, atol=1e-12)
-            assert np.allclose(vectors[i].outgoing, teacher.A[:, i])
+            assert np.allclose(neurons.directions[i], expected, atol=1e-12)
+            assert np.allclose(neurons.outgoing[i], teacher.A[:, i])
 
     def test_zero_norm_neurons_excluded(self):
         net = Mlp(W=np.array([[1.0, 0.0], [0.0, 0.0]]), b=[0.0, 0.0],
                   A=np.ones((2, 2)), c_out=np.zeros(2))
-        vectors = extract_neurons([net])
-        assert len(vectors) == 1
-        assert vectors[0].neuron_index == 0
+        neurons = extract_neurons([net])
+        assert len(neurons) == 1
+        assert neurons.index[0] == 0
 
     def test_numbers_students_by_ensemble_slot(self):
         rng = np.random.default_rng(4)
@@ -103,50 +138,85 @@ class TestExtractNeurons:
                                    histories=[[], [], []],
                                    final_losses=[float("nan"), 0.0, 0.0],
                                    rho=1, teacher_r=4)
-        vectors = extract_neurons(ensemble)
-        assert len(vectors) == 2 * 4
-        assert {v.student_index for v in vectors} == {1, 2}
+        neurons = extract_neurons(ensemble)
+        assert len(neurons) == 2 * 4
+        assert set(neurons.student.tolist()) == {1, 2}
+
+    def test_rows_in_slot_then_hidden_order(self):
+        rng = np.random.default_rng(5)
+        a, b = random_teacher(rng, r=3, c=2), random_teacher(rng, r=2, c=2)
+        neurons = extract_neurons([a, None, b])
+        assert neurons.student.tolist() == [0, 0, 0, 2, 2]
+        assert neurons.index.tolist() == [0, 1, 2, 0, 1]
+        assert np.array_equal(neurons.outgoing, np.hstack([a.A, b.A]).T)
+        assert np.array_equal(neurons.norms, np.linalg.norm(
+            np.hstack([np.vstack([a.W, b.W]), np.concatenate([a.b, b.b])[:, None]]), axis=1))
 
 
 class TestClusterNeurons:
     def test_recovers_synthetic_bundles(self):
         rng = np.random.default_rng(4)
-        vectors, truth = synthetic_bundles(rng, n_dirs=5, n_students=6, dim=8,
+        neurons, truth = synthetic_bundles(rng, n_dirs=5, n_students=6, dim=8,
                                            spread=1e-6)
-        result = cluster_neurons(vectors, n_students=6, gamma=0.75, beta=3.0)
+        result = cluster_neurons(neurons, n_students=6, gamma=0.75, beta=3.0)
         got = {
-            frozenset(vectors.index(v) for v in cluster)
+            frozenset(cluster.tolist())
             for cluster, ok in zip(result.clusters, result.accepted) if ok
         }
         assert got == truth
 
     def test_gamma_one_rejects_incomplete_cluster(self):
         rng = np.random.default_rng(5)
-        vectors, _ = synthetic_bundles(rng, n_dirs=3, n_students=4, dim=6)
-        vectors = [v for v in vectors if not (v.student_index == 3 and v.neuron_index == 0)]
-        result = cluster_neurons(vectors, n_students=4, gamma=1.0, beta=3.0)
+        neurons, _ = synthetic_bundles(rng, n_dirs=3, n_students=4, dim=6)
+        neurons = take(neurons, ~((neurons.student == 3) & (neurons.index == 0)))
+        result = cluster_neurons(neurons, n_students=4, gamma=1.0, beta=3.0)
         accepted_sizes = sorted(len(c) for c in result.accepted_clusters)
         assert accepted_sizes == [4, 4]  # the incomplete bundle is rejected
 
     def test_single_direction_repeated(self):
         direction = unit(np.ones(5))
-        vectors = [
-            NeuronVector(direction=direction.copy(), raw_norm=1.0,
-                         outgoing=np.zeros(2), student_index=s, neuron_index=0)
-            for s in range(4)
-        ]
-        result = cluster_neurons(vectors, n_students=4, gamma=1.0, beta=3.0)
+        neurons = Neurons(directions=np.tile(direction, (4, 1)), norms=np.ones(4),
+                          outgoing=np.zeros((4, 2)), student=np.arange(4),
+                          index=np.zeros(4, dtype=int))
+        result = cluster_neurons(neurons, n_students=4, gamma=1.0, beta=3.0)
         assert len(result.accepted_clusters) == 1
         assert len(result.accepted_clusters[0]) == 4
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        vectors, _ = synthetic_bundles(rng, n_dirs=4, n_students=5, dim=7)
-        a = cluster_neurons(vectors, 5, 0.75, 3.0)
-        b = cluster_neurons(vectors, 5, 0.75, 3.0)
-        assert [[id(v) for v in c] for c in a.clusters] == \
-               [[id(v) for v in c] for c in b.clusters]
-        assert a.accepted == b.accepted
+        neurons, _ = synthetic_bundles(rng, n_dirs=4, n_students=5, dim=7)
+        a = cluster_neurons(neurons, 5, 0.75, 3.0)
+        b = cluster_neurons(neurons, 5, 0.75, 3.0)
+        assert [c.tolist() for c in a.clusters] == [c.tolist() for c in b.clusters]
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.accepted, b.accepted)
+
+    def test_labels_numbered_by_lowest_member_row(self):
+        rng = np.random.default_rng(7)
+        neurons, _ = synthetic_bundles(rng, n_dirs=4, n_students=3, dim=6)
+        shuffled = take(neurons, rng.permutation(len(neurons)))
+        result = cluster_neurons(shuffled, 3, 0.75, 3.0)
+        first_rows = [c[0] for c in result.clusters]
+        assert first_rows == sorted(first_rows)
+        assert result.labels[0] == 0
+        for label, rows in enumerate(result.clusters):
+            assert np.all(result.labels[rows] == label)
+            assert np.all(np.diff(rows) > 0)
+
+    def test_clusters_and_accepted_clusters_from_labels(self):
+        neurons = Neurons(directions=np.eye(5), norms=np.ones(5), outgoing=np.zeros((5, 1)),
+                          student=np.arange(5), index=np.zeros(5, dtype=int))
+        result = ClusterResult(neurons, labels=np.array([0, 1, 0, 2, 1]),
+                               accepted=np.array([True, False, True]),
+                               gamma=0.5, beta=3.0, n_students=5)
+        assert [c.tolist() for c in result.clusters] == [[0, 2], [1, 4], [3]]
+        assert [c.tolist() for c in result.accepted_clusters] == [[0, 2], [3]]
+
+    def test_empty_pool_has_no_clusters(self):
+        result = cluster_neurons(take(extract_neurons([random_teacher(np.random.default_rng(8))]),
+                                      np.zeros(4, dtype=bool)), 2, 0.75, 3.0)
+        assert result.clusters == []
+        assert result.accepted.shape == (0,)
 
     def test_gamma_bounds(self):
         with pytest.raises(ValueError):
@@ -158,8 +228,8 @@ class TestCollapse:
         rng = np.random.default_rng(7)
         teacher = random_teacher(rng, r=4, d=6, c=3)
         students = [padded_student(teacher, extra=4, seed=s) for s in range(5)]
-        vectors = extract_neurons(students)
-        result = cluster_neurons(vectors, n_students=5, gamma=0.75, beta=3.0)
+        neurons = extract_neurons(students)
+        result = cluster_neurons(neurons, n_students=5, gamma=0.75, beta=3.0)
         recon = collapse(result, d=6, c=3, output_bias=teacher.c_out)
         report = evaluate_reconstruction(recon, teacher)
         assert report.m == teacher.r
@@ -178,8 +248,8 @@ class TestCollapse:
         teacher = Mlp(W=w, b=[0.5], A=[[2.0]], c_out=[0.0])
         W2 = np.vstack([w, w])
         student = Mlp(W=W2, b=[0.5, 0.5], A=[[1.0, 1.0]], c_out=[0.0])
-        vectors = extract_neurons([student, student])
-        result = cluster_neurons(vectors, n_students=2, gamma=1.0, beta=3.0)
+        neurons = extract_neurons([student, student])
+        result = cluster_neurons(neurons, n_students=2, gamma=1.0, beta=3.0)
         assert len(result.accepted_clusters) == 1
         recon = collapse(result, d=2, c=1, output_bias=np.zeros(1))
         assert recon.A[0, 0] == pytest.approx(2.0, abs=1e-12)
@@ -189,16 +259,31 @@ class TestCollapse:
 
     def test_m_equals_accepted_count(self):
         rng = np.random.default_rng(9)
-        vectors, _ = synthetic_bundles(rng, n_dirs=6, n_students=4, dim=5)
-        result = cluster_neurons(vectors, 4, 0.75, 3.0)
+        neurons, _ = synthetic_bundles(rng, n_dirs=6, n_students=4, dim=5)
+        result = cluster_neurons(neurons, 4, 0.75, 3.0)
         recon = collapse(result, d=4, c=2)
         assert recon.r == len(result.accepted_clusters)
 
     def test_no_accepted_clusters_raises(self):
-        result = ClusterResult(clusters=[], accepted=[], gamma=0.75, beta=3.0,
+        empty = Neurons(directions=np.zeros((0, 4)), norms=np.zeros(0),
+                        outgoing=np.zeros((0, 2)), student=np.zeros(0, dtype=int),
+                        index=np.zeros(0, dtype=int))
+        result = ClusterResult(empty, labels=np.zeros(0, dtype=int),
+                               accepted=np.zeros(0, dtype=bool), gamma=0.75, beta=3.0,
                                n_students=4)
         with pytest.raises(ValueError):
             collapse(result, d=3, c=2)
+
+    def test_golden_collapse_with_duplicates_and_missing_slot(self):
+        # sha256 of the collapsed parameters, recorded with the previous
+        # object-per-neuron implementation
+        teacher, ensemble = duplicated_ensemble()
+        result = cluster_neurons(extract_neurons(ensemble), ensemble.n_students, 0.75, 3.0)
+        assert sorted(len(c) for c in result.accepted_clusters) == [5, 5, 7, 7]
+        recon = collapse(result, d=6, c=3, output_bias=teacher.c_out)
+        assert hashlib.sha256(recon.theta.astype("<f8").tobytes()).hexdigest() == \
+            "068f1d6f76721f439e4851f1360630428efa389d332f8a33baae91a5f3459a62"
+        assert evaluate_reconstruction(recon, teacher).max_dw < 1e-12
 
 
 class TestFineTune:

@@ -66,6 +66,21 @@ class TestStepsFor:
             steps_for(0, 10, 2)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(adam_beta1=1.0), dict(adam_beta1=-0.1), dict(adam_beta2=1.0),
+        dict(adam_beta2=-1e-3), dict(eval_every=0), dict(eval_every=-3),
+        dict(plateau_patience=0), dict(plateau_patience=-1),
+    ])
+    def test_rejects_values_that_break_training(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            cfg(**bad)
+
+    def test_accepts_boundary_values(self):
+        c = cfg(adam_beta1=0.0, adam_beta2=0.0, eval_every=1, plateau_patience=1)
+        assert (c.adam_beta1, c.eval_every, c.plateau_patience) == (0.0, 1, 1)
+
+
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         net = init_mlp(3, 4, 2, seed=0)

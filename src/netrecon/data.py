@@ -108,8 +108,9 @@ class QuerySet:
 def _read_idx(path: str, magic: int, n_dims: int, kind: str) -> tuple[list[int], bytes]:
     """Header dimensions and payload of one IDX file of unsigned bytes.
 
-    The file size is checked against the header before the payload is read,
-    so a corrupt header cannot ask for more memory than the file holds.
+    The file size must match the header exactly and is checked before the
+    payload is read, so a corrupt header can neither ask for more memory than
+    the file holds nor silently load a subset of it.
     """
     with open(path, "rb") as f:
         head = f.read(4 * (1 + n_dims))
@@ -124,6 +125,11 @@ def _read_idx(path: str, magic: int, n_dims: int, kind: str) -> tuple[list[int],
             raise TruncatedFileError(
                 f"{path}: header announces {size} bytes of {kind}, file holds {available}"
             )
+        if available > size:
+            raise FormatError(
+                f"{path}: {available - size} bytes after the {size} bytes of {kind}"
+                " the header announces"
+            )
         return dims, f.read(size)
 
 
@@ -131,9 +137,9 @@ def load_idx(images_path: str, labels_path: str, name: str | None = None) -> Ima
     """Read an IDX image/label file pair into a raw dataset (pixels 0..255).
 
     Raises TruncatedFileError (a FormatError and an EOFError) when a file is
-    shorter than its header says, FormatError on a bad magic number or an
-    empty dataset, and ConsistencyError when the two headers disagree on the
-    sample count.
+    shorter than its header says, FormatError when it is longer, on a bad
+    magic number or an empty dataset, and ConsistencyError when the two
+    headers disagree on the sample count.
     """
     (n_labels,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "labels")
     (n_images, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "images")

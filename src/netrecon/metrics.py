@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write_csv
-from .network import Mlp, forward, mse_loss
+from .network import Mlp, _preactivations, forward, mse_loss
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def preactivation_variability(net: Mlp, X: np.ndarray) -> VariabilityStats:
     Population (ddof=0) standard deviations; the aggregate is their mean with
     the standard error of that mean across neurons.
     """
-    pre = forward(net, X).pre
+    pre = _preactivations(net, X)
     per_neuron = pre.std(axis=0)
     r = per_neuron.shape[0]
     return VariabilityStats(
@@ -77,7 +77,7 @@ def preactivation_histogram(net: Mlp, X: np.ndarray, bins: int) -> Histogram:
     """Pooled histogram of all r*Q pre-activation values, uniform bins over [min, max]."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    pre = forward(net, X).pre.ravel()
+    pre = _preactivations(net, X).ravel()
     counts, edges = np.histogram(pre, bins=bins)
     return Histogram(counts=counts.astype(np.int64), edges=edges)
 

@@ -12,7 +12,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ._io import atomic_write_bytes
 from .errors import FormatError
@@ -21,23 +20,56 @@ MODEL_MAGIC = b"NRML"
 MODEL_VERSION = 1
 
 
+def _activate(z: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """softplus(z) + sigmoid(4z) and, if `slope`, its derivative, from one exp.
+
+    With e = exp(-|z|), e4 = e**4 and u the unit step (1 for z >= 0, else 0):
+    softplus(z) = max(z, 0) + log1p(e), sigmoid(z) = max(e, u) / (1 + e),
+    sigmoid(4z) = max(e4, u) / (1 + e4), and the derivative is
+    sigmoid(z) + 4 e4 / (1 + e4)**2. No exp(z) is formed for large z and no
+    1 - sigmoid is, so both tails are exact; max(., u) selects the numerator
+    without a branch. Without the slope, three arrays of z's size are alive.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e4 = np.square(e)
+    np.square(e4, out=e4)
+    u = np.greater_equal(z, 0.0, out=np.empty_like(z))
+    g = None
+    if slope:
+        den = np.add(e, 1.0)
+        g = np.maximum(e, u)
+        g /= den  # sigmoid(z)
+        np.add(e4, 1.0, out=den)
+        ds4 = np.divide(e4, den)
+        ds4 /= den
+        ds4 *= 4.0  # derivative of sigmoid(4z)
+        g += ds4
+    out = np.log1p(e, out=e)
+    np.maximum(e4, u, out=u)
+    np.add(e4, 1.0, out=e4)
+    np.divide(u, e4, out=u)  # sigmoid(4z)
+    out += np.maximum(z, 0.0, out=e4)
+    out += u
+    return out, g
+
+
 def activation(z):
     """Hidden activation softplus(z) + sigmoid(4z).
 
     Deliberately asymmetric: a neuron and its sign-flipped copy compute
     different functions, so hidden weight directions can be compared without a
-    sign ambiguity. The softplus is evaluated as max(z, 0) + log1p(exp(-|z|)),
-    which never forms exp(z) for large z and is exact in both tails.
+    sign ambiguity. Both tails are exact (see `_activate`).
     """
     z = np.asarray(z, dtype=np.float64)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) + expit(4.0 * z)
+    return _activate(np.atleast_1d(z), slope=False)[0].reshape(z.shape)[()]
 
 
 def activation_prime(z):
     """Derivative of :func:`activation`: sigmoid(z) + 4 sigmoid(4z)(1 - sigmoid(4z))."""
     z = np.asarray(z, dtype=np.float64)
-    s4 = expit(4.0 * z)
-    return expit(z) + 4.0 * s4 * (1.0 - s4)
+    return _activate(np.atleast_1d(z), slope=True)[1].reshape(z.shape)[()]
 
 
 class Mlp:
@@ -114,27 +146,43 @@ class ForwardTrace:
     pre: np.ndarray  # (batch, r) pre-activations W x + b
     hidden: np.ndarray  # (batch, r) activation(pre)
     out: np.ndarray  # (batch, c) logits
+    slope: np.ndarray | None = None  # (batch, r) activation_prime(pre), gradient passes only
 
 
-def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
-    """Batched forward pass; X has one input point per row."""
+def _preactivations(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """W x + b for each row x of X."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.d:
         raise ValueError(f"X must have shape (batch, {net.d}), got {X.shape}")
-    pre = X @ net.W.T + net.b
-    hidden = activation(pre)
+    return X @ net.W.T + net.b
+
+
+def _forward(net: Mlp, X: np.ndarray, slope: bool) -> ForwardTrace:
+    pre = _preactivations(net, X)
+    hidden, g = _activate(pre, slope)
     out = hidden @ net.A.T + net.c_out
-    return ForwardTrace(pre=pre, hidden=hidden, out=out)
+    return ForwardTrace(pre=pre, hidden=hidden, out=out, slope=g)
+
+
+def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
+    """Batched forward pass; X has one input point per row. The trace has no slope."""
+    return _forward(net, X, slope=False)
 
 
 def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
                        dout: np.ndarray) -> np.ndarray:
-    """Pull a gradient w.r.t. the logits back onto the parameters, in `theta`'s layout."""
+    """Pull a gradient w.r.t. the logits back onto the parameters, in `theta`'s layout.
+
+    `trace` must carry the slope, i.e. come from a gradient pass.
+    """
+    if trace.slope is None:
+        raise ValueError("trace has no slope; it must come from a gradient pass")
     grad = np.empty(net.n_params)
     dW, db, dA, dc_out = net.blocks(grad)
     np.matmul(dout.T, trace.hidden, out=dA)
     dout.sum(axis=0, out=dc_out)
-    dpre = (dout @ net.A) * activation_prime(trace.pre)
+    dpre = dout @ net.A
+    dpre *= trace.slope
     np.matmul(dpre.T, X, out=dW)
     dpre.sum(axis=0, out=db)
     return grad
@@ -164,7 +212,7 @@ def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, fl
     output width.
     """
     X = np.asarray(X, dtype=np.float64)
-    trace = forward(net, X)
+    trace = _forward(net, X, slope=True)
     err, loss = _mse(trace.out, Y)
     return backprop_from_dout(net, trace, X, (2.0 / X.shape[0]) * err), loss
 

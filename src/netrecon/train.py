@@ -20,6 +20,7 @@ from .data import ImageDataset, QuerySet
 from .errors import DivergenceError
 from .network import (
     Mlp,
+    _forward,
     backprop_from_dout,
     backward_mse,
     forward,
@@ -150,7 +151,7 @@ def _cross_entropy(out: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
 
 def _softmax_ce(net: Mlp, X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
     """Mean cross-entropy of softmax(logits) against integer labels, with its gradient."""
-    trace = forward(net, X)
+    trace = _forward(net, X, slope=True)
     B = X.shape[0]
     loss, p = _cross_entropy(trace.out, labels)
     p[np.arange(B), labels] -= 1.0

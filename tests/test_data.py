@@ -90,6 +90,18 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="72000000000 bytes"):
             load_idx(imgs, labs)
 
+    def test_trailing_image_bytes_rejected(self, tmp_path):
+        imgs, labs = write_idx_pair(tmp_path, [0] * (2 * 4 * 3), [1, 0], rows=4, cols=3)
+        open(imgs, "ab").write(bytes(8))
+        with pytest.raises(FormatError, match="8 bytes after"):
+            load_idx(imgs, labs)
+
+    def test_trailing_label_bytes_rejected(self, tmp_path):
+        imgs, labs = write_idx_pair(tmp_path, [0] * (2 * 4 * 3), [1, 0, 1], rows=4, cols=3,
+                                    label_count=2)
+        with pytest.raises(FormatError, match="1 bytes after"):
+            load_idx(imgs, labs)
+
     def test_zero_size_images_rejected(self, tmp_path):
         imgs, labs = write_idx_pair(tmp_path, [], [0, 1], rows=1, cols=1)
         open(imgs, "wb").write(struct.pack(">IIII", 0x803, 2, 0, 0))

@@ -6,12 +6,15 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from netrecon.errors import FormatError
 from netrecon.network import (
     Mlp,
+    _forward,
     activation,
     activation_prime,
+    backprop_from_dout,
     backward_mse,
     forward,
     init_mlp,
@@ -75,6 +78,20 @@ class TestActivation:
         assert activation(z).shape == (3, 4)
         assert activation_prime(z).shape == (3, 4)
 
+    def test_matches_expit_formulas(self):
+        # the textbook forms, evaluated with scipy's expit, as the reference
+        z = np.linspace(-40.0, 40.0, 400001)
+        s, s4 = expit(z), expit(4.0 * z)
+        value = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) + s4
+        slope = s + 4.0 * s4 * (1.0 - s4)
+        assert np.max(np.abs(activation(z) - value) / value) <= 2e-15
+        assert np.max(np.abs(activation_prime(z) - slope) / slope) <= 2e-15
+
+    @pytest.mark.parametrize("z", [-40.0, -100.0, -700.0])
+    def test_prime_far_negative_tail(self, z):
+        assert activation_prime(z) == pytest.approx(math.exp(z) + 4 * math.exp(4 * z),
+                                                    rel=1e-14)
+
 
 class TestForward:
     def test_zero_network(self):
@@ -114,6 +131,23 @@ class TestForward:
         net = init_mlp(3, 4, 2, seed=0)
         with pytest.raises(ValueError):
             forward(net, np.zeros((5, 7)))
+
+    def test_gradient_pass_matches_forward_and_slope(self):
+        rng = np.random.default_rng(5)
+        net = random_net(rng, 6, 4, 2)
+        X = 4.0 * rng.normal(size=(9, 4))
+        plain = forward(net, X)
+        traced = _forward(net, X, slope=True)
+        assert plain.slope is None
+        for name in ("pre", "hidden", "out"):
+            assert np.array_equal(getattr(traced, name), getattr(plain, name)), name
+        assert np.array_equal(traced.slope, activation_prime(traced.pre))
+
+    def test_backprop_needs_a_slope(self):
+        net = init_mlp(3, 4, 2, seed=0)
+        X = np.ones((2, 4))
+        with pytest.raises(ValueError, match="slope"):
+            backprop_from_dout(net, forward(net, X), X, np.ones((2, 2)))
 
 
 class TestBackwardMse:

@@ -42,8 +42,8 @@ print(f"imitators: final losses "
       f"[{time.time()-t0:.0f}s]")
 
 # pool hidden neurons, cluster directions, keep clusters shared by >= 75%
-neurons = nr.extract_neurons(ensemble)
-clusters = nr.cluster_neurons(neurons, ensemble.n_students, gamma=0.75, beta=3.0)
+neurons = nr.extract_neurons(ensemble.students)
+clusters = nr.cluster_neurons(neurons, len(ensemble.students), gamma=0.75, beta=3.0)
 kept = clusters.accepted_clusters
 print(f"clusters: {len(clusters.clusters)} total, {len(kept)} accepted "
       f"(sizes {[len(c) for c in kept]})")

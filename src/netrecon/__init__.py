@@ -44,7 +44,6 @@ from .errors import (
 )
 from .metrics import (
     Histogram,
-    LossPoint,
     VariabilityStats,
     imitation_loss,
     preactivation_histogram,

@@ -15,46 +15,58 @@ import numpy as np
 
 from .data import ImageDataset
 
-_GRID_KINDS = ("grid", "grid_biased_noise")
+# strategy parameters of AugmentationSpec, and the ones each kind uses
+PARAMS = ("copies", "lo", "hi", "magnitude", "grid_x", "grid_y", "count")
+_KIND_PARAMS = {
+    "identity": (),
+    "random_rotations": ("copies",),
+    "hv_flips": (),
+    "uniform_noise": ("copies", "lo", "hi"),
+    "biased_noise": ("magnitude",),
+    "grid": ("grid_x", "grid_y", "count"),
+    "grid_biased_noise": ("grid_x", "grid_y", "count", "magnitude"),
+}
 
 
 @dataclass(frozen=True)
 class AugmentationSpec:
-    """Declarative description of one query-construction strategy."""
+    """Declarative description of one query-construction strategy.
+
+    A kind needs each parameter it uses (magnitude is the biased noise
+    magnitude u); every other parameter must stay None.
+    """
 
     kind: str
-    copies: int | None = None  # random_rotations, uniform_noise
-    lo: float | None = None  # uniform_noise
-    hi: float | None = None  # uniform_noise
-    magnitude: float | None = None  # biased noise magnitude u
+    copies: int | None = None
+    lo: float | None = None
+    hi: float | None = None
+    magnitude: float | None = None
     grid_x: int | None = None
     grid_y: int | None = None
-    count: int | None = None  # grid kinds
+    count: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        if self.kind in ("random_rotations", "uniform_noise"):
-            if self.copies is None or self.copies < 1:
-                raise ValueError(f"{self.kind} needs copies >= 1")
-        if self.kind == "uniform_noise":
-            if self.lo is None or self.hi is None or not self.lo < self.hi:
-                raise ValueError("uniform_noise needs lo < hi")
-        if self.kind in ("biased_noise", "grid_biased_noise"):
-            if self.magnitude is None or self.magnitude <= 0:
-                raise ValueError(f"{self.kind} needs magnitude > 0")
-        if self.kind in _GRID_KINDS:
-            if self.grid_x is None or self.grid_y is None or min(self.grid_x, self.grid_y) < 1:
-                raise ValueError(f"{self.kind} needs grid_x >= 1 and grid_y >= 1")
-            if self.count is None or self.count < 1:
-                raise ValueError(f"{self.kind} needs count >= 1")
+        used = _KIND_PARAMS[self.kind]
+        unused = [p for p in PARAMS if p not in used and getattr(self, p) is not None]
+        if unused:
+            raise ValueError(f"{self.kind} does not use {', '.join(unused)}")
+        missing = [p for p in used if getattr(self, p) is None]
+        if missing:
+            raise ValueError(f"{self.kind} needs {', '.join(missing)}")
+        for p in used:
+            if p not in ("lo", "hi") and not getattr(self, p) > 0:
+                raise ValueError(f"{self.kind} needs {p} > 0")
+        if "lo" in used and not self.lo < self.hi:
+            raise ValueError(f"{self.kind} needs lo < hi")
 
     def describe(self) -> str:
         """Canonical identifier, used as query-set provenance (comma-free: it
         ends up in single CSV fields)."""
         parts = []
-        for field in ("copies", "lo", "hi", "magnitude", "grid_x", "grid_y", "count"):
+        for field in PARAMS:
             value = getattr(self, field)
             if value is not None:
                 parts.append(f"{field}={value}")
@@ -114,17 +126,15 @@ def rotate_image(image: np.ndarray, angle_deg: float, fill: float) -> np.ndarray
     return np.where(inside, top * (1 - wy) + bottom * wy, fill)
 
 
-def random_rotations(ds: ImageDataset, copies: int, seed: int,
-                     fill: float | None = None) -> AugmentedSet:
+def random_rotations(ds: ImageDataset, copies: int, seed: int) -> AugmentedSet:
     """Originals plus `copies` independently rotated versions of each image.
 
     Angles are uniform in [0, 360) degrees. Out-of-frame pixels are filled
     with the standardized value of raw pixel 0 when the dataset records its
-    standardization constants, else with `fill` (default 0).
+    standardization constants, else with 0.
     """
     spec = AugmentationSpec(kind="random_rotations", copies=copies, seed=seed)
-    if fill is None:
-        fill = 0.0 if ds.mean is None else (0.0 - ds.mean) / ds.std
+    fill = 0.0 if ds.mean is None else (0.0 - ds.mean) / ds.std
     rng = np.random.default_rng(seed)
     n, h, w = ds.n_samples, ds.height, ds.width
     stacked = ds.images.reshape(n, h, w)

@@ -25,14 +25,7 @@ from .errors import ConfigError, DivergenceError, EmptyReconstructionError, Netr
 from .metrics import scatter_table, write_losses_csv
 from .network import Mlp, load_mlp, save_mlp
 from .reconstruct import evaluate_reconstruction, run_reconstruction
-from .train import (
-    StudentEnsemble,
-    accuracy,
-    final_loss,
-    iter_students,
-    query_teacher,
-    train_teacher,
-)
+from .train import accuracy, final_loss, iter_students, query_teacher, train_teacher
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,13 +42,20 @@ def _require_files(*paths: str) -> None:
         raise ConfigError("missing input file(s): " + ", ".join(missing))
 
 
+def _subset(ds: ImageDataset, k: int | None, seed: int, key: str) -> ImageDataset:
+    """`subset` for the config key `key`; None keeps every sample."""
+    if k is None:
+        return ds
+    if k > ds.n_samples:
+        raise ConfigError(f"{key} = {k} exceeds the {ds.n_samples} training samples")
+    return subset(ds, k, seed=seed)
+
+
 def _teacher_training_set(cfg: ExperimentConfig) -> tuple[ImageDataset, float, float]:
     """Load, optionally subset, and standardize the teacher's training split."""
     _require_files(cfg.teacher.train_images, cfg.teacher.train_labels)
     ds = load_idx(cfg.teacher.train_images, cfg.teacher.train_labels)
-    if cfg.teacher.subset is not None:
-        ds = subset(ds, cfg.teacher.subset, seed=cfg.seed)
-    return standardize(ds)
+    return standardize(_subset(ds, cfg.teacher.subset, cfg.seed, "[teacher] subset"))
 
 
 def cmd_train_teacher(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -77,13 +77,16 @@ def cmd_build_queries(cfg: ExperimentConfig, out_dir: str) -> int:
     _require_files(teacher_path)
     teacher = load_mlp(teacher_path)
     ds, _, _ = _teacher_training_set(cfg)
-    if cfg.query.base_subset is not None:
-        ds = subset(ds, cfg.query.base_subset, seed=cfg.query.spec.seed)
+    spec = cfg.query.spec
+    ds = _subset(ds, cfg.query.base_subset, spec.seed, "[query] base_subset")
     if teacher.d != ds.d:
         raise ConfigError(
             f"teacher expects d={teacher.d} but dataset provides d={ds.d}"
         )
-    aug = build(cfg.query.spec, ds)
+    if spec.grid_x is not None and (spec.grid_x > ds.width or spec.grid_y > ds.height):
+        raise ConfigError(f"[query] grid_x = {spec.grid_x}, grid_y = {spec.grid_y} "
+                          f"do not fit {ds.width}x{ds.height} images")
+    aug = build(spec, ds)
     qs = query_teacher(teacher, aug)
     save_queryset(qs, os.path.join(out_dir, "queries.qs"))
     print(f"queries: Q={qs.Q} strategy={qs.provenance}")
@@ -203,18 +206,12 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
     qs = load_queryset(queries_path)
     n = cfg.students.n
     paths = [_student_files(out_dir, i)[0] for i in range(n)]
-    ensemble = StudentEnsemble(
-        students=[load_mlp(p) if os.path.isfile(p) else None for p in paths],
-        histories=[[] for _ in range(n)],
-        final_losses=[nan] * n,
-        rho=cfg.students.rho,
-        teacher_r=cfg.teacher.hidden,
-    )
-    if len(ensemble.trained) < 2:
+    students = [load_mlp(p) if os.path.isfile(p) else None for p in paths]
+    if sum(s is not None for s in students) < 2:
         raise ConfigError("need at least two trained students; run train-students first")
 
     try:
-        tuned, _, history = run_reconstruction(ensemble, qs, cfg.reconstruct.gamma,
+        tuned, _, history = run_reconstruction(students, qs, cfg.reconstruct.gamma,
                                                cfg.reconstruct.beta,
                                                cfg.reconstruct.fine_tune)
     except EmptyReconstructionError:

@@ -11,9 +11,9 @@ students +2, fine-tune +3).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .augment import AugmentationSpec
+from .augment import PARAMS, AugmentationSpec
 from .errors import ConfigError
 from .train import TrainConfig
 
@@ -22,7 +22,6 @@ _TRAIN_OPTIONAL = (
     "adam_beta1", "adam_beta2", "adam_eps", "plateau_patience", "plateau_factor",
     "plateau_min_lr", "plateau_threshold", "eval_every", "target_loss", "seed",
 )
-_STRATEGY_KEYS = ("copies", "lo", "hi", "magnitude", "grid_x", "grid_y", "count")
 
 
 @dataclass(frozen=True)
@@ -71,14 +70,12 @@ class _Section:
     def __init__(self, name: str, items: dict[str, str]):
         self.name = name
         self.items = dict(items)
-        self.used: set[str] = set()
 
     def get(self, key: str, kind, default=None, required: bool = False):
         if key not in self.items:
             if required:
                 raise ConfigError(f"[{self.name}] missing required key '{key}'")
             return default
-        self.used.add(key)
         raw = self.items[key].strip()
         try:
             return kind(raw)
@@ -152,7 +149,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     query_sec = sections["query"]
     strategy = query_sec.get("strategy", str, required=True)
     spec_kwargs = {"kind": strategy, "seed": query_sec.get("seed", int, default=seed + 1)}
-    for key in _STRATEGY_KEYS:
+    for key in PARAMS:
         kind = float if key in ("lo", "hi", "magnitude") else int
         value = query_sec.get(key, kind)
         if value is not None:
@@ -164,7 +161,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     query = QueryConfig(spec=spec, base_subset=query_sec.get("base_subset", int))
     if query.base_subset is not None and query.base_subset < 1:
         raise ConfigError("[query] base_subset must be >= 1")
-    query_sec.check_no_extras(("strategy", "seed", "base_subset") + _STRATEGY_KEYS)
+    query_sec.check_no_extras(("strategy", "seed", "base_subset") + PARAMS)
 
     students_sec = sections["students"]
     students = StudentsConfig(
@@ -191,6 +188,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     eval_sets: list[tuple[str, str, str]] = []
     if "eval" in sections:
         for name, value in sections["eval"].items.items():
+            if name == "train":
+                raise ConfigError("[eval] 'train' names the query-set rows of losses.csv")
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 2 or not all(parts):
                 raise ConfigError(
@@ -221,54 +220,3 @@ def load_config(path: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, source=path)
-
-
-def _format_value(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _train_lines(cfg: TrainConfig) -> list[str]:
-    return [
-        f"{f.name} = {_format_value(getattr(cfg, f.name))}"
-        for f in fields(TrainConfig)
-        if getattr(cfg, f.name) is not None
-    ]
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical INI text; parse(serialize(parse(x))) == parse(x)."""
-    lines = [
-        "[run]",
-        f"seed = {cfg.seed}",
-        f"output_dir = {cfg.output_dir}",
-        "",
-        "[teacher]",
-        f"train_images = {cfg.teacher.train_images}",
-        f"train_labels = {cfg.teacher.train_labels}",
-    ]
-    if cfg.teacher.subset is not None:
-        lines.append(f"subset = {cfg.teacher.subset}")
-    lines.append(f"hidden = {cfg.teacher.hidden}")
-    lines += _train_lines(cfg.teacher.train)
-    lines += ["", "[query]", f"strategy = {cfg.query.spec.kind}"]
-    if cfg.query.base_subset is not None:
-        lines.append(f"base_subset = {cfg.query.base_subset}")
-    for key in _STRATEGY_KEYS:
-        value = getattr(cfg.query.spec, key)
-        if value is not None:
-            lines.append(f"{key} = {_format_value(value)}")
-    lines.append(f"seed = {cfg.query.spec.seed}")
-    lines += ["", "[students]", f"n = {cfg.students.n}", f"rho = {cfg.students.rho}"]
-    lines += _train_lines(cfg.students.train)
-    lines += [
-        "",
-        "[reconstruct]",
-        f"gamma = {cfg.reconstruct.gamma!r}",
-        f"beta = {cfg.reconstruct.beta!r}",
-    ]
-    lines += _train_lines(cfg.reconstruct.fine_tune)
-    if cfg.eval_sets:
-        lines.append("")
-        lines.append("[eval]")
-        lines += [f"{name} = {img}, {lab}" for name, img, lab in cfg.eval_sets]
-    return "\n".join(lines) + "\n"

@@ -16,13 +16,6 @@ from ._io import atomic_write_csv
 from .network import Mlp, _preactivations, forward, mse_loss
 
 
-@dataclass(frozen=True)
-class LossPoint:
-    dataset_name: str
-    loss: float
-    Q: int
-
-
 @dataclass(frozen=True, eq=False)
 class VariabilityStats:
     """Per-neuron standard deviation of pre-activations over a query set."""
@@ -49,12 +42,10 @@ class Histogram:
         return float(np.sqrt(p @ (mids - mean) ** 2))
 
 
-def imitation_loss(student: Mlp, teacher: Mlp, X: np.ndarray,
-                   dataset_name: str = "") -> LossPoint:
+def imitation_loss(student: Mlp, teacher: Mlp, X: np.ndarray) -> float:
     """Mean squared difference between the two networks' logits over X."""
     X = np.asarray(X, dtype=np.float64)
-    loss = mse_loss(student, X, forward(teacher, X).out)
-    return LossPoint(dataset_name=dataset_name, loss=loss, Q=X.shape[0])
+    return mse_loss(student, X, forward(teacher, X).out)
 
 
 def preactivation_variability(net: Mlp, X: np.ndarray) -> VariabilityStats:
@@ -97,8 +88,7 @@ def scatter_table(teacher: Mlp, students: list[Mlp | None],
         if student is None:
             continue
         for name, X in eval_sets:
-            point = imitation_loss(student, teacher, X, dataset_name=name)
-            rows.append((i, name, point.Q, point.loss))
+            rows.append((i, name, X.shape[0], imitation_loss(student, teacher, X)))
     return rows
 
 

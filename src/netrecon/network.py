@@ -217,12 +217,10 @@ def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, fl
     return backprop_from_dout(net, trace, X, (2.0 / X.shape[0]) * err), loss
 
 
-def init_mlp(r: int, d: int, c: int, scheme: str = "uniform", seed: int = 0) -> Mlp:
+def init_mlp(r: int, d: int, c: int, seed: int = 0) -> Mlp:
     """Fresh network: weights U[-s, s] with s = sqrt(1/fan_in) per layer, biases zero."""
     if r < 1 or d < 1 or c < 1:
         raise ValueError("r, d and c must all be >= 1")
-    if scheme != "uniform":
-        raise ValueError(f"unknown init scheme {scheme!r}")
     rng = np.random.default_rng(seed)
     s_w = (1.0 / d) ** 0.5
     s_a = (1.0 / r) ** 0.5

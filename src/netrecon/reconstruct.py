@@ -10,6 +10,7 @@ queries.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import ceil
 
@@ -21,7 +22,7 @@ from scipy.spatial.distance import squareform
 from .data import QuerySet
 from .errors import EmptyReconstructionError
 from .network import Mlp
-from .train import HistoryPoint, StudentEnsemble, TrainConfig, fit_mse
+from .train import HistoryPoint, TrainConfig, fit_mse
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,15 +44,13 @@ class ClusterResult:
     """A cluster label per neuron plus the acceptance decision for each cluster.
 
     A cluster is accepted when its members span at least ceil(gamma * N)
-    distinct students; `beta` sets the dendrogram cut at cosine distance
-    10**-beta.
+    distinct students.
     """
 
     neurons: Neurons
     labels: np.ndarray  # (n,) cluster of each neuron, numbered by lowest member row
     accepted: np.ndarray  # (clusters,) bool
     gamma: float
-    beta: float
     n_students: int
 
     @property
@@ -98,28 +97,26 @@ def _directions(W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wb / safe[:, None], norms
 
 
-def extract_neurons(ensemble: StudentEnsemble | list[Mlp],
-                    min_norm: float = 1e-12) -> Neurons:
-    """Pool every hidden neuron of every student as a normalized direction.
+def extract_neurons(students: Sequence[Mlp | None], min_norm: float = 1e-12) -> Neurons:
+    """Pool every hidden neuron of every student slot as a normalized direction.
 
-    `student` is the student's slot in the ensemble, counting diverged and
-    missing (None) students. Neurons whose [w; b] norm is below `min_norm`
+    `student` is the neuron's index in `students`, counting diverged and
+    missing (None) slots. Neurons whose [w; b] norm is below `min_norm`
     carry no usable direction and are excluded; the excluded count is the
     difference between the pooled total and len(result).
     """
-    slots = ensemble.students if isinstance(ensemble, StudentEnsemble) else list(ensemble)
-    students = [(i, net) for i, net in enumerate(slots) if net is not None]
-    if not students:
+    trained = [(i, net) for i, net in enumerate(students) if net is not None]
+    if not trained:
         raise ValueError("ensemble contains no trained students")
-    dirs, norms = _directions(np.vstack([net.W for _, net in students]),
-                              np.concatenate([net.b for _, net in students]))
+    dirs, norms = _directions(np.vstack([net.W for _, net in trained]),
+                              np.concatenate([net.b for _, net in trained]))
     keep = norms >= min_norm
     return Neurons(
         directions=dirs[keep],
         norms=norms[keep],
-        outgoing=np.hstack([net.A for _, net in students]).T[keep],
-        student=np.repeat([i for i, _ in students], [net.r for _, net in students])[keep],
-        index=np.concatenate([np.arange(net.r) for _, net in students])[keep],
+        outgoing=np.hstack([net.A for _, net in trained]).T[keep],
+        student=np.repeat([i for i, _ in trained], [net.r for _, net in trained])[keep],
+        index=np.concatenate([np.arange(net.r) for _, net in trained])[keep],
     )
 
 
@@ -148,7 +145,7 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     # one row per distinct (cluster, student) pair, so bincount counts students
     spans = np.unique(np.column_stack([labels, neurons.student]), axis=0)[:, 0]
     accepted = np.bincount(spans, minlength=len(first)) >= ceil(gamma * n_students)
-    return ClusterResult(neurons, labels, accepted, gamma, beta, n_students)
+    return ClusterResult(neurons, labels, accepted, gamma, n_students)
 
 
 def collapse(result: ClusterResult, d: int, c: int,
@@ -238,19 +235,19 @@ def evaluate_reconstruction(recon: Mlp, teacher: Mlp) -> ReconstructionReport:
     )
 
 
-def run_reconstruction(ensemble: StudentEnsemble, qs: QuerySet, gamma: float,
+def run_reconstruction(students: Sequence[Mlp | None], qs: QuerySet, gamma: float,
                        beta: float, cfg: TrainConfig,
                        ) -> tuple[Mlp, ClusterResult, list[HistoryPoint]]:
     """Extract, cluster, collapse and fine-tune in one call.
 
     A cluster is accepted when it spans ceil(gamma * N) students, N =
-    ensemble.n_students counting diverged and missing (None) students.
-    Raises EmptyReconstructionError when no cluster is accepted; callers
-    decide whether that is a failure or a reportable empty result.
+    len(students) counting diverged and missing (None) slots. Raises
+    EmptyReconstructionError when no cluster is accepted; callers decide
+    whether that is a failure or a reportable empty result.
     """
-    neurons = extract_neurons(ensemble)
-    result = cluster_neurons(neurons, ensemble.n_students, gamma, beta)
-    biases = np.mean([s.c_out for s in ensemble.trained], axis=0)
+    neurons = extract_neurons(students)
+    result = cluster_neurons(neurons, len(students), gamma, beta)
+    biases = np.mean([s.c_out for s in students if s is not None], axis=0)
     collapsed = collapse(result, qs.d, qs.c, output_bias=biases)
     tuned, history = fine_tune(collapsed, qs, cfg)
     return tuned, result, history

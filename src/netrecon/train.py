@@ -275,10 +275,11 @@ class StudentEnsemble:
 
     students: list[Mlp | None]
     histories: list[list[HistoryPoint]]
-    final_losses: list[float]
-    rho: int
-    teacher_r: int
     failures: list[tuple[int, str]] = field(default_factory=list)
+
+    @property
+    def final_losses(self) -> list[float]:
+        return [final_loss(h) for h in self.histories]
 
     @property
     def n_students(self) -> int:
@@ -334,8 +335,5 @@ def train_ensemble(qs: QuerySet, teacher_r: int, rho: int, N: int,
     return StudentEnsemble(
         students=[net for _, net, _, _ in results],
         histories=[hist for _, _, hist, _ in results],
-        final_losses=[final_loss(hist) for _, _, hist, _ in results],
-        rho=rho,
-        teacher_r=teacher_r,
         failures=[(i, msg) for i, net, _, msg in results if net is None],
     )

@@ -79,7 +79,7 @@ def recovery_run(desk):
     base = subset(desk["ds"], 2048, seed=1)
     qs = query_teacher(desk["teacher"], biased_noise(base, 1.0, seed=2))
     ensemble = train_ensemble(qs, teacher_r=8, rho=4, N=8, cfg=STUDENT_CFG, jobs=2)
-    neurons = extract_neurons(ensemble)
+    neurons = extract_neurons(ensemble.students)
     clusters = cluster_neurons(neurons, ensemble.n_students, GAMMA, BETA)
     bias = np.mean([s.c_out for s in ensemble.trained], axis=0)
     collapsed = collapse(clusters, qs.d, qs.c, output_bias=bias)
@@ -189,12 +189,10 @@ def test_criterion_04_overfit_failure_with_identity_queries(desk):
     ood_raw = make_synthetic_classification(2000, height=5, width=5, n_classes=10,
                                             style="stripes", seed=7)
     ood, _, _ = standardize(ood_raw, stats=(desk["mean"], desk["std"]))
-    train_losses = [imitation_loss(s, teacher, qs.inputs).loss
-                    for s in ensemble.trained]
-    ood_losses = [imitation_loss(s, teacher, ood.images).loss
-                  for s in ensemble.trained]
+    train_losses = [imitation_loss(s, teacher, qs.inputs) for s in ensemble.trained]
+    ood_losses = [imitation_loss(s, teacher, ood.images) for s in ensemble.trained]
     ratios = [o / t for o, t in zip(ood_losses, train_losses)]
-    neurons = extract_neurons(ensemble)
+    neurons = extract_neurons(ensemble.students)
     clusters = cluster_neurons(neurons, ensemble.n_students, GAMMA, BETA)
     if clusters.accepted_clusters:
         bias = np.mean([s.c_out for s in ensemble.trained], axis=0)

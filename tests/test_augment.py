@@ -41,6 +41,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AugmentationSpec(kind="grid", grid_x=0, grid_y=3, count=5)
 
+    def test_parameter_the_kind_does_not_use(self):
+        # the spec would otherwise describe itself with copies=5 while the
+        # strategy it builds ignores them
+        with pytest.raises(ValueError, match="copies"):
+            AugmentationSpec(kind="biased_noise", magnitude=1.0, copies=5, seed=1)
+        with pytest.raises(ValueError, match="magnitude"):
+            AugmentationSpec(kind="identity", magnitude=1.0)
+
     def test_describe_is_stable(self):
         spec = AugmentationSpec(kind="biased_noise", magnitude=1.0, seed=7)
         assert spec.describe() == "biased_noise(magnitude=1.0 seed=7)"

@@ -265,6 +265,27 @@ class TestPipeline:
         assert "truncated" in capsys.readouterr().err
         assert not (bad / "out" / "teacher.mlp").exists()
 
+    @pytest.mark.parametrize("old,new", [
+        ("hidden = 2", "hidden = 2\nsubset = 5000"),
+        ("base_subset = 400", "base_subset = 5000"),
+    ])
+    def test_subset_larger_than_training_set_is_a_config_error(self, workdir, capsys,
+                                                               old, new):
+        config = workdir / "subset.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(old, new))
+        code = main(["pipeline", "--config", str(config), "--out", str(workdir / "big")])
+        assert code == EXIT_CONFIG
+        assert "subset = 5000 exceeds the 600" in capsys.readouterr().err
+
+    def test_grid_finer_than_image_is_a_config_error(self, workdir, capsys):
+        config = workdir / "grid.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(
+            "strategy = biased_noise", "strategy = grid\ngrid_x = 9\ngrid_y = 2\ncount = 10"
+        ).replace("magnitude = 1.0\n", ""))
+        code = main(["pipeline", "--config", str(config), "--out", str(workdir / "grid")])
+        assert code == EXIT_CONFIG
+        assert "[query] grid_x = 9" in capsys.readouterr().err
+
     def test_empty_reconstruction_exit_code(self, workdir):
         # an impossibly tight threshold on undertrained students accepts nothing
         config = workdir / "empty.ini"

@@ -1,11 +1,16 @@
-"""The quick demos still run against the current API.
+"""The demos and the README example still match the current API.
 
-Each demo runs from a copy in a temporary directory, so the CSVs that demo 03
-writes next to itself land there and not in the repository. Demos 04 and 05
-take about a minute each and are left out.
+Each quick demo runs from a copy in a temporary directory, so the CSVs that
+demo 03 writes next to itself land there and not in the repository. Demos 04
+and 05 take about a minute each, so they and the README example are only
+parsed: every `nr.<name>` they use must exist, and every call must bind to
+its signature.
 """
 
+import ast
+import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +20,8 @@ import pytest
 
 import netrecon
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 SRC = Path(netrecon.__file__).resolve().parents[1]
 
 
@@ -30,3 +36,41 @@ def test_demo_runs(name, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def _sources():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    for i, block in enumerate(blocks):
+        yield pytest.param(block, id=f"README-{i}")
+    for name in ("04_overfitting_diagnosis.py", "05_full_recovery.py"):
+        yield pytest.param((DEMOS / name).read_text(), id=name)
+
+
+def _nr_path(node) -> list[str] | None:
+    """["a", "b"] for the expression `nr.a.b`, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return names[::-1] if isinstance(node, ast.Name) and node.id == "nr" else None
+
+
+@pytest.mark.parametrize("source", _sources())
+def test_api_references_resolve(source):
+    for node in ast.walk(ast.parse(source)):
+        path = _nr_path(node.func if isinstance(node, ast.Call) else node)
+        if not path:
+            continue
+        obj = netrecon
+        for name in path:
+            assert hasattr(obj, name), f"line {node.lineno}: no nr.{'.'.join(path)}"
+            obj = getattr(obj, name)
+        if isinstance(node, ast.Call):
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positional = [] if starred else [None] * len(node.args)
+            keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+            try:
+                inspect.signature(obj).bind_partial(*positional, **keywords)
+            except TypeError as exc:
+                pytest.fail(f"line {node.lineno}: nr.{'.'.join(path)}: {exc}")

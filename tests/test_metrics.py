@@ -22,13 +22,13 @@ class TestImitationLoss:
     def test_self_loss_zero(self):
         net = random_net(np.random.default_rng(0))
         X = np.random.default_rng(1).normal(size=(20, 5))
-        assert imitation_loss(net, net, X).loss == 0.0
+        assert imitation_loss(net, net, X) == 0.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         a, b = random_net(rng), random_net(rng)
         X = rng.normal(size=(9, 5))
-        point = imitation_loss(a, b, X)
+        loss = imitation_loss(a, b, X)
         out_a = forward(a, X).out
         out_b = forward(b, X).out
         expected = 0.0
@@ -36,20 +36,13 @@ class TestImitationLoss:
             for k in range(3):
                 expected += (out_a[n, k] - out_b[n, k]) ** 2
         expected /= 9
-        assert point.loss == pytest.approx(expected, abs=1e-12)
-        assert point.Q == 9
+        assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         a, b = random_net(rng), random_net(rng)
         X = rng.normal(size=(12, 5))
-        assert imitation_loss(a, b, X).loss == pytest.approx(
-            imitation_loss(b, a, X).loss, abs=1e-12)
-
-    def test_dataset_name_carried(self):
-        net = random_net(np.random.default_rng(4))
-        point = imitation_loss(net, net, np.zeros((3, 5)), dataset_name="ood")
-        assert point.dataset_name == "ood"
+        assert imitation_loss(a, b, X) == pytest.approx(imitation_loss(b, a, X), abs=1e-12)
 
 
 class TestPreactivationVariability:
@@ -135,6 +128,7 @@ class TestScatterTable:
         rows = scatter_table(teacher, students, sets)
         assert len(rows) == 6
         assert {name for _, name, _, _ in rows} == {"train", "ood"}
+        assert {(name, Q) for _, name, Q, _ in rows} == {("train", 8), ("ood", 6)}
 
     def test_numbers_students_by_slot(self):
         rng = np.random.default_rng(16)

@@ -222,11 +222,9 @@ class TestInit:
         assert net.W.std() == pytest.approx(s / np.sqrt(3), rel=0.05)
         assert abs(net.W).max() <= s
 
-    def test_rejects_bad_dims_and_scheme(self):
+    def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             init_mlp(0, 3, 2)
-        with pytest.raises(ValueError):
-            init_mlp(2, 3, 2, scheme="orthogonal")
 
 
 class TestModelFile:

@@ -18,7 +18,7 @@ from netrecon.reconstruct import (
     fine_tune,
     run_reconstruction,
 )
-from netrecon.train import StudentEnsemble, TrainConfig
+from netrecon.train import TrainConfig
 
 
 def unit(v):
@@ -96,9 +96,7 @@ def duplicated_ensemble():
                             A=np.hstack([A, teacher.A[:, dup] * (1 - share)]),
                             c_out=base.c_out))
     students.insert(2, None)
-    return teacher, StudentEnsemble(students=students, histories=[[] for _ in students],
-                                    final_losses=[0.0, 0.0, float("nan"), 0.0, 0.0],
-                                    rho=2, teacher_r=4)
+    return teacher, students
 
 
 class TestExtractNeurons:
@@ -134,11 +132,7 @@ class TestExtractNeurons:
 
     def test_numbers_students_by_ensemble_slot(self):
         rng = np.random.default_rng(4)
-        ensemble = StudentEnsemble(students=[None, random_teacher(rng), random_teacher(rng)],
-                                   histories=[[], [], []],
-                                   final_losses=[float("nan"), 0.0, 0.0],
-                                   rho=1, teacher_r=4)
-        neurons = extract_neurons(ensemble)
+        neurons = extract_neurons([None, random_teacher(rng), random_teacher(rng)])
         assert len(neurons) == 2 * 4
         assert set(neurons.student.tolist()) == {1, 2}
 
@@ -208,7 +202,7 @@ class TestClusterNeurons:
                           student=np.arange(5), index=np.zeros(5, dtype=int))
         result = ClusterResult(neurons, labels=np.array([0, 1, 0, 2, 1]),
                                accepted=np.array([True, False, True]),
-                               gamma=0.5, beta=3.0, n_students=5)
+                               gamma=0.5, n_students=5)
         assert [c.tolist() for c in result.clusters] == [[0, 2], [1, 4], [3]]
         assert [c.tolist() for c in result.accepted_clusters] == [[0, 2], [3]]
 
@@ -269,16 +263,15 @@ class TestCollapse:
                         outgoing=np.zeros((0, 2)), student=np.zeros(0, dtype=int),
                         index=np.zeros(0, dtype=int))
         result = ClusterResult(empty, labels=np.zeros(0, dtype=int),
-                               accepted=np.zeros(0, dtype=bool), gamma=0.75, beta=3.0,
-                               n_students=4)
+                               accepted=np.zeros(0, dtype=bool), gamma=0.75, n_students=4)
         with pytest.raises(ValueError):
             collapse(result, d=3, c=2)
 
     def test_golden_collapse_with_duplicates_and_missing_slot(self):
         # sha256 of the collapsed parameters, recorded with the previous
         # object-per-neuron implementation
-        teacher, ensemble = duplicated_ensemble()
-        result = cluster_neurons(extract_neurons(ensemble), ensemble.n_students, 0.75, 3.0)
+        teacher, students = duplicated_ensemble()
+        result = cluster_neurons(extract_neurons(students), len(students), 0.75, 3.0)
         assert sorted(len(c) for c in result.accepted_clusters) == [5, 5, 7, 7]
         recon = collapse(result, d=6, c=3, output_bias=teacher.c_out)
         assert hashlib.sha256(recon.theta.astype("<f8").tobytes()).hexdigest() == \
@@ -326,14 +319,11 @@ class TestRunReconstruction:
         rng = np.random.default_rng(21)
         teacher = random_teacher(rng, r=4, d=6, c=3)
         students = [padded_student(teacher, extra=4, seed=s) for s in range(4)]
-        ensemble = StudentEnsemble(students=list(students),
-                                   histories=[[] for _ in students],
-                                   final_losses=[0.0] * 4, rho=2, teacher_r=4)
         X = rng.normal(size=(300, 6))
         qs = QuerySet(inputs=X, targets=forward(teacher, X).out)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_steps=2000,
                           target_loss=1e-14, seed=5)
-        recon, clusters, history = run_reconstruction(ensemble, qs, gamma=0.75,
+        recon, clusters, history = run_reconstruction(students, qs, gamma=0.75,
                                                       beta=3.0, cfg=cfg)
         assert len(clusters.accepted_clusters) == 4
         report = evaluate_reconstruction(recon, teacher)
@@ -343,14 +333,11 @@ class TestRunReconstruction:
     def test_raises_when_nothing_clusters(self):
         rng = np.random.default_rng(22)
         students = [random_teacher(rng, r=4, d=6, c=3) for _ in range(3)]
-        ensemble = StudentEnsemble(students=list(students),
-                                   histories=[[] for _ in students],
-                                   final_losses=[1.0] * 3, rho=1, teacher_r=4)
         X = rng.normal(size=(50, 6))
         qs = QuerySet(inputs=X, targets=forward(students[0], X).out)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_steps=10, seed=0)
         with pytest.raises(EmptyReconstructionError):
-            run_reconstruction(ensemble, qs, gamma=1.0, beta=8.0, cfg=cfg)
+            run_reconstruction(students, qs, gamma=1.0, beta=8.0, cfg=cfg)
 
     def test_gamma_counts_missing_students(self):
         # three students carry every teacher neuron, the fourth slot is empty:
@@ -358,15 +345,11 @@ class TestRunReconstruction:
         rng = np.random.default_rng(23)
         teacher = random_teacher(rng, r=4, d=6, c=3)
         students = [padded_student(teacher, extra=4, seed=s) for s in range(3)] + [None]
-        ensemble = StudentEnsemble(students=students,
-                                   histories=[[] for _ in students],
-                                   final_losses=[0.0] * 3 + [float("nan")],
-                                   rho=2, teacher_r=4)
         X = rng.normal(size=(50, 6))
         qs = QuerySet(inputs=X, targets=forward(teacher, X).out)
         cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_steps=10, seed=0)
         with pytest.raises(EmptyReconstructionError):
-            run_reconstruction(ensemble, qs, gamma=1.0, beta=3.0, cfg=cfg)
+            run_reconstruction(students, qs, gamma=1.0, beta=3.0, cfg=cfg)
 
 
 class TestEvaluateReconstruction:

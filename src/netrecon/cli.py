@@ -99,6 +99,15 @@ def _student_files(out_dir: str, index: int) -> tuple[str, str]:
     return stem + ".mlp", stem + ".history.csv"
 
 
+def _load_student(path: str, r: int, qs) -> Mlp:
+    """A student model file, which must have width `r` and the query set's d and c."""
+    net = load_mlp(path)
+    if (net.r, net.d, net.c) != (r, qs.d, qs.c):
+        raise ConfigError(f"{path}: student has r={net.r} d={net.d} c={net.c}, but the "
+                          f"config and query set need r={r} d={qs.d} c={qs.c}")
+    return net
+
+
 def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                        resume: bool = False) -> int:
     """Train the students, saving each one's history file and then its model file.
@@ -109,6 +118,7 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(queries_path)
     qs = load_queryset(queries_path)
+    scatter = _scatter_inputs(cfg, out_dir, qs) if cfg.eval_sets else None
     n = cfg.students.n
     r_student = cfg.students.rho * cfg.teacher.hidden
     os.makedirs(os.path.join(out_dir, "students"), exist_ok=True)
@@ -151,25 +161,31 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         print("fewer than two students trained; reconstruction is impossible",
               file=sys.stderr)
         return EXIT_DIVERGED
-    if cfg.eval_sets:
-        _write_scatter(cfg, out_dir, qs,
-                       [None if i in failures else load_mlp(files[i][0]) for i in range(n)])
+    if scatter:
+        teacher, eval_sets = scatter
+        students = [None if i in failures else _load_student(files[i][0], r_student, qs)
+                    for i in range(n)]
+        rows = scatter_table(teacher, students, eval_sets)
+        write_losses_csv(rows, os.path.join(out_dir, "losses.csv"))
+        print(f"losses.csv: {len(rows)} rows over {len(eval_sets)} datasets")
     return EXIT_OK
 
 
-def _write_scatter(cfg: ExperimentConfig, out_dir: str, qs,
-                   students: list[Mlp | None]) -> None:
-    teacher = load_mlp(os.path.join(out_dir, "teacher.mlp"))
+def _scatter_inputs(cfg: ExperimentConfig, out_dir: str, qs) -> tuple[Mlp, list]:
+    """The teacher and the (name, standardized inputs) sets that losses.csv scores."""
+    teacher_path = os.path.join(out_dir, "teacher.mlp")
+    _require_files(teacher_path)
+    teacher = load_mlp(teacher_path)
     _, mean, std = _teacher_training_set(cfg)
     eval_sets = [("train", qs.inputs)]
     for name, images_path, labels_path in cfg.eval_sets:
         _require_files(images_path, labels_path)
         raw = load_idx(images_path, labels_path, name=name)
-        standardized, _, _ = standardize(raw, stats=(mean, std))
-        eval_sets.append((name, standardized.images))
-    rows = scatter_table(teacher, students, eval_sets)
-    write_losses_csv(rows, os.path.join(out_dir, "losses.csv"))
-    print(f"losses.csv: {len(rows)} rows over {len(eval_sets)} datasets")
+        if raw.d != teacher.d:
+            raise ConfigError(f"[eval] {name}: {raw.height}x{raw.width} images, "
+                              f"but the teacher takes d={teacher.d}")
+        eval_sets.append((name, standardize(raw, stats=(mean, std))[0].images))
+    return teacher, eval_sets
 
 
 def _write_report(out_dir: str, method: str, r: int, n_students: int, report,
@@ -205,8 +221,9 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
     teacher = load_mlp(teacher_path)
     qs = load_queryset(queries_path)
     n = cfg.students.n
+    r_student = cfg.students.rho * cfg.teacher.hidden
     paths = [_student_files(out_dir, i)[0] for i in range(n)]
-    students = [load_mlp(p) if os.path.isfile(p) else None for p in paths]
+    students = [_load_student(p, r_student, qs) if os.path.isfile(p) else None for p in paths]
     if sum(s is not None for s in students) < 2:
         raise ConfigError("need at least two trained students; run train-students first")
 

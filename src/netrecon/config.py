@@ -3,25 +3,21 @@
 Sections: [run] seed and output dir, [teacher] dataset and fit settings,
 [query] the augmentation strategy, [students] the imitator ensemble,
 [reconstruct] clustering and fine-tune settings, [eval] extra labeled sets to
-score imitators on. Unknown keys are rejected so typos fail loudly. Section
-seeds default to run.seed + a fixed per-stage offset (teacher +0, query +1,
-students +2, fine-tune +3).
+score imitators on. Fit settings are the TrainConfig fields and strategy
+parameters the AugmentationSpec fields, one key each. Unknown keys are rejected
+so typos fail loudly. Section seeds default to run.seed + a fixed per-stage
+offset (teacher +0, query +1, students +2, fine-tune +3).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args, get_type_hints
 
-from .augment import PARAMS, AugmentationSpec
+from .augment import AugmentationSpec
 from .errors import ConfigError
 from .train import TrainConfig
-
-_TRAIN_REQUIRED = ("learning_rate", "batch_size", "max_steps")
-_TRAIN_OPTIONAL = (
-    "adam_beta1", "adam_beta2", "adam_eps", "plateau_patience", "plateau_factor",
-    "plateau_min_lr", "plateau_threshold", "eval_every", "target_loss", "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -65,13 +61,15 @@ class ExperimentConfig:
 
 
 class _Section:
-    """One config section with typed access and unknown-key detection."""
+    """One config section with typed access; `done` rejects the keys `get` never read."""
 
     def __init__(self, name: str, items: dict[str, str]):
         self.name = name
         self.items = dict(items)
+        self.read: set[str] = set()
 
     def get(self, key: str, kind, default=None, required: bool = False):
+        self.read.add(key)
         if key not in self.items:
             if required:
                 raise ConfigError(f"[{self.name}] missing required key '{key}'")
@@ -82,34 +80,34 @@ class _Section:
         except ValueError as exc:
             raise ConfigError(f"[{self.name}] {key} = {raw!r}: {exc}") from exc
 
-    def check_no_extras(self, allowed: tuple[str, ...]):
-        extras = set(self.items) - set(allowed)
-        if extras:
-            raise ConfigError(
-                f"[{self.name}] unknown key(s): {', '.join(sorted(extras))}"
-            )
+    def done(self) -> None:
+        if extras := set(self.items) - self.read:
+            raise ConfigError(f"[{self.name}] unknown key(s): {', '.join(sorted(extras))}")
+
+
+def _build(cls, section: _Section, **given):
+    """`cls` from `given` plus one section key per other dataclass field.
+
+    Each key is parsed as its field's annotated type (the first member of a
+    union). A missing key keeps the field's default, or is an error when the
+    field has none.
+    """
+    hints = get_type_hints(cls)
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.name not in given:
+            kind = (get_args(hints[f.name]) or (hints[f.name],))[0]
+            value = section.get(f.name, kind, required=f.default is MISSING)
+            if value is not None:
+                kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {exc}") from exc
 
 
 def _train_config(section: _Section, default_seed: int) -> TrainConfig:
-    kwargs = {
-        "learning_rate": section.get("learning_rate", float, required=True),
-        "batch_size": section.get("batch_size", int, required=True),
-        "max_steps": section.get("max_steps", int, required=True),
-        "seed": section.get("seed", int, default=default_seed),
-    }
-    for key in ("adam_beta1", "adam_beta2", "adam_eps", "plateau_factor",
-                "plateau_min_lr", "plateau_threshold", "target_loss"):
-        value = section.get(key, float)
-        if value is not None:
-            kwargs[key] = value
-    for key in ("plateau_patience", "eval_every"):
-        value = section.get(key, int)
-        if value is not None:
-            kwargs[key] = value
-    try:
-        return TrainConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from exc
+    return _build(TrainConfig, section, seed=section.get("seed", int, default=default_seed))
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -127,7 +125,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     run = sections["run"]
     seed = run.get("seed", int, default=0)
     output_dir = run.get("output_dir", str, required=True)
-    run.check_no_extras(("seed", "output_dir"))
+    run.done()
 
     teacher_sec = sections["teacher"]
     teacher = TeacherConfig(
@@ -141,27 +139,16 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError("[teacher] hidden must be >= 1")
     if teacher.subset is not None and teacher.subset < 1:
         raise ConfigError("[teacher] subset must be >= 1")
-    teacher_sec.check_no_extras(
-        ("train_images", "train_labels", "subset", "hidden")
-        + _TRAIN_REQUIRED + _TRAIN_OPTIONAL
-    )
+    teacher_sec.done()
 
     query_sec = sections["query"]
-    strategy = query_sec.get("strategy", str, required=True)
-    spec_kwargs = {"kind": strategy, "seed": query_sec.get("seed", int, default=seed + 1)}
-    for key in PARAMS:
-        kind = float if key in ("lo", "hi", "magnitude") else int
-        value = query_sec.get(key, kind)
-        if value is not None:
-            spec_kwargs[key] = value
-    try:
-        spec = AugmentationSpec(**spec_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[query] {exc}") from exc
+    spec = _build(AugmentationSpec, query_sec,
+                  kind=query_sec.get("strategy", str, required=True),
+                  seed=query_sec.get("seed", int, default=seed + 1))
     query = QueryConfig(spec=spec, base_subset=query_sec.get("base_subset", int))
     if query.base_subset is not None and query.base_subset < 1:
         raise ConfigError("[query] base_subset must be >= 1")
-    query_sec.check_no_extras(("strategy", "seed", "base_subset") + PARAMS)
+    query_sec.done()
 
     students_sec = sections["students"]
     students = StudentsConfig(
@@ -173,7 +160,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError("[students] n must be >= 2")
     if students.rho < 1:
         raise ConfigError("[students] rho must be >= 1")
-    students_sec.check_no_extras(("n", "rho") + _TRAIN_REQUIRED + _TRAIN_OPTIONAL)
+    students_sec.done()
 
     recon_sec = sections["reconstruct"]
     recon = ReconstructConfig(
@@ -183,7 +170,7 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     )
     if not 0 < recon.gamma <= 1:
         raise ConfigError("[reconstruct] gamma must be in (0, 1]")
-    recon_sec.check_no_extras(("gamma", "beta") + _TRAIN_REQUIRED + _TRAIN_OPTIONAL)
+    recon_sec.done()
 
     eval_sets: list[tuple[str, str, str]] = []
     if "eval" in sections:
@@ -192,14 +179,11 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
                 raise ConfigError("[eval] 'train' names the query-set rows of losses.csv")
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 2 or not all(parts):
-                raise ConfigError(
-                    f"[eval] {name} must be 'images_path, labels_path'"
-                )
+                raise ConfigError(f"[eval] {name} must be 'images_path, labels_path'")
             eval_sets.append((name, parts[0], parts[1]))
 
     known = {"run", "teacher", "query", "students", "reconstruct", "eval"}
-    extras = set(sections) - known
-    if extras:
+    if extras := set(sections) - known:
         raise ConfigError(f"{source}: unknown section(s): {', '.join(sorted(extras))}")
 
     return ExperimentConfig(

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
 from dataclasses import dataclass, replace
 from math import prod
 
 import numpy as np
 
-from ._io import atomic_write_bytes
+from ._io import atomic_write_bytes, read_container, write_container
 from .errors import ConsistencyError, DegenerateDataError, FormatError, TruncatedFileError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -211,48 +210,24 @@ def subset(ds: ImageDataset, k: int, seed: int) -> ImageDataset:
     )
 
 
-# Query-set container layout (all integers little-endian):
-#   magic "NRQS" | u32 version | u64 Q | u64 d | u64 c | u64 provenance length
-#   provenance UTF-8 | float64-LE inputs (Q*d) | float64-LE targets (Q*c)
-#   u32 crc32 over everything after the magic
+# Query-set container (see _io): header fields Q, d, c, provenance length;
+# body provenance UTF-8 | float64-LE inputs (Q*d) | float64-LE targets (Q*c)
 
 def save_queryset(qs: QuerySet, path: str) -> None:
     prov = qs.provenance.encode("utf-8")
-    header = struct.pack("<IQQQQ", QUERYSET_VERSION, qs.Q, qs.d, qs.c, len(prov))
-    body = (
-        header + prov
-        + np.ascontiguousarray(qs.inputs, dtype="<f8").tobytes()
-        + np.ascontiguousarray(qs.targets, dtype="<f8").tobytes()
-    )
-    atomic_write_bytes(path, QUERYSET_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+    write_container(path, QUERYSET_MAGIC, QUERYSET_VERSION, (qs.Q, qs.d, qs.c, len(prov)),
+                    prov, qs.inputs, qs.targets)
 
 
 def load_queryset(path: str) -> QuerySet:
-    with open(path, "rb") as f:
-        raw = f.read()
-    head = len(QUERYSET_MAGIC) + struct.calcsize("<IQQQQ")
-    if len(raw) < head + 4:
-        raise FormatError(f"{path}: truncated query-set file")
-    if raw[: len(QUERYSET_MAGIC)] != QUERYSET_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a query-set file")
-    version, Q, d, c, prov_len = struct.unpack_from("<IQQQQ", raw, len(QUERYSET_MAGIC))
-    if version != QUERYSET_VERSION:
-        raise FormatError(f"{path}: unsupported query-set version {version}")
-    expected = head + prov_len + 8 * (Q * d + Q * c) + 4
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload size {len(raw)} does not match header")
-    (crc,) = struct.unpack_from("<I", raw, expected - 4)
-    if crc != zlib.crc32(raw[len(QUERYSET_MAGIC):expected - 4]):
-        raise FormatError(f"{path}: checksum mismatch")
-    offset = head + prov_len
-    inputs = np.frombuffer(raw, dtype="<f8", count=Q * d, offset=offset)
-    offset += 8 * Q * d
-    targets = np.frombuffer(raw, dtype="<f8", count=Q * c, offset=offset)
+    (Q, d, c, n_prov), body = read_container(path, QUERYSET_MAGIC, QUERYSET_VERSION, 4,
+                                             "query-set", lambda Q, d, c, n: n + 8 * Q * (d + c))
     try:
+        floats = np.frombuffer(body, dtype="<f8", offset=n_prov)
         return QuerySet(
-            inputs=inputs.reshape(Q, d).astype(np.float64),
-            targets=targets.reshape(Q, c).astype(np.float64),
-            provenance=raw[head:head + prov_len].decode("utf-8"),
+            inputs=floats[:Q * d].reshape(Q, d).astype(np.float64),
+            targets=floats[Q * d:].reshape(Q, c).astype(np.float64),
+            provenance=bytes(body[:n_prov]).decode("utf-8"),
         )
     except ValueError as exc:  # zero dims or a provenance that is not UTF-8
         raise FormatError(f"{path}: {exc}") from exc

@@ -7,13 +7,11 @@ resolve.
 
 from __future__ import annotations
 
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_bytes
+from ._io import read_container, write_container
 from .errors import FormatError
 
 MODEL_MAGIC = b"NRML"
@@ -229,39 +227,17 @@ def init_mlp(r: int, d: int, c: int, seed: int = 0) -> Mlp:
     return Mlp(W=W, b=np.zeros(r), A=A, c_out=np.zeros(c))
 
 
-# Model container layout (all integers little-endian):
-#   magic "NRML" | u32 version | u64 r | u64 d | u64 c
-#   float64-LE theta: W (r*d), b (r), A (c*r), c_out (c)
-#   u32 crc32 over everything after the magic
+# Model container (see _io): header fields r, d, c; body float64-LE theta:
+#   W (r*d), b (r), A (c*r), c_out (c)
 
 def save_mlp(net: Mlp, path: str) -> None:
-    header = struct.pack("<IQQQ", MODEL_VERSION, net.r, net.d, net.c)
-    body = header + np.ascontiguousarray(net.theta, dtype="<f8").tobytes()
-    atomic_write_bytes(path, MODEL_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+    write_container(path, MODEL_MAGIC, MODEL_VERSION, (net.r, net.d, net.c), net.theta)
 
 
 def load_mlp(path: str) -> Mlp:
-    with open(path, "rb") as f:
-        raw = f.read()
-    head = len(MODEL_MAGIC) + struct.calcsize("<IQQQ")
-    if len(raw) < head + 4:
-        raise FormatError(f"{path}: truncated model file")
-    if raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a model file")
-    version, r, d, c = struct.unpack_from("<IQQQ", raw, len(MODEL_MAGIC))
-    if version != MODEL_VERSION:
-        raise FormatError(f"{path}: unsupported model version {version}")
-    n_floats = r * d + r + c * r + c
-    expected = head + 8 * n_floats + 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload size {len(raw)} does not match dims r={r} d={d} c={c}"
-        )
-    (crc,) = struct.unpack_from("<I", raw, expected - 4)
-    if crc != zlib.crc32(raw[len(MODEL_MAGIC):expected - 4]):
-        raise FormatError(f"{path}: checksum mismatch")
-    theta = np.frombuffer(raw, dtype="<f8", count=n_floats, offset=head)
+    (r, d, c), body = read_container(path, MODEL_MAGIC, MODEL_VERSION, 3, "model",
+                                     lambda r, d, c: 8 * (r * d + r + c * r + c))
     try:
-        return Mlp.from_flat(theta.astype(np.float64), r, d, c)
+        return Mlp.from_flat(np.frombuffer(body, dtype="<f8").astype(np.float64), r, d, c)
     except ValueError as exc:  # zero dims or non-finite parameters
         raise FormatError(f"{path}: {exc}") from exc

@@ -57,6 +57,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
         if not 0 < self.plateau_factor < 1:
             raise ValueError("plateau_factor must be in (0, 1)")
         if self.batch_size < 1:

@@ -14,6 +14,7 @@ from netrecon.cli import (
 from netrecon.config import load_config
 from netrecon.data import make_synthetic_classification, save_idx
 from netrecon.errors import DivergenceError
+from netrecon.network import init_mlp, save_mlp
 
 CONFIG = """
 [run]
@@ -212,6 +213,38 @@ class TestStudentFiles:
         assert code == EXIT_OK
         rows = (out / "losses.csv").read_text().splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"1", "2"}
+
+    def test_eval_set_of_other_image_size_fails_before_training(self, workdir, queries,
+                                                                 capsys):
+        out = workdir / "eval_size"
+        self.copy_queries(queries, out)
+        ood = make_synthetic_classification(20, height=5, width=5, n_classes=5,
+                                            style="stripes", seed=9)
+        save_idx(ood, str(out / "ood5_images.idx"), str(out / "ood5_labels.idx"))
+        config = workdir / "eval_size.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(
+            f"{workdir}/ood_", f"{out}/ood5_"))
+        code = main(["train-students", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "[eval] ood: 5x5 images, but the teacher takes d=16" in capsys.readouterr().err
+        assert not (out / "students" / "student_00.mlp").exists()
+
+    @pytest.mark.parametrize("command", [["reconstruct"], ["train-students", "--resume"]])
+    @pytest.mark.parametrize("r,d,c", [(8, 15, 5), (8, 16, 4), (7, 16, 5)])
+    def test_student_of_other_shape_is_a_config_error(self, workdir, queries, capsys,
+                                                      command, r, d, c):
+        # students of this config are r = rho * hidden = 8 wide on 4x4 images, 5 classes
+        out = workdir / f"shape_{command[0]}_{r}_{d}_{c}"
+        self.copy_queries(queries, out)
+        (out / "students").mkdir()
+        for i, dims in enumerate([(8, 16, 5), (r, d, c), (8, 16, 5)]):
+            save_mlp(init_mlp(*dims, seed=i), str(out / "students" / f"student_{i:02d}.mlp"))
+            (out / "students" / f"student_{i:02d}.history.csv").write_text(
+                "step,loss,lr\n0,1.0,0.02\n")
+        assert run(workdir, command[0], out, *command[1:]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"student_01.mlp: student has r={r} d={d} c={c}" in err
+        assert "need r=8 d=16 c=5" in err
 
 
 class TestPipeline:

@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
+from netrecon.augment import AugmentationSpec
 from netrecon.config import load_config, parse_config
 from netrecon.errors import ConfigError
+from netrecon.train import TrainConfig
 
 GOOD = """
 [run]
@@ -65,6 +69,31 @@ class TestParsing:
         cfg = parse_config(GOOD.replace("[students]", "[students]\nseed = 42"))
         assert cfg.students.train.seed == 42
 
+    def test_every_field_reaches_the_parsed_config(self):
+        # one key per dataclass field, none at its default: nothing is dropped or retyped
+        train = dict(learning_rate=0.5, batch_size=3, max_steps=7, adam_beta1=0.5,
+                     adam_beta2=0.25, adam_eps=1e-06, plateau_patience=4,
+                     plateau_factor=0.125, plateau_min_lr=1e-09, plateau_threshold=0.01,
+                     eval_every=11, target_loss=1e-05, seed=99)
+        assert [f.name for f in fields(TrainConfig)] == list(train)
+        assert all(train[f.name] != f.default for f in fields(TrainConfig))
+        query = dict(grid_x=2, grid_y=3, count=5, magnitude=0.75, seed=42)
+        keys = "".join(f"{k} = {v}\n" for k, v in train.items())
+        text = (
+            "[run]\noutput_dir = o\n"
+            f"[teacher]\ntrain_images = i\ntrain_labels = l\nhidden = 3\n{keys}"
+            "[query]\nstrategy = grid_biased_noise\n"
+            + "".join(f"{k} = {v}\n" for k, v in query.items())
+            + f"[students]\nn = 2\nrho = 2\n{keys}"
+            f"[reconstruct]\ngamma = 0.5\nbeta = 2\n{keys}"
+        )
+        cfg = parse_config(text)
+        for parsed in (cfg.teacher.train, cfg.students.train, cfg.reconstruct.fine_tune):
+            assert parsed == TrainConfig(**train)
+            assert all(type(getattr(parsed, k)) is type(v) for k, v in train.items())
+        assert cfg.query.spec == AugmentationSpec(kind="grid_biased_noise", **query)
+        assert all(type(getattr(cfg.query.spec, k)) is type(v) for k, v in query.items())
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.ini"))
@@ -77,6 +106,9 @@ class TestValidation:
         (GOOD.replace("gamma = 0.75", "gamma = 1.5"), "gamma"),
         (GOOD.replace("magnitude = 1.0", "magnitude = -2"), "magnitude"),
         (GOOD.replace("learning_rate = 0.01", "learning_rate = oops"), "learning_rate"),
+        # 0/0 at step 0 on a constant input pixel: a config error, not a divergence
+        (GOOD.replace("max_steps = 5000", "max_steps = 5000\nadam_eps = 0"),
+         "[students] adam_eps must be positive"),
         (GOOD.replace("strategy = biased_noise", "strategy = mixup"), "mixup"),
         (GOOD.replace("magnitude = 1.0", "magnitude = 1.0\ncopies = 5"),
          "[query] biased_noise does not use copies"),

@@ -72,6 +72,7 @@ class TestTrainConfig:
         dict(adam_beta1=1.0), dict(adam_beta1=-0.1), dict(adam_beta2=1.0),
         dict(adam_beta2=-1e-3), dict(eval_every=0), dict(eval_every=-3),
         dict(plateau_patience=0), dict(plateau_patience=-1),
+        dict(adam_eps=0.0), dict(adam_eps=-1e-8),
     ])
     def test_rejects_values_that_break_training(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):

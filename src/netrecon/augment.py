@@ -61,6 +61,11 @@ class AugmentationSpec:
                 raise ValueError(f"{self.kind} needs {p} > 0")
         if "lo" in used and not self.lo < self.hi:
             raise ValueError(f"{self.kind} needs lo < hi")
+        # rng.uniform overflows on an infinite span, and hi - lo is finite only if both are
+        if "lo" in used and not np.isfinite(self.hi - self.lo):
+            raise ValueError(f"{self.kind} needs a finite hi - lo")
+        if "magnitude" in used and not np.isfinite(self.magnitude):
+            raise ValueError(f"{self.kind} needs a finite magnitude")
 
     def describe(self) -> str:
         """Canonical identifier, used as query-set provenance (comma-free: it

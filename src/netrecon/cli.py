@@ -112,8 +112,9 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                        resume: bool = False) -> int:
     """Train the students, saving each one's history file and then its model file.
 
-    `resume` skips slots that have both files. The ensemble CSVs are built
-    from every slot's files, so they do not depend on what was resumed.
+    `resume` skips slots that have both files, after loading and checking their
+    model files. The ensemble CSVs are built from every slot's files, so they
+    do not depend on what was resumed.
     """
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(queries_path)
@@ -125,6 +126,8 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
 
     files = [_student_files(out_dir, i) for i in range(n)]
     todo = [i for i in range(n) if not (resume and all(map(os.path.isfile, files[i])))]
+    students = [None if i in todo else _load_student(files[i][0], r_student, qs)
+                for i in range(n)]
     failures: dict[int, str] = {}
     for index, net, history, message in iter_students(qs, r_student, cfg.students.train,
                                                       todo, jobs):
@@ -137,6 +140,7 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
             continue
         atomic_write_csv(files[index][1], HISTORY_COLUMNS, history)
         save_mlp(net, files[index][0])
+        students[index] = net
 
     summaries, history_rows = [], []
     for i in range(n):
@@ -163,8 +167,6 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         return EXIT_DIVERGED
     if scatter:
         teacher, eval_sets = scatter
-        students = [None if i in failures else _load_student(files[i][0], r_student, qs)
-                    for i in range(n)]
         rows = scatter_table(teacher, students, eval_sets)
         write_losses_csv(rows, os.path.join(out_dir, "losses.csv"))
         print(f"losses.csv: {len(rows)} rows over {len(eval_sets)} datasets")

@@ -3,10 +3,11 @@
 Sections: [run] seed and output dir, [teacher] dataset and fit settings,
 [query] the augmentation strategy, [students] the imitator ensemble,
 [reconstruct] clustering and fine-tune settings, [eval] extra labeled sets to
-score imitators on. Fit settings are the TrainConfig fields and strategy
-parameters the AugmentationSpec fields, one key each. Unknown keys are rejected
-so typos fail loudly. Section seeds default to run.seed + a fixed per-stage
-offset (teacher +0, query +1, students +2, fine-tune +3).
+score imitators on. Each key fills the dataclass field of its name (with the
+TrainConfig fields in the three training sections, the AugmentationSpec fields
+in [query]), and each dataclass checks its own values. Unknown keys are
+rejected so typos fail loudly. Section seeds default to run.seed + a fixed
+per-stage offset (teacher +0, query +1, students +2, fine-tune +3).
 """
 
 from __future__ import annotations
@@ -19,20 +20,32 @@ from .augment import AugmentationSpec
 from .errors import ConfigError
 from .train import TrainConfig
 
+_SECTIONS = ("run", "teacher", "query", "students", "reconstruct")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class TeacherConfig:
     train_images: str
     train_labels: str
-    subset: int | None
+    subset: int | None = None
     hidden: int
     train: TrainConfig
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if self.subset is not None and self.subset < 1:
+            raise ValueError("subset must be >= 1")
 
 
 @dataclass(frozen=True)
 class QueryConfig:
     spec: AugmentationSpec
-    base_subset: int | None
+    base_subset: int | None = None
+
+    def __post_init__(self):
+        if self.base_subset is not None and self.base_subset < 1:
+            raise ValueError("base_subset must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -41,12 +54,22 @@ class StudentsConfig:
     rho: int
     train: TrainConfig
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("n must be >= 2")
+        if self.rho < 1:
+            raise ValueError("rho must be >= 1")
+
 
 @dataclass(frozen=True)
 class ReconstructConfig:
     gamma: float
     beta: float
     fine_tune: TrainConfig
+
+    def __post_init__(self):
+        if not 0 < self.gamma <= 1:
+            raise ValueError("gamma must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -116,85 +139,38 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    sections = {name: _Section(name, dict(parser.items(name)))
-                for name in parser.sections()}
-    for required in ("run", "teacher", "query", "students", "reconstruct"):
-        if required not in sections:
+    items = {name: dict(parser.items(name)) for name in parser.sections()}
+    for required in _SECTIONS:
+        if required not in items:
             raise ConfigError(f"{source}: missing [{required}] section")
-
-    run = sections["run"]
-    seed = run.get("seed", int, default=0)
-    output_dir = run.get("output_dir", str, required=True)
-    run.done()
-
-    teacher_sec = sections["teacher"]
-    teacher = TeacherConfig(
-        train_images=teacher_sec.get("train_images", str, required=True),
-        train_labels=teacher_sec.get("train_labels", str, required=True),
-        subset=teacher_sec.get("subset", int),
-        hidden=teacher_sec.get("hidden", int, required=True),
-        train=_train_config(teacher_sec, default_seed=seed),
-    )
-    if teacher.hidden < 1:
-        raise ConfigError("[teacher] hidden must be >= 1")
-    if teacher.subset is not None and teacher.subset < 1:
-        raise ConfigError("[teacher] subset must be >= 1")
-    teacher_sec.done()
-
-    query_sec = sections["query"]
-    spec = _build(AugmentationSpec, query_sec,
-                  kind=query_sec.get("strategy", str, required=True),
-                  seed=query_sec.get("seed", int, default=seed + 1))
-    query = QueryConfig(spec=spec, base_subset=query_sec.get("base_subset", int))
-    if query.base_subset is not None and query.base_subset < 1:
-        raise ConfigError("[query] base_subset must be >= 1")
-    query_sec.done()
-
-    students_sec = sections["students"]
-    students = StudentsConfig(
-        n=students_sec.get("n", int, required=True),
-        rho=students_sec.get("rho", int, required=True),
-        train=_train_config(students_sec, default_seed=seed + 2),
-    )
-    if students.n < 2:
-        raise ConfigError("[students] n must be >= 2")
-    if students.rho < 1:
-        raise ConfigError("[students] rho must be >= 1")
-    students_sec.done()
-
-    recon_sec = sections["reconstruct"]
-    recon = ReconstructConfig(
-        gamma=recon_sec.get("gamma", float, required=True),
-        beta=recon_sec.get("beta", float, required=True),
-        fine_tune=_train_config(recon_sec, default_seed=seed + 3),
-    )
-    if not 0 < recon.gamma <= 1:
-        raise ConfigError("[reconstruct] gamma must be in (0, 1]")
-    recon_sec.done()
+    if extras := set(items) - {*_SECTIONS, "eval"}:
+        raise ConfigError(f"{source}: unknown section(s): {', '.join(sorted(extras))}")
+    sections = [_Section(name, items[name]) for name in _SECTIONS]
+    run, teacher, query, students, recon = sections
 
     eval_sets: list[tuple[str, str, str]] = []
-    if "eval" in sections:
-        for name, value in sections["eval"].items.items():
-            if name == "train":
-                raise ConfigError("[eval] 'train' names the query-set rows of losses.csv")
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 2 or not all(parts):
-                raise ConfigError(f"[eval] {name} must be 'images_path, labels_path'")
-            eval_sets.append((name, parts[0], parts[1]))
+    for name, value in items.get("eval", {}).items():
+        if name == "train":
+            raise ConfigError("[eval] 'train' names the query-set rows of losses.csv")
+        parts = [p.strip() for p in value.split(",")]
+        if len(parts) != 2 or not all(parts):
+            raise ConfigError(f"[eval] {name} must be 'images_path, labels_path'")
+        eval_sets.append((name, parts[0], parts[1]))
 
-    known = {"run", "teacher", "query", "students", "reconstruct", "eval"}
-    if extras := set(sections) - known:
-        raise ConfigError(f"{source}: unknown section(s): {', '.join(sorted(extras))}")
-
-    return ExperimentConfig(
-        seed=seed,
-        output_dir=output_dir,
-        teacher=teacher,
-        query=query,
-        students=students,
-        reconstruct=recon,
-        eval_sets=tuple(eval_sets),
+    seed = run.get("seed", int, default=0)
+    spec = _build(AugmentationSpec, query, kind=query.get("strategy", str, required=True),
+                  seed=query.get("seed", int, default=seed + 1))
+    cfg = _build(
+        ExperimentConfig, run, seed=seed, eval_sets=tuple(eval_sets),
+        teacher=_build(TeacherConfig, teacher, train=_train_config(teacher, seed)),
+        query=_build(QueryConfig, query, spec=spec),
+        students=_build(StudentsConfig, students, train=_train_config(students, seed + 2)),
+        reconstruct=_build(ReconstructConfig, recon,
+                           fine_tune=_train_config(recon, seed + 3)),
     )
+    for section in sections:
+        section.done()
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -57,10 +57,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         if not self.adam_eps > 0:
             raise ValueError("adam_eps must be positive")
         if not 0 < self.plateau_factor < 1:
             raise ValueError("plateau_factor must be in (0, 1)")
+        # a floor above the lr would raise it; a threshold of 1 makes no eval improve
+        if not 0 <= self.plateau_min_lr <= self.learning_rate:
+            raise ValueError("plateau_min_lr must be in [0, learning_rate]")
+        if not 0 <= self.plateau_threshold < 1:
+            raise ValueError("plateau_threshold must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_steps < 0:

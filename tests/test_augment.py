@@ -37,6 +37,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AugmentationSpec(kind="uniform_noise", lo=1.0, hi=-1.0, copies=2)
 
+    @pytest.mark.parametrize("params,needle", [
+        (dict(kind="biased_noise", magnitude=np.inf), "finite magnitude"),
+        (dict(kind="grid_biased_noise", grid_x=2, grid_y=2, count=3, magnitude=np.inf),
+         "finite magnitude"),
+        (dict(kind="uniform_noise", lo=-1.0, hi=np.inf, copies=1), "finite hi - lo"),
+        (dict(kind="uniform_noise", lo=-np.inf, hi=1.0, copies=1), "finite hi - lo"),
+        # both bounds finite, but rng.uniform overflows on their span
+        (dict(kind="uniform_noise", lo=-1e308, hi=1e308, copies=1), "finite hi - lo"),
+    ])
+    def test_noise_bounds_finite(self, params, needle):
+        with pytest.raises(ValueError, match=needle):
+            AugmentationSpec(**params)
+
     def test_grid_dims(self):
         with pytest.raises(ValueError):
             AugmentationSpec(kind="grid", grid_x=0, grid_y=3, count=5)

@@ -159,6 +159,15 @@ class TestStudentFiles:
         for name in ("teacher.mlp", "queries.qs"):
             shutil.copy(queries / name, out / name)
 
+    @staticmethod
+    def write_students(out, shapes):
+        """A finished run's students: one model and history file per (r, d, c) slot."""
+        (out / "students").mkdir()
+        for i, dims in enumerate(shapes):
+            save_mlp(init_mlp(*dims, seed=i), str(out / "students" / f"student_{i:02d}.mlp"))
+            (out / "students" / f"student_{i:02d}.history.csv").write_text(
+                "step,loss,lr\n0,1.0,0.02\n")
+
     def test_students_saved_as_they_finish(self, workdir, queries, monkeypatch):
         out = workdir / "interrupted"
         self.copy_queries(queries, out)
@@ -236,15 +245,23 @@ class TestStudentFiles:
         # students of this config are r = rho * hidden = 8 wide on 4x4 images, 5 classes
         out = workdir / f"shape_{command[0]}_{r}_{d}_{c}"
         self.copy_queries(queries, out)
-        (out / "students").mkdir()
-        for i, dims in enumerate([(8, 16, 5), (r, d, c), (8, 16, 5)]):
-            save_mlp(init_mlp(*dims, seed=i), str(out / "students" / f"student_{i:02d}.mlp"))
-            (out / "students" / f"student_{i:02d}.history.csv").write_text(
-                "step,loss,lr\n0,1.0,0.02\n")
+        self.write_students(out, [(8, 16, 5), (r, d, c), (8, 16, 5)])
         assert run(workdir, command[0], out, *command[1:]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"student_01.mlp: student has r={r} d={d} c={c}" in err
         assert "need r=8 d=16 c=5" in err
+
+    def test_resume_without_eval_checks_kept_students(self, workdir, queries, capsys):
+        # without [eval] there is no losses.csv pass to load the kept students
+        out = workdir / "resume_no_eval"
+        self.copy_queries(queries, out)
+        self.write_students(out, [(8, 16, 5), (8, 15, 5), (8, 16, 5)])
+        config = workdir / "no_eval.ini"
+        text = (workdir / "run.ini").read_text()
+        config.write_text(text[:text.index("[eval]")])
+        code = main(["train-students", "--config", str(config), "--out", str(out), "--resume"])
+        assert code == EXIT_CONFIG
+        assert "student_01.mlp: student has r=8 d=15 c=5" in capsys.readouterr().err
 
 
 class TestPipeline:

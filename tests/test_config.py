@@ -3,7 +3,14 @@ from dataclasses import fields
 import pytest
 
 from netrecon.augment import AugmentationSpec
-from netrecon.config import load_config, parse_config
+from netrecon.config import (
+    QueryConfig,
+    ReconstructConfig,
+    StudentsConfig,
+    TeacherConfig,
+    load_config,
+    parse_config,
+)
 from netrecon.errors import ConfigError
 from netrecon.train import TrainConfig
 
@@ -102,10 +109,26 @@ class TestParsing:
 class TestValidation:
     @pytest.mark.parametrize("bad,needle", [
         (GOOD.replace("hidden = 4", "hidden = 0"), "hidden"),
+        (GOOD.replace("subset = 500", "subset = 0"), "[teacher] subset must be >= 1"),
+        (GOOD.replace("base_subset = 256", "base_subset = 0"),
+         "[query] base_subset must be >= 1"),
         (GOOD.replace("n = 4", "n = 1"), "n must be"),
+        (GOOD.replace("rho = 4", "rho = 0"), "[students] rho must be >= 1"),
         (GOOD.replace("gamma = 0.75", "gamma = 1.5"), "gamma"),
         (GOOD.replace("magnitude = 1.0", "magnitude = -2"), "magnitude"),
         (GOOD.replace("learning_rate = 0.01", "learning_rate = oops"), "learning_rate"),
+        # nan passes a `<= 0` check and would read as a divergence at step 0
+        (GOOD.replace("learning_rate = 0.01", "learning_rate = nan"),
+         "[teacher] learning_rate must be finite"),
+        (GOOD.replace("max_steps = 5000", "max_steps = 5000\nplateau_min_lr = 0.05"),
+         "[students] plateau_min_lr must be in [0, learning_rate]"),
+        (GOOD.replace("plateau_threshold = 0.001", "plateau_threshold = 1.0"),
+         "[students] plateau_threshold must be in [0, 1)"),
+        (GOOD.replace("magnitude = 1.0", "magnitude = inf"),
+         "[query] biased_noise needs a finite magnitude"),
+        (GOOD.replace("strategy = biased_noise", "strategy = uniform_noise\ncopies = 1\n"
+                      "lo = -1e308\nhi = 1e308").replace("magnitude = 1.0\n", ""),
+         "[query] uniform_noise needs a finite hi - lo"),
         # 0/0 at step 0 on a constant input pixel: a config error, not a divergence
         (GOOD.replace("max_steps = 5000", "max_steps = 5000\nadam_eps = 0"),
          "[students] adam_eps must be positive"),
@@ -119,6 +142,25 @@ class TestValidation:
         with pytest.raises(ConfigError) as info:
             parse_config(bad)
         assert needle in str(info.value)
+
+    @pytest.mark.parametrize("cls,values,needle", [
+        (TeacherConfig, dict(hidden=0), "hidden must be >= 1"),
+        (TeacherConfig, dict(hidden=2, subset=0), "subset must be >= 1"),
+        (QueryConfig, dict(base_subset=0), "base_subset must be >= 1"),
+        (StudentsConfig, dict(n=1, rho=2), "n must be >= 2"),
+        (StudentsConfig, dict(n=2, rho=0), "rho must be >= 1"),
+        (ReconstructConfig, dict(gamma=0.0, beta=3.0), "gamma must be in"),
+        (ReconstructConfig, dict(gamma=float("nan"), beta=3.0), "gamma must be in"),
+    ])
+    def test_section_dataclass_checks_its_fields(self, cls, values, needle):
+        # the check lives in the dataclass, so it holds without parse_config too
+        train = TrainConfig(learning_rate=0.01, batch_size=8, max_steps=10)
+        given = {TeacherConfig: dict(train_images="i", train_labels="l", train=train),
+                 QueryConfig: dict(spec=AugmentationSpec(kind="identity")),
+                 StudentsConfig: dict(train=train),
+                 ReconstructConfig: dict(fine_tune=train)}[cls]
+        with pytest.raises(ValueError, match=needle):
+            cls(**given, **values)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as info:

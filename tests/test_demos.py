@@ -4,7 +4,7 @@ Each quick demo runs from a copy in a temporary directory, so the CSVs that
 demo 03 writes next to itself land there and not in the repository. Demos 04
 and 05 take about a minute each, so they and the README example are only
 parsed: every `nr.<name>` they use must exist, and every call must bind to
-its signature.
+its signature. The README's example config must parse.
 """
 
 import ast
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import netrecon
+from netrecon.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -74,3 +75,11 @@ def test_api_references_resolve(source):
                 inspect.signature(obj).bind_partial(*positional, **keywords)
             except TypeError as exc:
                 pytest.fail(f"line {node.lineno}: nr.{'.'.join(path)}: {exc}")
+
+
+def test_readme_config_parses():
+    # configparser keeps an inline `;` comment as part of the value
+    blocks = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0], source="README.md")
+    assert (cfg.teacher.subset, cfg.query.spec.kind) == (5000, "biased_noise")

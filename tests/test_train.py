@@ -73,6 +73,11 @@ class TestTrainConfig:
         dict(adam_beta2=-1e-3), dict(eval_every=0), dict(eval_every=-3),
         dict(plateau_patience=0), dict(plateau_patience=-1),
         dict(adam_eps=0.0), dict(adam_eps=-1e-8),
+        dict(learning_rate=np.nan), dict(learning_rate=np.inf),
+        # a floor above the lr would raise the lr at the first plateau
+        dict(plateau_min_lr=0.1), dict(plateau_min_lr=-1e-8), dict(plateau_min_lr=np.nan),
+        # best * (1 - 1) is nan at the first eval, so no eval would ever improve
+        dict(plateau_threshold=1.0), dict(plateau_threshold=-1e-3),
     ])
     def test_rejects_values_that_break_training(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -81,6 +86,9 @@ class TestTrainConfig:
     def test_accepts_boundary_values(self):
         c = cfg(adam_beta1=0.0, adam_beta2=0.0, eval_every=1, plateau_patience=1)
         assert (c.adam_beta1, c.eval_every, c.plateau_patience) == (0.0, 1, 1)
+        c = cfg(plateau_min_lr=1e-2, plateau_threshold=0.0)
+        assert (c.plateau_min_lr, c.plateau_threshold) == (c.learning_rate, 0.0)
+        assert cfg(plateau_min_lr=0.0).plateau_min_lr == 0.0
 
 
 class TestAdam:

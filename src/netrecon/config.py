@@ -13,6 +13,7 @@ per-stage offset (teacher +0, query +1, students +2, fine-tune +3).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, fields
 from typing import get_args, get_type_hints
 
@@ -70,6 +71,8 @@ class ReconstructConfig:
     def __post_init__(self):
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must be in (0, 1]")
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
 
 
 @dataclass(frozen=True)

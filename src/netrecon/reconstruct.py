@@ -17,12 +17,18 @@ from math import ceil
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import squareform
 
 from .data import QuerySet
 from .errors import EmptyReconstructionError
 from .network import Mlp
 from .train import HistoryPoint, TrainConfig, fit_mse
+
+
+# rows of each upper-triangle Gram block: 512 x n float64 at a time
+_GRAM_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,22 +130,46 @@ def cluster_neurons(neurons: Neurons, n_students: int,
                     gamma: float, beta: float) -> ClusterResult:
     """Group neuron directions by average-linkage clustering under cosine distance.
 
-    The dendrogram is cut at distance 10**-beta; clusters spanning at least
+    The dendrogram is cut at distance tau = 10**-beta. Two clusters merged at
+    or below the cut average at most tau, so some pair between them is within
+    tau: the clusters refine the connected components of the graph whose
+    edges are the pairs with 1 - cos <= tau. The components come from row
+    blocks of the upper-triangle Gram matrix; average linkage then runs on
+    each component's own square distance matrix, so memory grows with the
+    largest component, not with n**2. Clusters spanning at least
     ceil(gamma * n_students) distinct students are accepted. Deterministic:
     clusters are numbered by their lowest member row.
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0, 1]")
-    if len(neurons) > 1:
-        # one n x n matrix at a time: built in place, freed before linkage copies
-        dist = neurons.directions @ neurons.directions.T
-        np.subtract(1.0, dist, out=dist)
-        np.clip(dist, 0.0, None, out=dist)
-        dist = squareform(dist, checks=False)
-        Z = linkage(dist, method="average")
-        labels = fcluster(Z, t=10.0 ** (-beta), criterion="distance")
-    else:
-        labels = np.ones(len(neurons), dtype=int)
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
+    tau = 10.0 ** (-beta)
+    n = len(neurons)
+    dirs = neurons.directions
+    # the slack lets a last-bit difference between this product and a
+    # component's own only join two components, never split a cluster
+    min_gram = 1.0 - tau * (1.0 + 1e-6)
+    heads, tails = [np.arange(n)], [np.arange(n)]  # self-loops keep the lists non-empty
+    for i in range(0, n, _GRAM_ROWS):
+        head, tail = np.nonzero(dirs[i:i + _GRAM_ROWS] @ dirs[i:].T >= min_gram)
+        heads.append(head + i)
+        tails.append(tail + i)
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    graph = coo_array((np.ones(len(heads)), (heads, tails)), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    # component * n + cluster within it: distinct for distinct (component, cluster)
+    labels = component.astype(np.int64) * n
+    order = np.argsort(component, kind="stable")
+    for rows in np.split(order, np.cumsum(np.bincount(component))[:-1]):
+        if len(rows) > 1:
+            # one square matrix at a time: built in place, freed before linkage copies
+            dist = dirs[rows] @ dirs[rows].T
+            np.subtract(1.0, dist, out=dist)
+            np.clip(dist, 0.0, None, out=dist)
+            dist = squareform(dist, checks=False)
+            Z = linkage(dist, method="average")
+            labels[rows] += fcluster(Z, t=tau, criterion="distance")
     _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
     labels = np.argsort(np.argsort(first))[labels]
     # one row per distinct (cluster, student) pair, so bincount counts students

@@ -122,6 +122,8 @@ class PlateauScheduler:
 
     def __init__(self, lr: float, factor: float, patience: int, min_lr: float,
                  threshold: float = 0.0):
+        if min_lr > lr:
+            raise ValueError("min_lr must not exceed lr")
         self.lr = lr
         self.factor = factor
         self.patience = patience

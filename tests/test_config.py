@@ -115,6 +115,8 @@ class TestValidation:
         (GOOD.replace("n = 4", "n = 1"), "n must be"),
         (GOOD.replace("rho = 4", "rho = 0"), "[students] rho must be >= 1"),
         (GOOD.replace("gamma = 0.75", "gamma = 1.5"), "gamma"),
+        # nan passes every comparison and would read as an empty reconstruction
+        (GOOD.replace("beta = 3.0", "beta = nan"), "[reconstruct] beta must be finite"),
         (GOOD.replace("magnitude = 1.0", "magnitude = -2"), "magnitude"),
         (GOOD.replace("learning_rate = 0.01", "learning_rate = oops"), "learning_rate"),
         # nan passes a `<= 0` check and would read as a divergence at step 0
@@ -151,6 +153,7 @@ class TestValidation:
         (StudentsConfig, dict(n=2, rho=0), "rho must be >= 1"),
         (ReconstructConfig, dict(gamma=0.0, beta=3.0), "gamma must be in"),
         (ReconstructConfig, dict(gamma=float("nan"), beta=3.0), "gamma must be in"),
+        (ReconstructConfig, dict(gamma=0.75, beta=float("inf")), "beta must be finite"),
     ])
     def test_section_dataclass_checks_its_fields(self, cls, values, needle):
         # the check lives in the dataclass, so it holds without parse_config too

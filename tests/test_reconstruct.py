@@ -1,8 +1,12 @@
 import hashlib
+import tracemalloc
 from dataclasses import fields
+from math import ceil
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import squareform
 
 from netrecon.data import QuerySet
 from netrecon.errors import EmptyReconstructionError
@@ -97,6 +101,57 @@ def duplicated_ensemble():
                             c_out=base.c_out))
     students.insert(2, None)
     return teacher, students
+
+
+def dense_clusters(neurons, n_students, gamma, beta):
+    """Reference clustering: one average linkage over the full n x n distance matrix."""
+    if len(neurons) > 1:
+        dist = neurons.directions @ neurons.directions.T
+        np.subtract(1.0, dist, out=dist)
+        np.clip(dist, 0.0, None, out=dist)
+        dist = squareform(dist, checks=False)
+        Z = linkage(dist, method="average")
+        labels = fcluster(Z, t=10.0 ** (-beta), criterion="distance")
+    else:
+        labels = np.ones(len(neurons), dtype=int)
+    _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[labels]
+    spans = np.unique(np.column_stack([labels, neurons.student]), axis=0)[:, 0]
+    accepted = np.bincount(spans, minlength=len(first)) >= ceil(gamma * n_students)
+    return labels, accepted
+
+
+def random_pool(rng, n_students, width, dim):
+    """`width` random unit directions per student, no structure shared between them."""
+    directions = rng.normal(size=(n_students * width, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    n = len(directions)
+    return Neurons(directions=directions, norms=np.ones(n), outgoing=np.zeros((n, 2)),
+                   student=np.repeat(np.arange(n_students), width),
+                   index=np.tile(np.arange(width), n_students))
+
+
+def bundle_students(rng, n, r, rho, d, c, noise=1e-6):
+    """Students built like the benchmark's cluster bundle, in memory.
+
+    Half of each student's rho * r neurons copy a teacher neuron (every one
+    at least once) up to a relative perturbation `noise`; the rest are random
+    directions with no outgoing weight.
+    """
+    wb = np.hstack([rng.uniform(-1.0, 1.0, size=(r, d)) / np.sqrt(d),
+                    rng.normal(0.0, 0.1, size=(r, 1))])
+    width, n_copies = rho * r, rho * r // 2
+    students = []
+    for _ in range(n):
+        source = np.concatenate([np.arange(r), rng.integers(0, r, size=n_copies - r)])
+        scale = noise * np.linalg.norm(wb[source], axis=1) / np.sqrt(d + 1)
+        copies = wb[source] + scale[:, None] * rng.normal(size=(n_copies, d + 1))
+        rows = np.vstack([copies, rng.normal(size=(width - n_copies, d + 1)) / np.sqrt(d + 1)])
+        order = rng.permutation(width)
+        A = np.hstack([rng.uniform(0.5, 1.5, size=(c, n_copies)),
+                       np.zeros((c, width - n_copies))])[:, order]
+        students.append(Mlp(W=rows[order, :d], b=rows[order, d], A=A, c_out=np.zeros(c)))
+    return students
 
 
 class TestExtractNeurons:
@@ -215,6 +270,67 @@ class TestClusterNeurons:
     def test_gamma_bounds(self):
         with pytest.raises(ValueError):
             cluster_neurons([], 4, gamma=0.0, beta=3.0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        neurons, _ = synthetic_bundles(np.random.default_rng(10), n_dirs=2, n_students=3, dim=4)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            cluster_neurons(neurons, 3, gamma=0.75, beta=beta)
+
+    def test_memory_does_not_grow_with_n_squared(self):
+        # 8,192 rows: a dense n x n matrix plus its condensed copy would peak
+        # at 768 MB; small components leave one Gram row block as the peak
+        neurons = random_pool(np.random.default_rng(11), n_students=16, width=512, dim=32)
+        tracemalloc.start()
+        try:
+            result = cluster_neurons(neurons, 16, gamma=0.75, beta=3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert len(result.accepted) == len(neurons)  # random directions stay apart
+
+
+class TestDenseEquivalence:
+    """cluster_neurons against one average linkage over the whole distance matrix."""
+
+    @staticmethod
+    def assert_same(neurons, n_students, gamma=0.75, beta=3.0):
+        result = cluster_neurons(neurons, n_students, gamma, beta)
+        labels, accepted = dense_clusters(neurons, n_students, gamma, beta)
+        assert np.array_equal(result.labels, labels)
+        assert np.array_equal(result.accepted, accepted)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("dim", [3, 20])
+    def test_random_pools(self, dim, beta, seed):
+        # beta = 0 cuts at cosine distance 1, which joins most rows into one component
+        neurons = random_pool(np.random.default_rng([dim, seed]), n_students=8, width=64,
+                              dim=dim)
+        self.assert_same(neurons, 8, gamma=0.25, beta=beta)
+
+    def test_duplicated_ensemble(self):
+        _, students = duplicated_ensemble()
+        self.assert_same(extract_neurons(students), len(students))
+
+    def test_bundle(self):
+        students = bundle_students(np.random.default_rng(12), n=4, r=8, rho=4, d=784, c=10)
+        neurons = extract_neurons(students)
+        self.assert_same(neurons, len(students))
+        assert cluster_neurons(neurons, 4, 0.75, 3.0).accepted.sum() == 8
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_tiny_pools(self, rows):
+        neurons, _ = synthetic_bundles(np.random.default_rng(13), n_dirs=1, n_students=2, dim=5)
+        self.assert_same(take(neurons, np.arange(rows)), 2)
+
+    def test_all_identical(self):
+        n = 40
+        neurons = Neurons(directions=np.tile(unit(np.arange(1.0, 7.0)), (n, 1)),
+                          norms=np.ones(n), outgoing=np.zeros((n, 2)),
+                          student=np.arange(n) % 8, index=np.arange(n) // 8)
+        self.assert_same(neurons, 8)
 
 
 class TestCollapse:

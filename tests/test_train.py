@@ -175,6 +175,11 @@ class TestPlateauScheduler:
             previous = lr
         assert sched.lr == 0.1
 
+    def test_floor_above_lr_rejected(self):
+        # a floor above the starting lr would raise the lr at the first decay
+        with pytest.raises(ValueError, match="min_lr"):
+            PlateauScheduler(0.01, 0.5, 1, 0.1)
+
     def test_relative_threshold(self):
         sched = PlateauScheduler(lr=1.0, factor=0.5, patience=2, min_lr=1e-6,
                                  threshold=0.01)

@@ -24,23 +24,24 @@ print(f"trained probe network: r=8, train accuracy {nr.accuracy(teacher, ds):.3f
 
 base = nr.subset(ds, 2000, seed=1)
 strategies = [
-    ("identity", nr.identity(base)),
-    ("hv_flips", nr.hv_flips(base)),
-    ("uniform_noise[-1,1]", nr.uniform_noise(base, -1.0, 1.0, copies=2, seed=2)),
-    ("biased_noise[0,1]", nr.biased_noise(base, 1.0, seed=3)),
+    ("identity", nr.AugmentationSpec("identity")),
+    ("hv_flips", nr.AugmentationSpec("hv_flips")),
+    ("uniform_noise[-1,1]",
+     nr.AugmentationSpec("uniform_noise", lo=-1.0, hi=1.0, copies=2, seed=2)),
+    ("biased_noise[0,1]", nr.AugmentationSpec("biased_noise", magnitude=1.0, seed=3)),
 ]
 
 print("\npre-activation variability (mean over neurons, with SEM):")
 var_rows = []
-for name, aug in strategies:
-    stats = nr.preactivation_variability(teacher, aug.inputs)
+for name, spec in strategies:
+    stats = nr.preactivation_variability(teacher, nr.build(spec, base).inputs)
     var_rows.append((name, stats))
     print(f"  {name:<22} {stats.mean_std:7.3f} +- {stats.sem_std:.3f}")
 nr.metrics.write_variability_csv(var_rows, os.path.join(OUT, "variability.csv"))
 
 print("\npooled pre-activation histogram std, biased noise of growing magnitude:")
 for u in (1.0, 5.0, 10.0):
-    aug = nr.biased_noise(base, u, seed=4)
+    aug = nr.build(nr.AugmentationSpec("biased_noise", magnitude=u, seed=4), base)
     hist = nr.preactivation_histogram(teacher, aug.inputs, bins=80)
     print(f"  magnitude {u:4.1f}: histogram std {hist.std():7.3f}")
     nr.metrics.write_histogram_csv(

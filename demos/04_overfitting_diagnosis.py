@@ -33,10 +33,11 @@ student_cfg = nr.TrainConfig(
 
 print("imitators on 32 identity queries (starved) vs 6000 biased-noise queries:")
 for label, qs in (
-    ("identity-32", nr.query_teacher(teacher, nr.identity(nr.subset(ds, 32, seed=3)))),
-    ("biased-6k", nr.query_teacher(teacher,
-                                   nr.biased_noise(nr.subset(ds, 2000, seed=1),
-                                                   1.0, seed=2))),
+    ("identity-32", nr.query_teacher(teacher, nr.build(
+        nr.AugmentationSpec("identity"), nr.subset(ds, 32, seed=3)))),
+    ("biased-6k", nr.query_teacher(teacher, nr.build(
+        nr.AugmentationSpec("biased_noise", magnitude=1.0, seed=2),
+        nr.subset(ds, 2000, seed=1)))),
 ):
     ensemble = nr.train_ensemble(qs, teacher_r=8, rho=4, N=2, cfg=student_cfg, jobs=2)
     rows = nr.scatter_table(teacher, ensemble.students,

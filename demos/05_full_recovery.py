@@ -28,7 +28,8 @@ print(f"hidden network: r=8, d=25, accuracy {nr.accuracy(teacher, ds):.3f} "
 
 # query it: 2048 base images -> originals plus +/- one-sided noise = 6144 rows
 base = nr.subset(ds, 2048, seed=1)
-qs = nr.query_teacher(teacher, nr.biased_noise(base, 1.0, seed=2))
+qs = nr.query_teacher(teacher, nr.build(
+    nr.AugmentationSpec("biased_noise", magnitude=1.0, seed=2), base))
 print(f"queries: Q={qs.Q} via {qs.provenance}")
 
 # imitate it with 4 students of width 32 (rho = 4)

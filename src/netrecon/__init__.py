@@ -10,16 +10,9 @@ success; the diagnostics in :mod:`netrecon.metrics` explain why.
 from .augment import (
     AugmentationSpec,
     AugmentedSet,
-    biased_noise,
     build,
     grid_bands,
-    grid_composition,
-    grid_composition_biased_noise,
-    hv_flips,
-    identity,
-    random_rotations,
     rotate_image,
-    uniform_noise,
 )
 from .data import (
     ImageDataset,

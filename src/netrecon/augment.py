@@ -1,10 +1,11 @@
 """Query-input construction strategies.
 
-Each strategy turns a (standardized) base dataset into a matrix of query
-inputs; labeling those inputs with teacher logits happens elsewhere. Noise is
-always added after standardization, so a magnitude of 1 means one global
-standard deviation of the base data. Noisy pixels are deliberately not clipped
-back into the original intensity range.
+`build(spec, ds)` is the one way to make query inputs: an `AugmentationSpec`
+names a strategy kind and its parameters, and `build` runs that strategy on a
+(standardized) base dataset. Labeling the inputs with teacher logits happens
+elsewhere. Noise is always added after standardization, so a magnitude of 1
+means one global standard deviation of the base data. Noisy pixels are
+deliberately not clipped back into the original intensity range.
 """
 
 from __future__ import annotations
@@ -15,25 +16,17 @@ import numpy as np
 
 from .data import ImageDataset
 
-# strategy parameters of AugmentationSpec, and the ones each kind uses
+# strategy parameters of AugmentationSpec; _STRATEGIES lists the ones each kind reads
 PARAMS = ("copies", "lo", "hi", "magnitude", "grid_x", "grid_y", "count")
-_KIND_PARAMS = {
-    "identity": (),
-    "random_rotations": ("copies",),
-    "hv_flips": (),
-    "uniform_noise": ("copies", "lo", "hi"),
-    "biased_noise": ("magnitude",),
-    "grid": ("grid_x", "grid_y", "count"),
-    "grid_biased_noise": ("grid_x", "grid_y", "count", "magnitude"),
-}
 
 
 @dataclass(frozen=True)
 class AugmentationSpec:
     """Declarative description of one query-construction strategy.
 
-    A kind needs each parameter it uses (magnitude is the biased noise
-    magnitude u); every other parameter must stay None.
+    A kind needs each parameter its strategy reads (magnitude is the biased
+    noise magnitude u); every other parameter must stay None. `seed` matters
+    only to the kinds that draw random numbers.
     """
 
     kind: str
@@ -49,7 +42,7 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        used = _KIND_PARAMS[self.kind]
+        used = [p for p in _STRATEGIES[self.kind][1] if p in PARAMS]
         unused = [p for p in PARAMS if p not in used and getattr(self, p) is not None]
         if unused:
             raise ValueError(f"{self.kind} does not use {', '.join(unused)}")
@@ -68,15 +61,9 @@ class AugmentationSpec:
             raise ValueError(f"{self.kind} needs a finite magnitude")
 
     def describe(self) -> str:
-        """Canonical identifier, used as query-set provenance (comma-free: it
-        ends up in single CSV fields)."""
-        parts = []
-        for field in PARAMS:
-            value = getattr(self, field)
-            if value is not None:
-                parts.append(f"{field}={value}")
-        if self.kind != "identity":
-            parts.append(f"seed={self.seed}")
+        """Canonical identifier naming exactly the fields the strategy reads, used
+        as query-set provenance (comma-free: it ends up in single CSV fields)."""
+        parts = [f"{p}={getattr(self, p)}" for p in _STRATEGIES[self.kind][1]]
         return f"{self.kind}({' '.join(parts)})"
 
 
@@ -91,16 +78,6 @@ class AugmentedSet:
     @property
     def Q(self) -> int:
         return self.inputs.shape[0]
-
-
-def identity(ds: ImageDataset) -> AugmentedSet:
-    """The base images themselves, unchanged."""
-    n = ds.n_samples
-    return AugmentedSet(
-        inputs=ds.images.copy(),
-        source_indices=np.arange(n),
-        spec=AugmentationSpec(kind="identity"),
-    )
 
 
 def rotate_image(image: np.ndarray, angle_deg: float, fill: float) -> np.ndarray:
@@ -131,81 +108,6 @@ def rotate_image(image: np.ndarray, angle_deg: float, fill: float) -> np.ndarray
     return np.where(inside, top * (1 - wy) + bottom * wy, fill)
 
 
-def random_rotations(ds: ImageDataset, copies: int, seed: int) -> AugmentedSet:
-    """Originals plus `copies` independently rotated versions of each image.
-
-    Angles are uniform in [0, 360) degrees. Out-of-frame pixels are filled
-    with the standardized value of raw pixel 0 when the dataset records its
-    standardization constants, else with 0.
-    """
-    spec = AugmentationSpec(kind="random_rotations", copies=copies, seed=seed)
-    fill = 0.0 if ds.mean is None else (0.0 - ds.mean) / ds.std
-    rng = np.random.default_rng(seed)
-    n, h, w = ds.n_samples, ds.height, ds.width
-    stacked = ds.images.reshape(n, h, w)
-    blocks = [ds.images.copy()]
-    for _ in range(copies):
-        angles = rng.uniform(0.0, 360.0, size=n)
-        rotated = np.empty_like(stacked)
-        for i in range(n):
-            rotated[i] = rotate_image(stacked[i], angles[i], fill)
-        blocks.append(rotated.reshape(n, h * w))
-    return AugmentedSet(
-        inputs=np.vstack(blocks),
-        source_indices=np.tile(np.arange(n), copies + 1),
-        spec=spec,
-    )
-
-
-def hv_flips(ds: ImageDataset) -> AugmentedSet:
-    """Originals plus a horizontally flipped and a vertically flipped copy of each."""
-    n, h, w = ds.n_samples, ds.height, ds.width
-    stacked = ds.images.reshape(n, h, w)
-    horizontal = stacked[:, :, ::-1].reshape(n, h * w)
-    vertical = stacked[:, ::-1, :].reshape(n, h * w)
-    return AugmentedSet(
-        inputs=np.vstack([ds.images, horizontal, vertical]),
-        source_indices=np.tile(np.arange(n), 3),
-        spec=AugmentationSpec(kind="hv_flips"),
-    )
-
-
-def uniform_noise(ds: ImageDataset, lo: float, hi: float, copies: int,
-                  seed: int) -> AugmentedSet:
-    """Originals plus `copies` versions with independent per-pixel U[lo, hi] noise."""
-    spec = AugmentationSpec(kind="uniform_noise", lo=lo, hi=hi, copies=copies, seed=seed)
-    rng = np.random.default_rng(seed)
-    n, d = ds.images.shape
-    blocks = [ds.images.copy()]
-    for _ in range(copies):
-        blocks.append(ds.images + rng.uniform(lo, hi, size=(n, d)))
-    return AugmentedSet(
-        inputs=np.vstack(blocks),
-        source_indices=np.tile(np.arange(n), copies + 1),
-        spec=spec,
-    )
-
-
-def biased_noise(ds: ImageDataset, u: float, seed: int) -> AugmentedSet:
-    """Originals plus one +U[0, u] and one -U[0, u] perturbed copy of each image.
-
-    The two noise blocks are drawn independently (positive block first). The
-    one-sided noise shifts every image along the all-positive direction, which
-    is what makes these queries informative: they move pre-activations instead
-    of averaging out.
-    """
-    spec = AugmentationSpec(kind="biased_noise", magnitude=u, seed=seed)
-    rng = np.random.default_rng(seed)
-    n, d = ds.images.shape
-    positive = ds.images + rng.uniform(0.0, u, size=(n, d))
-    negative = ds.images - rng.uniform(0.0, u, size=(n, d))
-    return AugmentedSet(
-        inputs=np.vstack([ds.images, positive, negative]),
-        source_indices=np.tile(np.arange(n), 3),
-        spec=spec,
-    )
-
-
 def grid_bands(length: int, k: int) -> list[int]:
     """Split `length` pixels into k contiguous bands, longer bands first.
 
@@ -222,68 +124,110 @@ def _band_slices(length: int, k: int) -> list[slice]:
     return [slice(int(edges[i]), int(edges[i + 1])) for i in range(k)]
 
 
-def grid_composition(ds: ImageDataset, grid_x: int, grid_y: int, count: int,
-                     seed: int) -> AugmentedSet:
+# Each strategy takes the base dataset and the spec fields its table row names,
+# and returns its row blocks (originals first; a lone block must be a new array)
+# plus the base-image sources of one block; every block has those same sources.
+
+def _identity(ds):
+    """The base images themselves, unchanged."""
+    return [ds.images.copy()], np.arange(ds.n_samples)
+
+
+def _random_rotations(ds, copies, seed):
+    """Originals plus `copies` independently rotated versions of each image.
+
+    Angles are uniform in [0, 360) degrees. Out-of-frame pixels are filled
+    with the standardized value of raw pixel 0 when the dataset records its
+    standardization constants, else with 0.
+    """
+    fill = 0.0 if ds.mean is None else (0.0 - ds.mean) / ds.std
+    rng = np.random.default_rng(seed)
+    n, h, w = ds.n_samples, ds.height, ds.width
+    stacked = ds.images.reshape(n, h, w)
+    blocks = [ds.images]
+    for _ in range(copies):
+        angles = rng.uniform(0.0, 360.0, size=n)
+        rotated = [rotate_image(img, angle, fill) for img, angle in zip(stacked, angles)]
+        blocks.append(np.reshape(rotated, (n, h * w)))
+    return blocks, np.arange(n)
+
+
+def _hv_flips(ds):
+    """Originals plus a horizontally flipped and a vertically flipped copy of each."""
+    n, h, w = ds.n_samples, ds.height, ds.width
+    stacked = ds.images.reshape(n, h, w)
+    return [ds.images, stacked[:, :, ::-1].reshape(n, h * w),
+            stacked[:, ::-1, :].reshape(n, h * w)], np.arange(n)
+
+
+def _uniform_noise(ds, copies, lo, hi, seed):
+    """Originals plus `copies` versions with independent per-pixel U[lo, hi] noise."""
+    rng = np.random.default_rng(seed)
+    noisy = [ds.images + rng.uniform(lo, hi, size=ds.images.shape) for _ in range(copies)]
+    return [ds.images, *noisy], np.arange(ds.n_samples)
+
+
+def _plus_minus(images, u, rng):
+    """`images` plus one +U[0, u] and one -U[0, u] perturbed copy (positive drawn first)."""
+    positive = images + rng.uniform(0.0, u, size=images.shape)
+    negative = images - rng.uniform(0.0, u, size=images.shape)
+    return [images, positive, negative]
+
+
+def _biased_noise(ds, magnitude, seed):
+    """Originals plus one +U[0, u] and one -U[0, u] perturbed copy of each image.
+
+    The one-sided noise shifts every image along the all-positive direction,
+    which is what makes these queries informative: they move pre-activations
+    instead of averaging out.
+    """
+    return _plus_minus(ds.images, magnitude, np.random.default_rng(seed)), np.arange(ds.n_samples)
+
+
+def _grid(ds, grid_x, grid_y, count, seed):
     """Stitch new images from same-location cells of independently drawn bases.
 
     The frame is split into grid_y x grid_x cells; cell (i, j) of each output
-    is copied from cell (i, j) of a uniformly sampled base image. With D
-    distinct bases this can reach D**(grid_x*grid_y) distinct outputs.
+    is copied from cell (i, j) of a uniformly sampled base image, recorded in
+    reading order per row of the sources. With D distinct bases this can
+    reach D**(grid_x*grid_y) distinct outputs.
     """
-    spec = AugmentationSpec(kind="grid", grid_x=grid_x, grid_y=grid_y,
-                            count=count, seed=seed)
     rng = np.random.default_rng(seed)
     n, h, w = ds.n_samples, ds.height, ds.width
-    row_slices = _band_slices(h, grid_y)
-    col_slices = _band_slices(w, grid_x)
-    cells = grid_x * grid_y
-    sources = rng.integers(0, n, size=(count, cells))
+    sources = rng.integers(0, n, size=(count, grid_x * grid_y))
     stacked = ds.images.reshape(n, h, w)
     out = np.empty((count, h, w))
-    for iy, rs in enumerate(row_slices):
-        for ix, cs in enumerate(col_slices):
-            cell = iy * grid_x + ix  # reading order
-            out[:, rs, cs] = stacked[sources[:, cell], rs, cs]
-    return AugmentedSet(
-        inputs=out.reshape(count, h * w),
-        source_indices=sources,
-        spec=spec,
-    )
+    for iy, rs in enumerate(_band_slices(h, grid_y)):
+        for ix, cs in enumerate(_band_slices(w, grid_x)):
+            out[:, rs, cs] = stacked[sources[:, iy * grid_x + ix], rs, cs]
+    return [out.reshape(count, h * w)], sources
 
 
-def grid_composition_biased_noise(ds: ImageDataset, grid_x: int, grid_y: int,
-                                  count: int, u: float, seed: int) -> AugmentedSet:
-    """Grid-composed images plus +U[0, u] and -U[0, u] noisy copies of the same images."""
-    spec = AugmentationSpec(kind="grid_biased_noise", grid_x=grid_x, grid_y=grid_y,
-                            count=count, magnitude=u, seed=seed)
-    base = grid_composition(ds, grid_x, grid_y, count, seed)
-    rng = np.random.default_rng(seed + 1)
-    d = base.inputs.shape[1]
-    positive = base.inputs + rng.uniform(0.0, u, size=(count, d))
-    negative = base.inputs - rng.uniform(0.0, u, size=(count, d))
-    return AugmentedSet(
-        inputs=np.vstack([base.inputs, positive, negative]),
-        source_indices=np.vstack([base.source_indices] * 3),
-        spec=spec,
-    )
+def _grid_biased_noise(ds, magnitude, grid_x, grid_y, count, seed):
+    """Grid-composed images (seed) plus +U[0, u] and -U[0, u] noisy copies (seed + 1)."""
+    (composed,), sources = _grid(ds, grid_x, grid_y, count, seed)
+    return _plus_minus(composed, magnitude, np.random.default_rng(seed + 1)), sources
 
 
-# kind -> strategy run on (spec, base dataset); `KINDS` lists the valid kinds
+# kind -> (strategy, the spec fields it reads in PARAMS order, then seed if it draws)
 _STRATEGIES = {
-    "identity": lambda spec, ds: identity(ds),
-    "random_rotations": lambda spec, ds: random_rotations(ds, spec.copies, spec.seed),
-    "hv_flips": lambda spec, ds: hv_flips(ds),
-    "uniform_noise": lambda spec, ds: uniform_noise(ds, spec.lo, spec.hi, spec.copies,
-                                                    spec.seed),
-    "biased_noise": lambda spec, ds: biased_noise(ds, spec.magnitude, spec.seed),
-    "grid": lambda spec, ds: grid_composition(ds, spec.grid_x, spec.grid_y, spec.count,
-                                              spec.seed),
-    "grid_biased_noise": lambda spec, ds: grid_composition_biased_noise(
-        ds, spec.grid_x, spec.grid_y, spec.count, spec.magnitude, spec.seed),
+    "identity": (_identity, ()),
+    "random_rotations": (_random_rotations, ("copies", "seed")),
+    "hv_flips": (_hv_flips, ()),
+    "uniform_noise": (_uniform_noise, ("copies", "lo", "hi", "seed")),
+    "biased_noise": (_biased_noise, ("magnitude", "seed")),
+    "grid": (_grid, ("grid_x", "grid_y", "count", "seed")),
+    "grid_biased_noise": (_grid_biased_noise,
+                          ("magnitude", "grid_x", "grid_y", "count", "seed")),
 }
 KINDS = tuple(_STRATEGIES)
 
 
 def build(spec: AugmentationSpec, ds: ImageDataset) -> AugmentedSet:
     """Run the strategy a spec describes against a base dataset."""
-    return _STRATEGIES[spec.kind](spec, ds)
+    strategy, reads = _STRATEGIES[spec.kind]
+    blocks, sources = strategy(ds, *(getattr(spec, p) for p in reads))
+    # stacking a lone block would only copy it
+    inputs = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    return AugmentedSet(inputs=inputs, source_indices=np.concatenate([sources] * len(blocks)),
+                        spec=spec)

@@ -87,7 +87,10 @@ def cmd_build_queries(cfg: ExperimentConfig, out_dir: str) -> int:
         raise ConfigError(f"[query] grid_x = {spec.grid_x}, grid_y = {spec.grid_y} "
                           f"do not fit {ds.width}x{ds.height} images")
     aug = build(spec, ds)
-    qs = query_teacher(teacher, aug)
+    try:
+        qs = query_teacher(teacher, aug)
+    except ValueError as exc:  # teacher logits that overflow
+        raise ConfigError(f"{teacher_path}: {exc}") from exc
     save_queryset(qs, os.path.join(out_dir, "queries.qs"))
     print(f"queries: Q={qs.Q} strategy={qs.provenance}")
     return EXIT_OK
@@ -294,6 +297,8 @@ def main(argv=None) -> int:
                            help="skip students whose model files already exist")
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
         out_dir = _resolve_out_dir(args, cfg)
         if args.command == "train-teacher":

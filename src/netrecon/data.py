@@ -71,7 +71,7 @@ class ImageDataset:
 
 @dataclass(frozen=True, eq=False)
 class QuerySet:
-    """Input points plus the teacher logits observed for them."""
+    """Input points plus the teacher logits observed for them, all finite."""
 
     inputs: np.ndarray  # (Q, d)
     targets: np.ndarray  # (Q, c)
@@ -86,6 +86,9 @@ class QuerySet:
             raise ValueError("inputs and targets must have the same number of rows")
         if min(*inputs.shape, targets.shape[1]) < 1:
             raise ValueError(f"Q, d and c must all be >= 1, got {inputs.shape} {targets.shape}")
+        # min and max propagate nan, so all four are finite only if every entry is
+        if not np.isfinite([inputs.min(), inputs.max(), targets.min(), targets.max()]).all():
+            raise ValueError("inputs and targets must be finite")
         inputs.flags.writeable = False
         targets.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)

@@ -316,11 +316,14 @@ def iter_students(qs: QuerySet, r_student: int, cfg: TrainConfig, indices,
 
     Yields (index, net, history, message) in the order of the `indices`
     sequence as each student finishes; a diverged one yields (index, None, [],
-    message). `jobs` > 1 trains in parallel processes, bit-identically.
+    message). `jobs` > 1 trains in up to `jobs` parallel processes, never more
+    than there are students, bit-identically.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     work = partial(_train_one, qs, r_student, cfg)
     if jobs > 1 and len(indices) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
             yield from pool.map(work, indices)
     else:
         yield from map(work, indices)

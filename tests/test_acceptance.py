@@ -10,14 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from netrecon.augment import (
-    biased_noise,
-    grid_composition,
-    hv_flips,
-    identity,
-    random_rotations,
-    uniform_noise,
-)
+from netrecon.augment import AugmentationSpec, build
 from netrecon.cli import EXIT_OK, main
 from netrecon.data import (
     ImageDataset,
@@ -61,6 +54,10 @@ FINETUNE_CFG = TrainConfig(
 )
 
 
+def make(ds, kind, **params):
+    return build(AugmentationSpec(kind=kind, **params), ds)
+
+
 @pytest.fixture(scope="session")
 def desk():
     """Standardized desk dataset (d=25), its statistics, and the r=8 teacher."""
@@ -77,7 +74,7 @@ def recovery_run(desk):
     """Criterion-3 pipeline: biased-noise queries, 8 students, reconstruction."""
     t0 = time.time()
     base = subset(desk["ds"], 2048, seed=1)
-    qs = query_teacher(desk["teacher"], biased_noise(base, 1.0, seed=2))
+    qs = query_teacher(desk["teacher"], make(base, "biased_noise", magnitude=1.0, seed=2))
     ensemble = train_ensemble(qs, teacher_r=8, rho=4, N=8, cfg=STUDENT_CFG, jobs=2)
     neurons = extract_neurons(ensemble.students)
     clusters = cluster_neurons(neurons, ensemble.n_students, GAMMA, BETA)
@@ -183,7 +180,7 @@ def test_criterion_04_overfit_failure_with_identity_queries(desk):
     teacher = desk["teacher"]
     budget = 2 * teacher.n_params
     small = subset(desk["ds"], 32, seed=3)
-    qs = query_teacher(teacher, identity(small))
+    qs = query_teacher(teacher, make(small, "identity"))
     assert qs.Q <= budget
     ensemble = train_ensemble(qs, teacher_r=8, rho=4, N=8, cfg=OVERFIT_CFG, jobs=2)
     ood_raw = make_synthetic_classification(2000, height=5, width=5, n_classes=10,
@@ -220,13 +217,14 @@ def test_criterion_05_variability_orderings(desk, recovery_run):
     start = time.time()
     teacher = desk["teacher"]
     base = recovery_run["base"]
-    biased = preactivation_variability(teacher, biased_noise(base, 1.0, seed=11).inputs)
+    biased = preactivation_variability(
+        teacher, make(base, "biased_noise", magnitude=1.0, seed=11).inputs)
     zero_mean = preactivation_variability(
-        teacher, uniform_noise(base, -1.0, 1.0, copies=2, seed=11).inputs)
+        teacher, make(base, "uniform_noise", lo=-1.0, hi=1.0, copies=2, seed=11).inputs)
     assert biased.mean_std > zero_mean.mean_std > 0.0
     stds = [
-        preactivation_histogram(teacher, biased_noise(base, u, seed=12).inputs,
-                                bins=80).std()
+        preactivation_histogram(
+            teacher, make(base, "biased_noise", magnitude=u, seed=12).inputs, bins=80).std()
         for u in (1.0, 5.0, 10.0)
     ]
     assert stds[0] < stds[1] < stds[2]
@@ -242,12 +240,12 @@ def test_criterion_06_cardinality_contracts():
     raw = make_synthetic_classification(120, height=6, width=6, seed=21)
     ds, _, _ = standardize(raw)
     n = ds.n_samples
-    assert hv_flips(ds).Q == 3 * n
-    assert biased_noise(ds, 1.0, seed=0).Q == 3 * n
-    assert random_rotations(ds, copies=2, seed=0).Q == 3 * n
+    assert make(ds, "hv_flips").Q == 3 * n
+    assert make(ds, "biased_noise", magnitude=1.0, seed=0).Q == 3 * n
+    assert make(ds, "random_rotations", copies=2, seed=0).Q == 3 * n
     two = ImageDataset(images=np.vstack([np.zeros(81), np.ones(81)]),
                        labels=[0, 1], height=9, width=9)
-    out = grid_composition(two, grid_x=3, grid_y=3, count=20000, seed=5)
+    out = make(two, "grid", grid_x=3, grid_y=3, count=20000, seed=5)
     distinct = {row.tobytes() for row in out.inputs}
     elapsed = time.time() - start
     assert len(distinct) == 2 ** 9

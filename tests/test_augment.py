@@ -1,20 +1,16 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from netrecon.augment import (
-    AugmentationSpec,
-    biased_noise,
-    build,
-    grid_bands,
-    grid_composition,
-    grid_composition_biased_noise,
-    hv_flips,
-    identity,
-    random_rotations,
-    rotate_image,
-    uniform_noise,
-)
+from netrecon.augment import PARAMS, AugmentationSpec, build, grid_bands, rotate_image
 from netrecon.data import ImageDataset, make_synthetic_classification, standardize
+
+
+def make(ds, kind, **params):
+    """The query inputs `build` makes from `ds` for one spec."""
+    return build(AugmentationSpec(kind=kind, **params), ds)
 
 
 @pytest.fixture(scope="module")
@@ -70,18 +66,18 @@ class TestSpecValidation:
 
 class TestIdentity:
     def test_inputs_unchanged(self, ds):
-        out = identity(ds)
+        out = make(ds, "identity")
         assert out.Q == ds.n_samples
         assert np.array_equal(out.inputs, ds.images)
 
     def test_single_image(self):
         one = ImageDataset(images=[[1.0, 2.0]], labels=[0], height=1, width=2)
-        assert identity(one).Q == 1
+        assert make(one, "identity").Q == 1
 
 
 class TestRotations:
     def test_cardinality(self, ds):
-        out = random_rotations(ds, copies=2, seed=0)
+        out = make(ds, "random_rotations", copies=2, seed=0)
         assert out.Q == 3 * ds.n_samples
 
     def test_zero_angle_is_identity(self):
@@ -108,44 +104,45 @@ class TestRotations:
             images=np.full((1, 49), background), labels=[0], height=7, width=7,
             mean=ds.mean, std=ds.std,
         )
-        out = random_rotations(flat, copies=1, seed=1)
+        out = make(flat, "random_rotations", copies=1, seed=1)
         assert np.max(np.abs(out.inputs[1] - background)) < 1e-9
 
     def test_originals_kept(self, ds):
-        out = random_rotations(ds, copies=1, seed=3)
+        out = make(ds, "random_rotations", copies=1, seed=3)
         assert np.array_equal(out.inputs[: ds.n_samples], ds.images)
 
 
 class TestFlips:
     def test_cardinality(self, ds):
-        assert hv_flips(ds).Q == 3 * ds.n_samples
+        assert make(ds, "hv_flips").Q == 3 * ds.n_samples
 
     def test_symmetric_image_fixed(self):
         img = np.zeros((3, 3))
         img[:, 1] = 1.0  # symmetric under horizontal flip
         one = ImageDataset(images=img.reshape(1, 9), labels=[0], height=3, width=3)
-        out = hv_flips(one)
+        out = make(one, "hv_flips")
         assert np.array_equal(out.inputs[1], out.inputs[0])
 
     def test_involution(self, ds):
-        once = hv_flips(ds)
+        once = make(ds, "hv_flips")
         n = ds.n_samples
         horizontal = ImageDataset(images=once.inputs[n:2 * n], labels=ds.labels,
                                   height=ds.height, width=ds.width)
-        twice = hv_flips(horizontal)
+        twice = make(horizontal, "hv_flips")
         assert np.array_equal(twice.inputs[n:2 * n], ds.images)
 
 
 class TestUniformNoise:
     def test_cardinality(self, ds):
-        assert uniform_noise(ds, -1.0, 1.0, copies=2, seed=0).Q == 3 * ds.n_samples
+        out = make(ds, "uniform_noise", lo=-1.0, hi=1.0, copies=2, seed=0)
+        assert out.Q == 3 * ds.n_samples
 
     def test_vanishing_noise(self, ds):
-        out = uniform_noise(ds, -1e-12, 1e-12, copies=1, seed=0)
+        out = make(ds, "uniform_noise", lo=-1e-12, hi=1e-12, copies=1, seed=0)
         assert np.max(np.abs(out.inputs[ds.n_samples:] - ds.images)) < 1e-11
 
     def test_support(self, ds):
-        out = uniform_noise(ds, -0.25, 0.5, copies=2, seed=1)
+        out = make(ds, "uniform_noise", lo=-0.25, hi=0.5, copies=2, seed=1)
         delta = out.inputs[ds.n_samples:] - np.vstack([ds.images, ds.images])
         assert delta.min() >= -0.25 and delta.max() <= 0.5
 
@@ -153,21 +150,21 @@ class TestUniformNoise:
         # oracle: U[-1, 1] has zero mean; 1e5 draws keep |mean| under 0.02
         flat = ImageDataset(images=np.zeros((100, 1000)), labels=np.zeros(100),
                             height=100, width=10)
-        out = uniform_noise(flat, -1.0, 1.0, copies=1, seed=2)
+        out = make(flat, "uniform_noise", lo=-1.0, hi=1.0, copies=1, seed=2)
         assert abs(out.inputs[100:].mean()) < 0.02
 
 
 class TestBiasedNoise:
     def test_cardinality(self, ds):
-        assert biased_noise(ds, 1.0, seed=0).Q == 3 * ds.n_samples
+        assert make(ds, "biased_noise", magnitude=1.0, seed=0).Q == 3 * ds.n_samples
 
     def test_magnitude_variants_constructible(self, ds):
         for u in (0.5, 2.0):
-            assert biased_noise(ds, u, seed=0).Q == 3 * ds.n_samples
+            assert make(ds, "biased_noise", magnitude=u, seed=0).Q == 3 * ds.n_samples
 
     def test_block_signs(self, ds):
         u = 0.7
-        out = biased_noise(ds, u, seed=3)
+        out = make(ds, "biased_noise", magnitude=u, seed=3)
         n = ds.n_samples
         positive = out.inputs[n:2 * n] - ds.images
         negative = out.inputs[2 * n:] - ds.images
@@ -175,7 +172,7 @@ class TestBiasedNoise:
         assert negative.max() <= 0.0 and negative.min() >= -u
 
     def test_vanishing_magnitude(self, ds):
-        out = biased_noise(ds, 1e-12, seed=4)
+        out = make(ds, "biased_noise", magnitude=1e-12, seed=4)
         n = ds.n_samples
         assert np.max(np.abs(out.inputs[n:2 * n] - ds.images)) < 1e-11
         assert np.max(np.abs(out.inputs[2 * n:] - ds.images)) < 1e-11
@@ -193,17 +190,17 @@ class TestGridComposition:
                 assert max(bands) - min(bands) <= 1
 
     def test_cardinality_and_sources(self, ds):
-        out = grid_composition(ds, grid_x=3, grid_y=3, count=17, seed=0)
+        out = make(ds, "grid", grid_x=3, grid_y=3, count=17, seed=0)
         assert out.Q == 17
         assert out.source_indices.shape == (17, 9)
 
     def test_single_cell_grid_copies_bases(self, ds):
-        out = grid_composition(ds, grid_x=1, grid_y=1, count=25, seed=1)
+        out = make(ds, "grid", grid_x=1, grid_y=1, count=25, seed=1)
         for row, (src,) in zip(out.inputs, out.source_indices):
             assert np.array_equal(row, ds.images[src])
 
     def test_pixels_match_recorded_sources(self, ds):
-        out = grid_composition(ds, grid_x=3, grid_y=2, count=10, seed=2)
+        out = make(ds, "grid", grid_x=3, grid_y=2, count=10, seed=2)
         bands_y = grid_bands(ds.height, 2)
         bands_x = grid_bands(ds.width, 3)
         stacked = ds.images.reshape(-1, ds.height, ds.width)
@@ -225,26 +222,29 @@ class TestGridComposition:
             images=np.vstack([np.zeros(81), np.ones(81)]), labels=[0, 1],
             height=9, width=9,
         )
-        out = grid_composition(base, grid_x=3, grid_y=3, count=20000, seed=3)
+        out = make(base, "grid", grid_x=3, grid_y=3, count=20000, seed=3)
         distinct = {row.tobytes() for row in out.inputs}
         assert len(distinct) == 512
 
 
 class TestGridBiasedNoise:
     def test_cardinality(self, ds):
-        out = grid_composition_biased_noise(ds, 3, 3, count=12, u=1.0, seed=0)
+        out = make(ds, "grid_biased_noise", grid_x=3, grid_y=3, count=12, magnitude=1.0,
+                   seed=0)
         assert out.Q == 36
 
     def test_blocks_share_base_grids(self, ds):
         u = 0.9
-        out = grid_composition_biased_noise(ds, 3, 3, count=15, u=u, seed=1)
+        out = make(ds, "grid_biased_noise", grid_x=3, grid_y=3, count=15, magnitude=u,
+                   seed=1)
         base, pos, neg = out.inputs[:15], out.inputs[15:30], out.inputs[30:]
         assert ((pos - base) >= 0).all() and ((pos - base) <= u).all()
         assert ((neg - base) <= 0).all() and ((neg - base) >= -u).all()
         assert np.array_equal(out.source_indices[:15], out.source_indices[15:30])
 
     def test_vanishing_magnitude(self, ds):
-        out = grid_composition_biased_noise(ds, 3, 3, count=9, u=1e-12, seed=2)
+        out = make(ds, "grid_biased_noise", grid_x=3, grid_y=3, count=9, magnitude=1e-12,
+                   seed=2)
         assert np.max(np.abs(out.inputs[9:18] - out.inputs[:9])) < 1e-11
         assert np.max(np.abs(out.inputs[18:] - out.inputs[:9])) < 1e-11
 
@@ -259,10 +259,88 @@ class TestDeterminismAndDispatch:
         AugmentationSpec(kind="grid", grid_x=3, grid_y=3, count=11, seed=9),
         AugmentationSpec(kind="grid_biased_noise", grid_x=2, grid_y=2, count=7,
                          magnitude=0.5, seed=9),
+        AugmentationSpec(kind="identity", seed=9),
+        AugmentationSpec(kind="hv_flips", seed=9),
     ])
     def test_same_spec_same_output(self, ds, spec):
         a = build(spec, ds)
         b = build(spec, ds)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.source_indices, b.source_indices)
-        assert a.spec == spec
+        assert a.spec is spec
+
+
+# one spec per kind, with the sha256 of `inputs` (as <f8) and of `source_indices`
+# (as <i8) that `build` gave on a raw and on a standardized 7x9 base before the
+# seven strategies moved behind one table
+GOLDEN = [
+    (AugmentationSpec(kind="identity"), {
+        "raw": ("2358539455ab8ed3a3138d396d28861c730f0bff295ced570c10e3236c3514a6",
+                "700a4498438a801b5781533040bce85a20ae4bfe08866f7552ff33e172923b0a"),
+        "standardized": ("fd86226c5d039375f516784bfdd551f5499e577d4656a3987facb2ad8330386c",
+                         "700a4498438a801b5781533040bce85a20ae4bfe08866f7552ff33e172923b0a")}),
+    (AugmentationSpec(kind="random_rotations", copies=2, seed=3), {
+        "raw": ("81154857f099b27d78edf62ae8dd65298e458a315886f67f718a7c705d491c0c",
+                "27d43e6d605681dc7c580f4aa2f4cbabe8df875f3c2daf76f9204685959ff21c"),
+        "standardized": ("fb2db5d3921ca60f4d95ec7a463c0c754148030a8f2ff15a86f1208e02f520e4",
+                         "27d43e6d605681dc7c580f4aa2f4cbabe8df875f3c2daf76f9204685959ff21c")}),
+    (AugmentationSpec(kind="hv_flips"), {
+        "raw": ("2bc1a898cf7bee0ed5235bccb1f9dd0a07f1cc22518071a41183dee348afe133",
+                "27d43e6d605681dc7c580f4aa2f4cbabe8df875f3c2daf76f9204685959ff21c"),
+        "standardized": ("84d6c6ece4564b5f6455d7a6692c1905065f21c2e9015f99357d8276cb74aa8b",
+                         "27d43e6d605681dc7c580f4aa2f4cbabe8df875f3c2daf76f9204685959ff21c")}),
+    (AugmentationSpec(kind="uniform_noise", lo=-0.5, hi=1.0, copies=2, seed=4), {
+        "raw": ("64ced7bd9446287126f148f075eaccbd6bbb312fd4720aa009b3b4bb8a71b33c",
+                "27d43e6d605681dc7c580f4aa2f4cbabe8df875f3c2daf76f9204685959ff21c"),
+        "standardized": ("58e4f6714210811759c84fda4fa342c05e4d46c0fc4c1b1fdd8db6942ea42fa2",
+                         "27d43e6d605681dc7c580f4aa2f4cbabe8df875f3c2daf76f9204685959ff21c")}),
+    (AugmentationSpec(kind="biased_noise", magnitude=1.5, seed=5), {
+        "raw": ("612b74a792065534d16f7a70de6e08dd4b27d1741b7e8cf7c33f6fbdd0b6f83c",
+                "27d43e6d605681dc7c580f4aa2f4cbabe8df875f3c2daf76f9204685959ff21c"),
+        "standardized": ("36bc0de1ac61b80f880d015d67d06e9aca16597bfc163d7d0b3b05bd795bd91a",
+                         "27d43e6d605681dc7c580f4aa2f4cbabe8df875f3c2daf76f9204685959ff21c")}),
+    (AugmentationSpec(kind="grid", grid_x=3, grid_y=2, count=17, seed=6), {
+        "raw": ("95c2ea37af9898d75c36bdc0592ab7fe5db7700ca1ed16cc6bb101696187d7cf",
+                "0dfa691a9dcb5d9e042c81ca2b2fe7af260815831740038aff1e279cfb742f26"),
+        "standardized": ("ffe9dd973fefb8b8e51da42bd27c52e35f9ca8b9d23f442523a39b772e9029a7",
+                         "0dfa691a9dcb5d9e042c81ca2b2fe7af260815831740038aff1e279cfb742f26")}),
+    (AugmentationSpec(kind="grid_biased_noise", grid_x=3, grid_y=2, count=13,
+                      magnitude=0.75, seed=7), {
+        "raw": ("2000d51ed964c8a6c2e1039d8f6114cb3c523e60036daf22b395ae3a289a9200",
+                "82a2c5d72e3c64302ec08f024625d6b97ba1673443b9b79760e2cd5e9e72fe19"),
+        "standardized": ("2b6198e068689383e005b0b611041c55151376726f523a75cc0566370b120d37",
+                         "82a2c5d72e3c64302ec08f024625d6b97ba1673443b9b79760e2cd5e9e72fe19")}),
+]
+
+
+def _bumped(field, value):
+    """A different valid value for one spec field (lo moves down, the rest up)."""
+    return value - 0.5 if field == "lo" else value * 2 if field == "magnitude" else value + 1
+
+
+class TestOneBuildPath:
+    @pytest.fixture(scope="class")
+    def bases(self):
+        raw = make_synthetic_classification(12, height=7, width=9, seed=8)
+        return {"raw": raw, "standardized": standardize(raw)[0]}
+
+    @pytest.mark.parametrize("spec,digests", GOLDEN, ids=[s.kind for s, _ in GOLDEN])
+    def test_golden_hashes(self, bases, spec, digests):
+        for name, base in bases.items():
+            out = build(spec, base)
+            assert (hashlib.sha256(out.inputs.astype("<f8").tobytes()).hexdigest(),
+                    hashlib.sha256(out.source_indices.astype("<i8").tobytes()).hexdigest()) \
+                == digests[name], name
+
+    @pytest.mark.parametrize("spec", [s for s, _ in GOLDEN] + [
+        AugmentationSpec(kind="identity", seed=7), AugmentationSpec(kind="hv_flips", seed=7)])
+    def test_describe_names_exactly_the_fields_that_change_the_inputs(self, bases, spec):
+        base = bases["standardized"]
+        named = {part.split("=")[0] for part in spec.describe()[len(spec.kind) + 1:-1].split()}
+        inputs = build(spec, base).inputs
+        changing = {
+            field for field in (*PARAMS, "seed") if getattr(spec, field) is not None
+            and not np.array_equal(inputs, build(replace(
+                spec, **{field: _bumped(field, getattr(spec, field))}), base).inputs)
+        }
+        assert named == changing

@@ -1,5 +1,8 @@
 import shutil
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
 from netrecon import train
@@ -14,7 +17,7 @@ from netrecon.cli import (
 from netrecon.config import load_config
 from netrecon.data import make_synthetic_classification, save_idx
 from netrecon.errors import DivergenceError
-from netrecon.network import init_mlp, save_mlp
+from netrecon.network import Mlp, init_mlp, save_mlp
 
 CONFIG = """
 [run]
@@ -250,6 +253,35 @@ class TestStudentFiles:
         err = capsys.readouterr().err
         assert f"student_01.mlp: student has r={r} d={d} c={c}" in err
         assert "need r=8 d=16 c=5" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_config_error(self, workdir, queries, capsys, jobs):
+        out = workdir / f"jobs_{jobs}"
+        self.copy_queries(queries, out)
+        assert run(workdir, "train-students", out, "--jobs", jobs) == EXIT_CONFIG
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (out / "students").exists()
+
+    def test_non_finite_query_set_is_a_format_error(self, workdir, queries, capsys):
+        out = workdir / "nan_target"
+        self.copy_queries(queries, out)
+        blob = bytearray((out / "queries.qs").read_bytes())
+        blob[-12:-4] = struct.pack("<d", float("nan"))  # the last target
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[4:-4])))
+        (out / "queries.qs").write_bytes(bytes(blob))
+        assert run(workdir, "train-students", out) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "students").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_teacher_with_overflowing_logits_is_a_config_error(self, workdir, capsys):
+        out = workdir / "overflow"
+        out.mkdir()
+        save_mlp(Mlp(W=np.full((2, 16), 1e300), b=np.zeros(2), A=np.full((5, 2), 1e300),
+                     c_out=np.zeros(5)), str(out / "teacher.mlp"))
+        assert run(workdir, "build-queries", out) == EXIT_CONFIG
+        assert "teacher.mlp: inputs and targets must be finite" in capsys.readouterr().err
+        assert not (out / "queries.qs").exists()
 
     def test_resume_without_eval_checks_kept_students(self, workdir, queries, capsys):
         # without [eval] there is no losses.csv pass to load the kept students

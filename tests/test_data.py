@@ -239,6 +239,20 @@ class TestQuerySetFile:
         with pytest.raises(FormatError):
             load_queryset(str(path))
 
+    @pytest.mark.parametrize("offset,value", [(-12, np.nan), (40, np.inf), (48, -np.inf)])
+    def test_non_finite_entry_rejected(self, tmp_path, offset, value):
+        with pytest.raises(ValueError, match="finite"):
+            QuerySet(inputs=[[0.0, value]], targets=[[1.0]])
+        # a valid checksum around one non-finite input (offset 40 on) or last target
+        path = tmp_path / "q.qs"
+        save_queryset(QuerySet(inputs=np.zeros((2, 3)), targets=np.zeros((2, 2))), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + 8] = struct.pack("<d", value)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[4:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="finite"):
+            load_queryset(str(path))
+
     def test_zero_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             QuerySet(inputs=np.zeros((0, 3)), targets=np.zeros((0, 2)))

@@ -1,15 +1,16 @@
 """Malformed files fed to the three binary loaders.
 
 Truncations, bit flips and extreme header fields of small valid files: every
-call must either load a dataset, model or query set with dimensions >= 1, or
-raise FormatError or ConsistencyError, and must never allocate much more than
-the file's size.
+call must either load a dataset, model or query set with dimensions >= 1 (and a
+query set of finite numbers), or raise FormatError or ConsistencyError, and must
+never allocate much more than the file's size.
 """
 
 import struct
 import tracemalloc
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,7 @@ def load(root, name: str):
         net = load_mlp(str(root / "model"))
         return net.r, net.d, net.c
     qs = load_queryset(str(root / "queries"))
+    assert np.isfinite(qs.inputs).all() and np.isfinite(qs.targets).all()
     return qs.Q, qs.d, qs.c
 
 
@@ -80,6 +82,7 @@ def load(root, name: str):
 @example(name="images", kind="field", where=1, value=60000, fix_checksum=False)
 @example(name="images", kind="field", where=2, value=0, fix_checksum=False)
 @example(name="queries", kind="flip", where=8 * 40 + 7, value=0, fix_checksum=True)  # not UTF-8
+@example(name="queries", kind="flip", where=8 * 62 + 6, value=0, fix_checksum=True)  # -1.0 -> -inf
 def test_loaders_load_or_raise_format_errors(files, name, kind, where, value, fix_checksum):
     root, valid = files
     blob = valid[name]

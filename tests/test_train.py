@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from netrecon.augment import biased_noise, identity
+from netrecon import train
+from netrecon.augment import AugmentationSpec, build
 from netrecon.data import make_synthetic_classification, standardize
 from netrecon.errors import DivergenceError
 from netrecon.network import Mlp, forward, init_mlp, mse_loss
@@ -13,12 +14,17 @@ from netrecon.train import (
     adam_step,
     final_loss,
     fit_mse,
+    iter_students,
     query_teacher,
     steps_for,
     train_ensemble,
     train_student,
     train_teacher,
 )
+
+
+def make(ds, kind, **params):
+    return build(AugmentationSpec(kind=kind, **params), ds)
 
 
 def cfg(**kw):
@@ -43,7 +49,7 @@ def tiny_teacher(tiny_ds):
 
 @pytest.fixture(scope="module")
 def tiny_queries(tiny_ds, tiny_teacher):
-    return query_teacher(tiny_teacher, biased_noise(tiny_ds, 1.0, seed=2))
+    return query_teacher(tiny_teacher, make(tiny_ds, "biased_noise", magnitude=1.0, seed=2))
 
 
 class TestStepsFor:
@@ -215,22 +221,23 @@ class TestQueryTeacher:
     def test_zero_teacher_gives_zero_targets(self, tiny_ds):
         zero = Mlp(W=np.zeros((2, tiny_ds.d)), b=np.zeros(2),
                    A=np.zeros((3, 2)), c_out=np.zeros(3))
-        qs = query_teacher(zero, identity(tiny_ds))
+        qs = query_teacher(zero, make(tiny_ds, "identity"))
         assert np.all(qs.targets == 0.0)
 
     def test_cardinality_preserved(self, tiny_ds, tiny_teacher):
-        for aug in (identity(tiny_ds), biased_noise(tiny_ds, 1.0, seed=0)):
+        for aug in (make(tiny_ds, "identity"),
+                    make(tiny_ds, "biased_noise", magnitude=1.0, seed=0)):
             qs = query_teacher(tiny_teacher, aug)
             assert qs.Q == aug.Q
 
     def test_purity(self, tiny_ds, tiny_teacher):
-        aug = biased_noise(tiny_ds, 1.0, seed=5)
+        aug = make(tiny_ds, "biased_noise", magnitude=1.0, seed=5)
         a = query_teacher(tiny_teacher, aug)
         b = query_teacher(tiny_teacher, aug)
         assert np.array_equal(a.targets, b.targets)
 
     def test_targets_are_logits(self, tiny_ds, tiny_teacher):
-        qs = query_teacher(tiny_teacher, identity(tiny_ds))
+        qs = query_teacher(tiny_teacher, make(tiny_ds, "identity"))
         assert np.array_equal(qs.targets, forward(tiny_teacher, tiny_ds.images).out)
 
 
@@ -300,6 +307,27 @@ class TestEnsemble:
     def test_requires_two_students(self, tiny_queries):
         with pytest.raises(ValueError):
             train_ensemble(tiny_queries, 3, 2, 1, cfg())
+
+    def test_pool_no_wider_than_the_students(self, tiny_queries, monkeypatch):
+        # a fork pool starts all its workers on the first task, used or not
+        widths = []
+        real = train.ProcessPoolExecutor
+
+        def recording(max_workers):
+            widths.append(max_workers)
+            return real(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(train, "ProcessPoolExecutor", recording)
+        pooled = list(iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1], jobs=8))
+        assert widths == [2]
+        alone = list(iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1]))
+        assert [(i, net.theta.tobytes()) for i, net, _, _ in pooled] == \
+            [(i, net.theta.tobytes()) for i, net, _, _ in alone]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, tiny_queries, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            next(iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1], jobs=jobs))
 
 
 class TestInvariants:

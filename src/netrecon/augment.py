@@ -59,6 +59,8 @@ class AugmentationSpec:
             raise ValueError(f"{self.kind} needs a finite hi - lo")
         if "magnitude" in used and not np.isfinite(self.magnitude):
             raise ValueError(f"{self.kind} needs a finite magnitude")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def describe(self) -> str:
         """Canonical identifier naming exactly the fields the strategy reads, used

@@ -25,7 +25,7 @@ from .errors import ConfigError, DivergenceError, EmptyReconstructionError, Netr
 from .metrics import scatter_table, write_losses_csv
 from .network import Mlp, load_mlp, save_mlp
 from .reconstruct import evaluate_reconstruction, run_reconstruction
-from .train import accuracy, final_loss, iter_students, query_teacher, train_teacher
+from .train import HistoryPoint, accuracy, final_loss, iter_students, query_teacher, train_teacher
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,13 +111,29 @@ def _load_student(path: str, r: int, qs) -> Mlp:
     return net
 
 
+def _read_history(path: str) -> list[HistoryPoint]:
+    """A student's history file as written by `cmd_train_students`: a header
+    and at least one (step, loss, lr) row."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    try:
+        history = [(int(step), float(loss), float(lr))
+                   for step, loss, lr in (line.split(",") for line in lines[1:])]
+    except ValueError as exc:  # a row of the wrong width or a cell that is no number
+        raise ConfigError(f"{path}: unreadable training history: {exc}") from exc
+    if lines[:1] != [HISTORY_COLUMNS] or not history:
+        raise ConfigError(f"{path}: training history needs the header "
+                          f"'{HISTORY_COLUMNS}' and at least one row")
+    return history
+
+
 def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                        resume: bool = False) -> int:
     """Train the students, saving each one's history file and then its model file.
 
-    `resume` skips slots that have both files, after loading and checking their
-    model files. The ensemble CSVs are built from every slot's files, so they
-    do not depend on what was resumed.
+    `resume` skips slots that have both files, after loading and checking both
+    before any student trains. The ensemble CSVs are built from every slot's
+    history, so they do not depend on what was resumed.
     """
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(queries_path)
@@ -129,8 +145,12 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
 
     files = [_student_files(out_dir, i) for i in range(n)]
     todo = [i for i in range(n) if not (resume and all(map(os.path.isfile, files[i])))]
-    students = [None if i in todo else _load_student(files[i][0], r_student, qs)
-                for i in range(n)]
+    students: list[Mlp | None] = [None] * n
+    histories: dict[int, list[HistoryPoint]] = {}
+    for i in range(n):
+        if i not in todo:
+            students[i] = _load_student(files[i][0], r_student, qs)
+            histories[i] = _read_history(files[i][1])
     failures: dict[int, str] = {}
     for index, net, history, message in iter_students(qs, r_student, cfg.students.train,
                                                       todo, jobs):
@@ -144,15 +164,14 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         atomic_write_csv(files[index][1], HISTORY_COLUMNS, history)
         save_mlp(net, files[index][0])
         students[index] = net
+        histories[index] = history
 
     summaries, history_rows = [], []
     for i in range(n):
         if i in failures:
             summaries.append((i, nan, 0, f"diverged: {failures[i]}"))
             continue
-        with open(files[i][1]) as f:
-            rows = [line.split(",") for line in f.read().splitlines()[1:]]
-        history = [(int(step), float(loss), float(lr)) for step, loss, lr in rows]
+        history = histories[i]
         summaries.append((i, final_loss(history), history[-1][0], "trained"))
         history_rows += [(step, loss, lr, i) for step, loss, lr in history]
     atomic_write_csv(os.path.join(out_dir, "students", "losses.csv"),

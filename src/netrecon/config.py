@@ -85,6 +85,10 @@ class ExperimentConfig:
     reconstruct: ReconstructConfig
     eval_sets: tuple[tuple[str, str, str], ...]  # (name, images_path, labels_path)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 class _Section:
     """One config section with typed access; `done` rejects the keys `get` never read."""

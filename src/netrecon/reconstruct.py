@@ -29,6 +29,8 @@ from .train import HistoryPoint, TrainConfig, fit_mse
 
 # rows of each upper-triangle Gram block: 512 x n float64 at a time
 _GRAM_ROWS = 512
+# [w; b] norm below which a neuron carries no usable direction
+_MIN_NORM = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +105,11 @@ def _directions(W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wb / safe[:, None], norms
 
 
-def extract_neurons(students: Sequence[Mlp | None], min_norm: float = 1e-12) -> Neurons:
+def extract_neurons(students: Sequence[Mlp | None]) -> Neurons:
     """Pool every hidden neuron of every student slot as a normalized direction.
 
     `student` is the neuron's index in `students`, counting diverged and
-    missing (None) slots. Neurons whose [w; b] norm is below `min_norm`
+    missing (None) slots. Neurons whose [w; b] norm is below `_MIN_NORM`
     carry no usable direction and are excluded; the excluded count is the
     difference between the pooled total and len(result).
     """
@@ -116,7 +118,7 @@ def extract_neurons(students: Sequence[Mlp | None], min_norm: float = 1e-12) -> 
         raise ValueError("ensemble contains no trained students")
     dirs, norms = _directions(np.vstack([net.W for _, net in trained]),
                               np.concatenate([net.b for _, net in trained]))
-    keep = norms >= min_norm
+    keep = norms >= _MIN_NORM
     return Neurons(
         directions=dirs[keep],
         norms=norms[keep],

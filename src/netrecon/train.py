@@ -30,11 +30,15 @@ from .network import (
 
 HistoryPoint = tuple[int, float, float]  # (step, full-set train loss, lr)
 
+# Adam's moment decay rates and denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and schedule settings for one training run.
 
+    Adam's own constants are fixed in code (`_BETA1`, `_BETA2`, `_EPS`).
     `eval_every` of None means one epoch-equivalent of steps. `target_loss`
     stops training early once the full-set loss reaches it; the default is low
     enough to be off in practice.
@@ -43,9 +47,6 @@ class TrainConfig:
     learning_rate: float
     batch_size: int
     max_steps: int
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     plateau_patience: int = 10
     plateau_factor: float = 0.5
     plateau_min_lr: float = 1e-7
@@ -59,8 +60,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not np.isfinite(self.learning_rate):
             raise ValueError("learning_rate must be finite")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be positive")
         if not 0 < self.plateau_factor < 1:
             raise ValueError("plateau_factor must be in (0, 1)")
         # a floor above the lr would raise it; a threshold of 1 makes no eval improve
@@ -72,13 +71,12 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
         if self.eval_every is not None and self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.plateau_patience < 1:
             raise ValueError("plateau_patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -94,52 +92,46 @@ class AdamState:
         return cls(m=np.zeros_like(net.theta), v=np.zeros_like(net.theta))
 
 
-def adam_step(net: Mlp, grad: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> Mlp:
+def adam_step(net: Mlp, grad: np.ndarray, state: AdamState, lr: float) -> Mlp:
     """One Adam update with bias correction; `grad` is laid out like `net.theta`.
 
     Updates `state` in place and returns a new net, leaving `net` as it is.
     Raises ValueError when the update makes a parameter non-finite.
     """
     state.t += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
-    state.v *= beta2
-    state.v += (1.0 - beta2) * (grad * grad)
-    step_dir = ((state.m / (1.0 - beta1**state.t))
-                / (np.sqrt(state.v / (1.0 - beta2**state.t)) + eps))
+    state.m *= _BETA1
+    state.m += (1.0 - _BETA1) * grad
+    state.v *= _BETA2
+    state.v += (1.0 - _BETA2) * (grad * grad)
+    step_dir = ((state.m / (1.0 - _BETA1**state.t))
+                / (np.sqrt(state.v / (1.0 - _BETA2**state.t)) + _EPS))
     return Mlp.from_flat(net.theta - lr * step_dir, net.r, net.d, net.c)
 
 
 class PlateauScheduler:
-    """Multiply lr by `factor` after `patience` consecutive non-improving evaluations.
+    """Multiply lr by `plateau_factor` after `plateau_patience` consecutive
+    non-improving evaluations, starting from `cfg.learning_rate`.
 
-    With `threshold` > 0 an evaluation only counts as improving when it beats
-    the best seen so far by that relative margin; lucky sub-threshold wiggles
-    then stop resetting the patience counter. The lr never increases and never
-    drops below `min_lr`.
+    With `plateau_threshold` > 0 an evaluation only counts as improving when it
+    beats the best seen so far by that relative margin; lucky sub-threshold
+    wiggles then stop resetting the patience counter. The lr never increases
+    and never drops below `plateau_min_lr`.
     """
 
-    def __init__(self, lr: float, factor: float, patience: int, min_lr: float,
-                 threshold: float = 0.0):
-        if min_lr > lr:
-            raise ValueError("min_lr must not exceed lr")
-        self.lr = lr
-        self.factor = factor
-        self.patience = patience
-        self.min_lr = min_lr
-        self.threshold = threshold
+    def __init__(self, cfg: TrainConfig):
+        self.cfg = cfg
+        self.lr = cfg.learning_rate
         self.best = np.inf
         self.bad_evals = 0
 
     def step(self, metric: float) -> float:
-        if metric < self.best * (1.0 - self.threshold):
+        if metric < self.best * (1.0 - self.cfg.plateau_threshold):
             self.best = metric
             self.bad_evals = 0
         else:
             self.bad_evals += 1
-            if self.bad_evals >= self.patience:
-                self.lr = max(self.lr * self.factor, self.min_lr)
+            if self.bad_evals >= self.cfg.plateau_patience:
+                self.lr = max(self.lr * self.cfg.plateau_factor, self.cfg.plateau_min_lr)
                 self.bad_evals = 0
         return self.lr
 
@@ -189,9 +181,7 @@ def _fit(net: Mlp, X: np.ndarray, grad_fn, eval_fn,
     n = X.shape[0]
     rng = np.random.default_rng(cfg.seed)
     state = AdamState.zeros_like(net)
-    sched = PlateauScheduler(cfg.learning_rate, cfg.plateau_factor,
-                             cfg.plateau_patience, cfg.plateau_min_lr,
-                             threshold=cfg.plateau_threshold)
+    sched = PlateauScheduler(cfg)
     eval_every = cfg.eval_every or max(1, -(-n // cfg.batch_size))
     initial = eval_fn(net)
     history: list[HistoryPoint] = [(0, initial, sched.lr)]
@@ -214,8 +204,7 @@ def _fit(net: Mlp, X: np.ndarray, grad_fn, eval_fn,
         if not np.isfinite(batch_loss):
             raise DivergenceError(step)
         try:
-            net = adam_step(net, grad, state, sched.lr,
-                            cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            net = adam_step(net, grad, state, sched.lr)
         except ValueError as exc:  # non-finite parameters with a still-finite loss
             raise DivergenceError(step, f"diverged at step {step}: {exc}") from exc
         step += 1

@@ -50,6 +50,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AugmentationSpec(kind="grid", grid_x=0, grid_y=3, count=5)
 
+    @pytest.mark.parametrize("kind", ["identity", "biased_noise"])
+    def test_negative_seed(self, kind):
+        # default_rng would reject it only inside build; the spec does for every kind
+        params = dict(magnitude=1.0) if kind == "biased_noise" else {}
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            AugmentationSpec(kind=kind, seed=-5, **params)
+
     def test_parameter_the_kind_does_not_use(self):
         # the spec would otherwise describe itself with copies=5 while the
         # strategy it builds ignores them

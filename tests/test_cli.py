@@ -295,6 +295,30 @@ class TestStudentFiles:
         assert code == EXIT_CONFIG
         assert "student_01.mlp: student has r=8 d=15 c=5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("history,needle", [
+        ("step,loss,lr\n", "at least one row"),
+        ("step,loss,lr\n0,1.0,0.02\n40,garbled\n", "unreadable training history"),
+    ], ids=["header_only", "garbled_row"])
+    def test_unreadable_kept_history_is_a_config_error(self, workdir, queries, capsys,
+                                                       monkeypatch, history, needle):
+        # found with the kept model files, before slot 2 trains
+        out = workdir / f"bad_history_{len(history)}"
+        self.copy_queries(queries, out)
+        self.write_students(out, [(8, 16, 5), (8, 16, 5)])
+        (out / "students" / "student_01.history.csv").write_text(history)
+        real, calls = train.train_student, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(train, "train_student", counting)
+        assert run(workdir, "train-students", out, "--resume") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "student_01.history.csv" in err and needle in err
+        assert calls == []
+        assert not (out / "students" / "student_02.mlp").exists()
+
 
 class TestPipeline:
     def test_runs_end_to_end_and_is_deterministic(self, workdir):
@@ -324,13 +348,33 @@ class TestPipeline:
         assert not out.exists()
 
     def test_adam_beta1_of_one_is_a_config_error(self, workdir):
-        # bias correction divides by 1 - beta1**t = 0: not a training divergence
+        # Adam's constants are fixed in code, so a key for one is unknown
         config = workdir / "beta1.ini"
         config.write_text((workdir / "run.ini").read_text().replace(
             "[students]\n", "[students]\nadam_beta1 = 1.0\n"))
         out = workdir / "never3"
         code = main(["pipeline", "--config", str(config), "--out", str(out)])
         assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edits,needle", [
+        ([("seed = 0\n", "seed = -1\n")], "[teacher] seed must be >= 0"),
+        ([("[query]\n", "[query]\nseed = -5\n")], "[query] seed must be >= 0"),
+        # the teacher's subset is drawn with the run seed itself
+        ([("seed = 0\n", "seed = -1\n"), ("hidden = 2\n", "hidden = 2\nsubset = 500\n")]
+         + [(f"[{name}]\n", f"[{name}]\nseed = 3\n")
+            for name in ("teacher", "query", "students", "reconstruct")],
+         "[run] seed must be >= 0"),
+    ], ids=["run", "query", "run_with_section_seeds"])
+    def test_negative_seed_is_a_config_error(self, workdir, capsys, edits, needle):
+        text = (workdir / "run.ini").read_text()
+        for old, new in edits:
+            text = text.replace(old, new)
+        config = workdir / "negative_seed.ini"
+        config.write_text(text)
+        out = workdir / "never_negative_seed"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert needle in capsys.readouterr().err
         assert not out.exists()
 
     def test_truncated_images_file_is_a_format_error(self, workdir, capsys):

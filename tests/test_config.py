@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -78,8 +78,7 @@ class TestParsing:
 
     def test_every_field_reaches_the_parsed_config(self):
         # one key per dataclass field, none at its default: nothing is dropped or retyped
-        train = dict(learning_rate=0.5, batch_size=3, max_steps=7, adam_beta1=0.5,
-                     adam_beta2=0.25, adam_eps=1e-06, plateau_patience=4,
+        train = dict(learning_rate=0.5, batch_size=3, max_steps=7, plateau_patience=4,
                      plateau_factor=0.125, plateau_min_lr=1e-09, plateau_threshold=0.01,
                      eval_every=11, target_loss=1e-05, seed=99)
         assert [f.name for f in fields(TrainConfig)] == list(train)
@@ -131,10 +130,21 @@ class TestValidation:
         (GOOD.replace("strategy = biased_noise", "strategy = uniform_noise\ncopies = 1\n"
                       "lo = -1e308\nhi = 1e308").replace("magnitude = 1.0\n", ""),
          "[query] uniform_noise needs a finite hi - lo"),
-        # 0/0 at step 0 on a constant input pixel: a config error, not a divergence
+        # Adam's constants are fixed in code, so no section has a key for them
         (GOOD.replace("max_steps = 5000", "max_steps = 5000\nadam_eps = 0"),
-         "[students] adam_eps must be positive"),
+         "[students] unknown key(s): adam_eps"),
         (GOOD.replace("strategy = biased_noise", "strategy = mixup"), "mixup"),
+        # default_rng would reject a negative seed only once its stage runs; the
+        # teacher's seed defaults to the run seed and is checked first
+        (GOOD.replace("seed = 7", "seed = -1"), "[teacher] seed must be >= 0, got -1"),
+        (GOOD.replace("base_subset = 256", "base_subset = 256\nseed = -5"),
+         "[query] seed must be >= 0, got -5"),
+        (GOOD.replace("rho = 4", "rho = 4\nseed = -5"), "[students] seed must be >= 0, got -5"),
+        # the CLI draws the teacher's subset with the run seed itself
+        (GOOD.replace("seed = 7", "seed = -1").replace("hidden = 4", "hidden = 4\nseed = 3")
+         .replace("base_subset = 256", "base_subset = 256\nseed = 3")
+         .replace("rho = 4", "rho = 4\nseed = 3").replace("beta = 3.0", "beta = 3.0\nseed = 3"),
+         "[run] seed must be >= 0, got -1"),
         (GOOD.replace("magnitude = 1.0", "magnitude = 1.0\ncopies = 5"),
          "[query] biased_noise does not use copies"),
         # "train" labels the query-set rows that losses.csv always holds
@@ -164,6 +174,11 @@ class TestValidation:
                  ReconstructConfig: dict(fine_tune=train)}[cls]
         with pytest.raises(ValueError, match=needle):
             cls(**given, **values)
+
+    def test_experiment_config_rejects_negative_run_seed(self):
+        cfg = parse_config(GOOD)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            replace(cfg, seed=-1)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as info:

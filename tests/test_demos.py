@@ -4,7 +4,8 @@ Each quick demo runs from a copy in a temporary directory, so the CSVs that
 demo 03 writes next to itself land there and not in the repository. Demos 04
 and 05 take about a minute each, so they and the README example are only
 parsed: every `nr.<name>` they use must exist, and every call must bind to
-its signature. The README's example config must parse.
+its signature. The README's example config must parse, and its list of
+training keys must match `TrainConfig`.
 """
 
 import ast
@@ -14,11 +15,13 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import netrecon
+from netrecon import reconstruct, train
 from netrecon.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,3 +86,15 @@ def test_readme_config_parses():
     assert len(blocks) == 1
     cfg = parse_config(blocks[0], source="README.md")
     assert (cfg.teacher.subset, cfg.query.spec.kind) == (5000, "biased_noise")
+
+
+def test_readme_training_keys_match_train_config():
+    readme = (ROOT / "README.md").read_text()
+    paragraph = " ".join(readme.split("Every training section accepts")[1]
+                         .split("\n\n")[0].split())
+    named = re.findall(r"`(\w+)`", paragraph.split(". ")[0])
+    assert named == [f.name for f in fields(train.TrainConfig)] + ["TrainConfig"]
+    adam = re.search(r"beta1 = (\S+), beta2 = (\S+) and eps = (\S+);", paragraph)
+    assert tuple(map(float, adam.groups())) == (train._BETA1, train._BETA2, train._EPS)
+    floor = re.search(r"norm is below (\S+),", paragraph)
+    assert float(floor.group(1)) == reconstruct._MIN_NORM

@@ -10,7 +10,7 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, TruncatedFileError
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:
@@ -52,9 +52,10 @@ def atomic_write_csv(path: str, header: str, rows) -> None:
 
 
 # Container layout (all integers little-endian):
-#   magic | u32 version | one u64 per header field | body parts
+#   magic | u32 version | one u64 per header field | byte prefix | float64-LE body
 #   u32 crc32 over everything after the magic
-# A part is written as given when it is bytes, as float64-LE when it is an array.
+# write_container writes each part as given when it is bytes, as float64-LE
+# when it is an array; read_container reads the bytes, then one float array.
 
 def write_container(path: str, magic: bytes, version: int, fields, *parts) -> None:
     chunks = [struct.pack(f"<I{len(fields)}Q", version, *fields)]
@@ -66,25 +67,56 @@ def write_container(path: str, magic: bytes, version: int, fields, *parts) -> No
     atomic_write_bytes(path, magic, *chunks, struct.pack("<I", crc))
 
 
-def read_container(path: str, magic: bytes, version: int, n_fields: int, kind: str,
-                   body_size) -> tuple[list[int], memoryview]:
-    """Header fields and body of a container; `body_size(*fields)` is the body's byte count.
+def check_size(f, size: int, path: str, kind: str) -> None:
+    """Match the bytes left in the open file `f` against the `size` its header announces.
 
-    A wrong magic, version, file size or checksum raises FormatError naming `kind`.
+    Runs before the payload is read or allocated, so a corrupt header can
+    neither ask for more memory than the file holds nor load a part of it.
+    """
+    available = os.fstat(f.fileno()).st_size - f.tell()
+    if available < size:
+        raise TruncatedFileError(f"{path}: header announces {size} bytes of {kind}, "
+                                 f"file holds {available}")
+    if available > size:
+        raise FormatError(f"{path}: {available - size} bytes after the {size} bytes of "
+                          f"{kind} the header announces")
+
+
+def read_exact(f, buf, path: str, kind: str):
+    """Fill the writable buffer `buf` from `f` and return it.
+
+    A short read, as from a file that shrank after it was sized, raises
+    TruncatedFileError.
+    """
+    view = memoryview(buf).cast("B")
+    if f.readinto(view) != view.nbytes:
+        raise TruncatedFileError(f"{path}: truncated {kind} file")
+    return buf
+
+
+def read_container(path: str, magic: bytes, version: int, n_fields: int, kind: str,
+                   layout) -> tuple[list[int], bytearray, np.ndarray]:
+    """Header fields, byte prefix and read-only float64 body of a container.
+
+    `layout(*fields)` gives the prefix's byte count and the body's float
+    count. The file size is checked against them before the body is read,
+    and the body is read once, straight into the array returned. A wrong
+    magic, version, size or checksum raises FormatError naming `kind`.
     """
     with open(path, "rb") as f:
-        raw = memoryview(f.read())
-    start = len(magic) + struct.calcsize(f"<I{n_fields}Q")
-    if len(raw) < start + 4:
-        raise FormatError(f"{path}: truncated {kind} file")
-    if raw[:len(magic)] != magic:
-        raise FormatError(f"{path}: bad magic, not a {kind} file")
-    found, *fields = struct.unpack_from(f"<I{n_fields}Q", raw, len(magic))
-    if found != version:
-        raise FormatError(f"{path}: unsupported {kind} version {found}")
-    if len(raw) != start + body_size(*fields) + 4:
-        raise FormatError(f"{path}: payload size {len(raw)} does not match header {fields}")
-    (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if crc != zlib.crc32(raw[len(magic):-4]):
+        head = read_exact(f, bytearray(len(magic) + struct.calcsize(f"<I{n_fields}Q")),
+                          path, kind)
+        if head[:len(magic)] != magic:
+            raise FormatError(f"{path}: bad magic, not a {kind} file")
+        found, *fields = struct.unpack_from(f"<I{n_fields}Q", head, len(magic))
+        if found != version:
+            raise FormatError(f"{path}: unsupported {kind} version {found}")
+        n_prefix, n_floats = layout(*fields)
+        check_size(f, n_prefix + 8 * n_floats + 4, path, kind)
+        prefix = read_exact(f, bytearray(n_prefix), path, kind)
+        floats = read_exact(f, np.empty(n_floats, dtype="<f8"), path, kind)
+        (crc,) = struct.unpack("<I", read_exact(f, bytearray(4), path, kind))
+    if crc != zlib.crc32(floats, zlib.crc32(prefix, zlib.crc32(head[len(magic):]))):
         raise FormatError(f"{path}: checksum mismatch")
-    return fields, raw[start:-4]
+    floats.flags.writeable = False
+    return fields, prefix, floats

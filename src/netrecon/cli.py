@@ -111,6 +111,15 @@ def _load_student(path: str, r: int, qs) -> Mlp:
     return net
 
 
+def _load_teacher(path: str, qs) -> Mlp:
+    """The teacher model file, which must take the query set's d and give its c."""
+    net = load_mlp(path)
+    if (net.d, net.c) != (qs.d, qs.c):
+        raise ConfigError(f"{path}: teacher has d={net.d} c={net.c}, but the "
+                          f"query set has d={qs.d} c={qs.c}")
+    return net
+
+
 def _read_history(path: str) -> list[HistoryPoint]:
     """A student's history file as written by `cmd_train_students`: a header
     and at least one (step, loss, lr) row."""
@@ -199,7 +208,7 @@ def _scatter_inputs(cfg: ExperimentConfig, out_dir: str, qs) -> tuple[Mlp, list]
     """The teacher and the (name, standardized inputs) sets that losses.csv scores."""
     teacher_path = os.path.join(out_dir, "teacher.mlp")
     _require_files(teacher_path)
-    teacher = load_mlp(teacher_path)
+    teacher = _load_teacher(teacher_path, qs)
     _, mean, std = _teacher_training_set(cfg)
     eval_sets = [("train", qs.inputs)]
     for name, images_path, labels_path in cfg.eval_sets:
@@ -242,8 +251,8 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
     teacher_path = os.path.join(out_dir, "teacher.mlp")
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(teacher_path, queries_path)
-    teacher = load_mlp(teacher_path)
     qs = load_queryset(queries_path)
+    teacher = _load_teacher(teacher_path, qs)
     n = cfg.students.n
     r_student = cfg.students.rho * cfg.teacher.hidden
     paths = [_student_files(out_dir, i)[0] for i in range(n)]

@@ -6,15 +6,14 @@ network returned for them), which is the training corpus for imitators.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, replace
 from math import prod
 
 import numpy as np
 
-from ._io import atomic_write_bytes, read_container, write_container
-from .errors import ConsistencyError, DegenerateDataError, FormatError, TruncatedFileError
+from ._io import atomic_write_bytes, check_size, read_container, read_exact, write_container
+from .errors import ConsistencyError, DegenerateDataError, FormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -107,32 +106,18 @@ class QuerySet:
         return self.targets.shape[1]
 
 
-def _read_idx(path: str, magic: int, n_dims: int, kind: str) -> tuple[list[int], bytes]:
+def _read_idx(path: str, magic: int, n_dims: int, kind: str) -> tuple[list[int], bytearray]:
     """Header dimensions and payload of one IDX file of unsigned bytes.
 
-    The file size must match the header exactly and is checked before the
-    payload is read, so a corrupt header can neither ask for more memory than
-    the file holds nor silently load a subset of it.
+    The file size must match the header exactly (see `_io.check_size`).
     """
     with open(path, "rb") as f:
-        head = f.read(4 * (1 + n_dims))
-        if len(head) < 4 * (1 + n_dims):
-            raise TruncatedFileError(f"{path}: truncated {kind} header")
+        head = read_exact(f, bytearray(4 * (1 + n_dims)), path, kind)
         found, *dims = struct.unpack(f">{1 + n_dims}I", head)
         if found != magic:
             raise FormatError(f"{path}: bad {kind} magic 0x{found:08x}")
-        size = prod(dims)
-        available = os.fstat(f.fileno()).st_size - len(head)
-        if available < size:
-            raise TruncatedFileError(
-                f"{path}: header announces {size} bytes of {kind}, file holds {available}"
-            )
-        if available > size:
-            raise FormatError(
-                f"{path}: {available - size} bytes after the {size} bytes of {kind}"
-                " the header announces"
-            )
-        return dims, f.read(size)
+        check_size(f, prod(dims), path, kind)
+        return dims, read_exact(f, bytearray(prod(dims)), path, kind)
 
 
 def load_idx(images_path: str, labels_path: str, name: str | None = None) -> ImageDataset:
@@ -223,15 +208,12 @@ def save_queryset(qs: QuerySet, path: str) -> None:
 
 
 def load_queryset(path: str) -> QuerySet:
-    (Q, d, c, n_prov), body = read_container(path, QUERYSET_MAGIC, QUERYSET_VERSION, 4,
-                                             "query-set", lambda Q, d, c, n: n + 8 * Q * (d + c))
+    (Q, d, c, _), prov, floats = read_container(path, QUERYSET_MAGIC, QUERYSET_VERSION, 4,
+                                                "query-set", lambda Q, d, c, n: (n, Q * (d + c)))
     try:
-        floats = np.frombuffer(body, dtype="<f8", offset=n_prov)
-        return QuerySet(
-            inputs=floats[:Q * d].reshape(Q, d).astype(np.float64),
-            targets=floats[Q * d:].reshape(Q, c).astype(np.float64),
-            provenance=bytes(body[:n_prov]).decode("utf-8"),
-        )
+        return QuerySet(inputs=floats[:Q * d].reshape(Q, d),
+                        targets=floats[Q * d:].reshape(Q, c),
+                        provenance=prov.decode("utf-8"))
     except ValueError as exc:  # zero dims or a provenance that is not UTF-8
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -8,6 +8,7 @@ resolve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -113,7 +114,8 @@ class Mlp:
     def _adopt(self, theta):
         if theta.shape != (self.n_params,):
             raise ValueError(f"theta must have shape ({self.n_params},), got {theta.shape}")
-        if not np.all(np.isfinite(theta)):
+        # min and max propagate nan; unlike isfinite(theta) they allocate nothing
+        if not (isfinite(theta.min()) and isfinite(theta.max())):
             raise ValueError("parameters contain non-finite entries")
         theta.flags.writeable = False
         for name, value in zip(("theta", "W", "b", "A", "c_out"), (theta, *self.blocks(theta))):
@@ -235,9 +237,9 @@ def save_mlp(net: Mlp, path: str) -> None:
 
 
 def load_mlp(path: str) -> Mlp:
-    (r, d, c), body = read_container(path, MODEL_MAGIC, MODEL_VERSION, 3, "model",
-                                     lambda r, d, c: 8 * (r * d + r + c * r + c))
+    (r, d, c), _, theta = read_container(path, MODEL_MAGIC, MODEL_VERSION, 3, "model",
+                                         lambda r, d, c: (0, r * d + r + c * r + c))
     try:
-        return Mlp.from_flat(np.frombuffer(body, dtype="<f8").astype(np.float64), r, d, c)
+        return Mlp.from_flat(theta, r, d, c)
     except ValueError as exc:  # zero dims or non-finite parameters
         raise FormatError(f"{path}: {exc}") from exc

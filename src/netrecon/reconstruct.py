@@ -22,13 +22,20 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import squareform
 
 from .data import QuerySet
-from .errors import EmptyReconstructionError
+from .errors import ConfigError, EmptyReconstructionError
 from .network import Mlp
 from .train import HistoryPoint, TrainConfig, fit_mse
 
 
 # rows of each upper-triangle Gram block: 512 x n float64 at a time
 _GRAM_ROWS = 512
+# bytes clustering may spend on its edge lists or on one component's distance
+# matrices; a cut loose enough to need more is refused. Fixed, not sized to the
+# machine, so the same config is refused everywhere.
+_CLUSTER_BYTES = 1 << 30
+# peak bytes per edge while the components are found (the int64 head and tail
+# lists, the COO weights, scipy's CSR copies): about 60 measured at 4,096 rows
+_EDGE_BYTES = 64
 # [w; b] norm below which a neuron carries no usable direction
 _MIN_NORM = 1e-12
 
@@ -128,6 +135,35 @@ def extract_neurons(students: Sequence[Mlp | None]) -> Neurons:
     )
 
 
+def _check_budget(nbytes: int, what: str, beta: float) -> None:
+    if nbytes > _CLUSTER_BYTES:
+        raise ConfigError(f"beta = {beta} joins {what}; clustering would need about "
+                          f"{nbytes} bytes, over the {_CLUSTER_BYTES}-byte budget")
+
+
+def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
+    """Connected component of each row in the graph of pairs with 1 - cos <= tau.
+
+    The edges come from upper-triangle Gram row blocks; their running count
+    is held to the byte budget, and the edge lists are freed on return.
+    """
+    n = len(dirs)
+    # the slack lets a last-bit difference between this product and a
+    # component's own only join two components, never split a cluster
+    min_gram = 1.0 - tau * (1.0 + 1e-6)
+    heads, tails = [np.arange(n)], [np.arange(n)]  # self-loops keep the lists non-empty
+    edges = n
+    for i in range(0, n, _GRAM_ROWS):
+        head, tail = np.nonzero(dirs[i:i + _GRAM_ROWS] @ dirs[i:].T >= min_gram)
+        edges += len(head)
+        _check_budget(_EDGE_BYTES * edges, f"{edges} pairs of neurons", beta)
+        heads.append(head + i)
+        tails.append(tail + i)
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    graph = coo_array((np.ones(len(heads)), (heads, tails)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
 def cluster_neurons(neurons: Neurons, n_students: int,
                     gamma: float, beta: float) -> ClusterResult:
     """Group neuron directions by average-linkage clustering under cosine distance.
@@ -138,7 +174,9 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     edges are the pairs with 1 - cos <= tau. The components come from row
     blocks of the upper-triangle Gram matrix; average linkage then runs on
     each component's own square distance matrix, so memory grows with the
-    largest component, not with n**2. Clusters spanning at least
+    edge count and the largest component, not with n**2. A cut so loose
+    that either would need more than `_CLUSTER_BYTES` raises ConfigError
+    before it is allocated. Clusters spanning at least
     ceil(gamma * n_students) distinct students are accepted. Deterministic:
     clusters are numbered by their lowest member row.
     """
@@ -149,22 +187,14 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     tau = 10.0 ** (-beta)
     n = len(neurons)
     dirs = neurons.directions
-    # the slack lets a last-bit difference between this product and a
-    # component's own only join two components, never split a cluster
-    min_gram = 1.0 - tau * (1.0 + 1e-6)
-    heads, tails = [np.arange(n)], [np.arange(n)]  # self-loops keep the lists non-empty
-    for i in range(0, n, _GRAM_ROWS):
-        head, tail = np.nonzero(dirs[i:i + _GRAM_ROWS] @ dirs[i:].T >= min_gram)
-        heads.append(head + i)
-        tails.append(tail + i)
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    graph = coo_array((np.ones(len(heads)), (heads, tails)), shape=(n, n))
-    _, component = connected_components(graph, directed=False)
+    component = _components(dirs, tau, beta)
     # component * n + cluster within it: distinct for distinct (component, cluster)
     labels = component.astype(np.int64) * n
     order = np.argsort(component, kind="stable")
     for rows in np.split(order, np.cumsum(np.bincount(component))[:-1]):
         if len(rows) > 1:
+            # the square matrix plus its condensed copy, before either exists
+            _check_budget(12 * len(rows) ** 2, f"{len(rows)} neurons into one component", beta)
             # one square matrix at a time: built in place, freed before linkage copies
             dist = dirs[rows] @ dirs[rows].T
             np.subtract(1.0, dist, out=dist)

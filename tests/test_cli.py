@@ -254,6 +254,27 @@ class TestStudentFiles:
         assert f"student_01.mlp: student has r={r} d={d} c={c}" in err
         assert "need r=8 d=16 c=5" in err
 
+    @pytest.mark.parametrize("command", ["train-students", "reconstruct"])
+    def test_teacher_that_does_not_fit_the_queries_is_a_config_error(
+            self, workdir, queries, capsys, monkeypatch, command):
+        # the query set has d=16 and c=5; this teacher gives c=3
+        out = workdir / f"teacher_c3_{command}"
+        self.copy_queries(queries, out)
+        self.write_students(out, [(8, 16, 5)] * 3)
+        save_mlp(init_mlp(2, 16, 3), str(out / "teacher.mlp"))
+        real, calls = train.train_student, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(train, "train_student", counting)
+        assert run(workdir, command, out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "teacher.mlp: teacher has d=16 c=3, but the query set has d=16 c=5" in err
+        assert calls == []
+        assert not (out / "losses.csv").exists() and not (out / "report.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_config_error(self, workdir, queries, capsys, jobs):
         out = workdir / f"jobs_{jobs}"

@@ -8,8 +8,9 @@ import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
+from netrecon import reconstruct
 from netrecon.data import QuerySet
-from netrecon.errors import EmptyReconstructionError
+from netrecon.errors import ConfigError, EmptyReconstructionError
 from netrecon.network import Mlp, forward
 from netrecon.reconstruct import (
     ClusterResult,
@@ -289,6 +290,27 @@ class TestClusterNeurons:
             tracemalloc.stop()
         assert peak < 128 * 2**20
         assert len(result.accepted) == len(neurons)  # random directions stay apart
+
+    def test_edges_over_the_byte_budget_are_refused(self, monkeypatch):
+        # beta = 0 joins every pair with cos >= 0: about n**2 / 4 edges for 512 rows
+        neurons = random_pool(np.random.default_rng(14), n_students=8, width=64, dim=20)
+        monkeypatch.setattr(reconstruct, "_CLUSTER_BYTES", 1 << 20)
+        with pytest.raises(ConfigError, match=r"beta = 0.0 joins \d+ pairs of neurons; "
+                                              r"clustering would need about \d+ bytes"):
+            cluster_neurons(neurons, 8, gamma=0.25, beta=0.0)
+        assert len(cluster_neurons(neurons, 8, gamma=0.25, beta=3.0).accepted) == 512
+
+    def test_component_over_the_byte_budget_is_refused(self, monkeypatch):
+        # directions 0.03 rad apart on a circle: 99 edges chain 100 rows into one component
+        angles = 0.03 * np.arange(100)
+        neurons = Neurons(directions=np.column_stack([np.cos(angles), np.sin(angles),
+                                                      np.zeros(100)]),
+                          norms=np.ones(100), outgoing=np.zeros((100, 1)),
+                          student=np.arange(100) % 4, index=np.arange(100) // 4)
+        monkeypatch.setattr(reconstruct, "_CLUSTER_BYTES", 64 << 10)
+        with pytest.raises(ConfigError, match="beta = 3.0 joins 100 neurons into one "
+                                              "component; clustering would need about 120000"):
+            cluster_neurons(neurons, 4, gamma=0.75, beta=3.0)
 
 
 class TestDenseEquivalence:

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netrecon
 from netrecon import train
 from netrecon.augment import AugmentationSpec, build
 from netrecon.data import make_synthetic_classification, standardize
@@ -313,9 +318,9 @@ class TestEnsemble:
         widths = []
         real = train.ProcessPoolExecutor
 
-        def recording(max_workers):
+        def recording(max_workers, **kwargs):
             widths.append(max_workers)
-            return real(max_workers=min(max_workers, 2))
+            return real(max_workers=min(max_workers, 2), **kwargs)
 
         monkeypatch.setattr(train, "ProcessPoolExecutor", recording)
         pooled = list(iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1], jobs=8))
@@ -328,6 +333,73 @@ class TestEnsemble:
     def test_jobs_below_one_rejected(self, tiny_queries, jobs):
         with pytest.raises(ValueError, match="jobs"):
             next(iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1], jobs=jobs))
+
+
+# Two d=784 students; the targets are drawn, not computed by a teacher's
+# forward, so the query set itself does not depend on the BLAS thread count.
+PAPER_WIDTH_STUDENTS = """
+import hashlib, sys
+import numpy as np
+from netrecon.data import QuerySet
+from netrecon.train import TrainConfig, iter_students
+rng = np.random.default_rng(0)
+qs = QuerySet(inputs=rng.standard_normal((512, 784)), targets=rng.standard_normal((512, 3)))
+cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_steps=8, eval_every=2, seed=5)
+for i, net, history, _ in iter_students(qs, 64, cfg, [0, 1], jobs=int(sys.argv[1])):
+    print(i, hashlib.sha256(net.theta.tobytes()).hexdigest(), repr(history))
+"""
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas_threads(self):
+        calls = train._blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not bundle a scipy-openblas with thread-count calls")
+        set_threads, get_threads = calls
+        caller = get_threads()
+        yield set_threads, get_threads
+        set_threads(caller)
+
+    def test_paper_width_bytes_independent_of_jobs_and_inherited_threads(self):
+        src = str(Path(netrecon.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            for jobs in ("1", "2"):  # one run at a time: at most 2 trainers at once
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                    p for p in (src, os.environ.get("PYTHONPATH")) if p))
+                done = subprocess.run([sys.executable, "-c", PAPER_WIDTH_STUDENTS, jobs],
+                                      env=env, capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+                outputs[threads, jobs] = done.stdout
+        assert outputs["1", "1"].count("\n") == 2
+        assert len(set(outputs.values())) == 1, outputs
+
+    def test_serial_training_pins_one_thread_and_restores_the_caller(
+            self, tiny_queries, blas_threads, monkeypatch):
+        set_threads, get_threads = blas_threads
+        set_threads(3)
+        during, real = [], train.train_student
+
+        def recording(*args):
+            during.append(get_threads())
+            return real(*args)
+
+        monkeypatch.setattr(train, "train_student", recording)
+        seen = [get_threads() for _ in iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1])]
+        assert during == [1, 1]
+        assert seen == [3, 3]
+        assert get_threads() == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_without_the_thread_calls_training_gives_the_same_bytes(
+            self, tiny_queries, monkeypatch, jobs):
+        pinned = list(iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1], jobs=jobs))
+        monkeypatch.setattr(train, "_BLAS_SET", "no_such_symbol")
+        assert train._blas_thread_calls() is None
+        unpinned = list(iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1], jobs=jobs))
+        assert [(i, net.theta.tobytes(), h) for i, net, h, _ in unpinned] == \
+            [(i, net.theta.tobytes(), h) for i, net, h, _ in pinned]
 
 
 class TestInvariants:

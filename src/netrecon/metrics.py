@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write_csv
-from .network import Mlp, _preactivations, forward, mse_loss
+from .network import Mlp, _outputs, _preactivations, mse_loss
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +45,7 @@ class Histogram:
 def imitation_loss(student: Mlp, teacher: Mlp, X: np.ndarray) -> float:
     """Mean squared difference between the two networks' logits over X."""
     X = np.asarray(X, dtype=np.float64)
-    return mse_loss(student, X, forward(teacher, X).out)
+    return mse_loss(student, X, _outputs(teacher, X))
 
 
 def preactivation_variability(net: Mlp, X: np.ndarray) -> VariabilityStats:
@@ -81,15 +81,13 @@ def scatter_table(teacher: Mlp, students: list[Mlp | None],
     Rows are (student_index, dataset_name, Q, loss); plotting train loss
     against a differently-distributed set's loss from this table is the
     quickest overfitting check. `student_index` is the student's slot in
-    `students`; missing (None) students get no rows.
+    `students`; missing (None) students get no rows. The teacher's logits are
+    computed once per set, not once per pair.
     """
-    rows = []
-    for i, student in enumerate(students):
-        if student is None:
-            continue
-        for name, X in eval_sets:
-            rows.append((i, name, X.shape[0], imitation_loss(student, teacher, X)))
-    return rows
+    labelled = [(name, X, _outputs(teacher, X)) for name, X in eval_sets]
+    return [(i, name, X.shape[0], mse_loss(student, X, Y))
+            for i, student in enumerate(students) if student is not None
+            for name, X, Y in labelled]
 
 
 def write_losses_csv(rows: list[tuple[int, str, int, float]], path: str) -> None:

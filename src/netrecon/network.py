@@ -18,6 +18,11 @@ from .errors import FormatError
 MODEL_MAGIC = b"NRML"
 MODEL_VERSION = 1
 
+# rows per block of an outputs-only pass (see `_outputs`). Fixed in code, never
+# derived from the machine, and large: OpenBLAS multiplies blocks of 1-64 rows
+# at d=784 with other kernels, whose last bits differ from the whole set's.
+_ROWS = 1024
+
 
 def _activate(z: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """softplus(z) + sigmoid(4z) and, if `slope`, its derivative, from one exp.
@@ -149,12 +154,17 @@ class ForwardTrace:
     slope: np.ndarray | None = None  # (batch, r) activation_prime(pre), gradient passes only
 
 
-def _preactivations(net: Mlp, X: np.ndarray) -> np.ndarray:
-    """W x + b for each row x of X."""
+def _inputs(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """X as float64, checked to hold one input point of `net` per row."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.d:
         raise ValueError(f"X must have shape (batch, {net.d}), got {X.shape}")
-    return X @ net.W.T + net.b
+    return X
+
+
+def _preactivations(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """W x + b for each row x of X."""
+    return _inputs(net, X) @ net.W.T + net.b
 
 
 def _forward(net: Mlp, X: np.ndarray, slope: bool) -> ForwardTrace:
@@ -167,6 +177,26 @@ def _forward(net: Mlp, X: np.ndarray, slope: bool) -> ForwardTrace:
 def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
     """Batched forward pass; X has one input point per row. The trace has no slope."""
     return _forward(net, X, slope=False)
+
+
+def _outputs(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """The logits `forward` returns for X, with the same bytes, in row blocks.
+
+    Blocks have `_ROWS` rows and any remainder joins the last one, so each has
+    at least `_ROWS` rows and fewer than 2 * `_ROWS` rows take one block. Only
+    one block's hidden-layer arrays are alive at a time: the peak does not
+    grow with Q, apart from the (Q, c) result.
+    """
+    X = _inputs(net, X)
+    n = X.shape[0]
+    blocks = max(n // _ROWS, 1)
+    out = np.empty((n, net.c))
+    for i in range(blocks):
+        rows = slice(i * _ROWS, n if i == blocks - 1 else (i + 1) * _ROWS)
+        hidden = _activate(_preactivations(net, X[rows]), slope=False)[0]
+        out[rows] = hidden @ net.A.T + net.c_out
+        del hidden  # so the next block's four arrays are the only ones alive
+    return out
 
 
 def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
@@ -199,7 +229,7 @@ def _mse(out: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
 
 def mse_loss(net: Mlp, X: np.ndarray, Y: np.ndarray) -> float:
     """Imitation loss: (1/Q) sum over rows of the squared error summed over outputs."""
-    return _mse(forward(net, X).out, Y)[1]
+    return _mse(_outputs(net, X), Y)[1]
 
 
 def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:

@@ -24,7 +24,7 @@ from scipy.spatial.distance import squareform
 from .data import QuerySet
 from .errors import ConfigError, EmptyReconstructionError
 from .network import Mlp
-from .train import HistoryPoint, TrainConfig, fit_mse
+from .train import HistoryPoint, TrainConfig, _one_blas_thread, fit_mse
 
 
 # rows of each upper-triangle Gram block: 512 x n float64 at a time
@@ -247,10 +247,11 @@ def collapse(result: ClusterResult, d: int, c: int,
 
 def fine_tune(net: Mlp, qs: QuerySet,
               cfg: TrainConfig) -> tuple[Mlp, list[HistoryPoint]]:
-    """Polish a collapsed net on the original teacher queries."""
+    """Polish a collapsed net on the original teacher queries, with one BLAS thread."""
     if net.d != qs.d or net.c != qs.c:
         raise ValueError("net dimensions do not match the query set")
-    return fit_mse(net, qs, cfg)
+    with _one_blas_thread():
+        return fit_mse(net, qs, cfg)
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:

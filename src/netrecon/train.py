@@ -23,9 +23,9 @@ from .errors import DivergenceError
 from .network import (
     Mlp,
     _forward,
+    _outputs,
     backprop_from_dout,
     backward_mse,
-    forward,
     init_mlp,
     mse_loss,
 )
@@ -165,7 +165,7 @@ def _softmax_ce(net: Mlp, X: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray
 
 def accuracy(net: Mlp, ds: ImageDataset) -> float:
     """Fraction of samples whose argmax logit equals the label."""
-    pred = forward(net, ds.images).out.argmax(axis=1)
+    pred = _outputs(net, ds.images).argmax(axis=1)
     return float(np.mean(pred == ds.labels))
 
 
@@ -227,24 +227,28 @@ def train_teacher(ds: ImageDataset, r: int, cfg: TrainConfig) -> tuple[Mlp, list
     """Fit a width-r classifier on a standardized labeled dataset.
 
     Deterministic under cfg.seed: the same config trains bit-identical
-    teachers. Returns the net and the (step, loss, lr) history.
+    teachers, with one BLAS thread whatever the machine's core count. Returns
+    the net and the (step, loss, lr) history.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     n_classes = int(ds.labels.max()) + 1
     net = init_mlp(r, ds.d, n_classes, seed=cfg.seed)
     X, labels = ds.images, ds.labels
-    return _fit(
-        net, X,
-        grad_fn=lambda m, idx: _softmax_ce(m, X[idx], labels[idx]),
-        eval_fn=lambda m: _cross_entropy(forward(m, X).out, labels)[0],
-        cfg=cfg,
-    )
+    with _one_blas_thread():
+        return _fit(
+            net, X,
+            grad_fn=lambda m, idx: _softmax_ce(m, X[idx], labels[idx]),
+            eval_fn=lambda m: _cross_entropy(_outputs(m, X), labels)[0],
+            cfg=cfg,
+        )
 
 
 def query_teacher(teacher: Mlp, aug: AugmentedSet) -> QuerySet:
-    """Label query inputs with the teacher's raw (pre-softmax) logits."""
-    targets = forward(teacher, aug.inputs).out
+    """Label query inputs with the teacher's raw (pre-softmax) logits, computed
+    with one BLAS thread."""
+    with _one_blas_thread():
+        targets = _outputs(teacher, aug.inputs)
     return QuerySet(inputs=aug.inputs, targets=targets,
                     provenance=aug.spec.describe())
 
@@ -328,7 +332,8 @@ def _one_blas_thread():
     """Run the body with one BLAS thread, then restore the caller's count.
 
     Multithreaded BLAS sums in an order that depends on the thread count, so
-    pinning it makes student bytes independent of the machine's core count.
+    pinning it makes the bytes of teachers, query targets, students and
+    fine-tunes independent of the machine's core count.
     """
     calls = _blas_thread_calls()
     if calls is None:
@@ -376,10 +381,8 @@ def iter_students(qs: QuerySet, r_student: int, cfg: TrainConfig, indices,
     width (d=784, r=2048) is therefore about 25% slower per step than with
     the default threads (99.9 against 79.7 ms on 2 cores). With `jobs` = 1
     the pin holds only while a student trains: the caller's thread count is
-    back in force at each yield and after the last one. Teacher training,
-    `query_teacher` and the fine-tune run at the caller's thread count, so at
-    d=784 their bytes can still differ between machines with different core
-    counts.
+    back in force at each yield and after the last one. `train_teacher`,
+    `query_teacher` and `reconstruct.fine_tune` pin one thread the same way.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

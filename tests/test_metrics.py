@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from netrecon import metrics
 from netrecon.metrics import (
     imitation_loss,
     preactivation_histogram,
@@ -139,6 +140,19 @@ class TestScatterTable:
         assert {student for student, _, _, _ in rows} == {1, 2}
         dense = scatter_table(teacher, [a, b], sets)
         assert [row[1:] for row in rows] == [row[1:] for row in dense]
+
+    def test_each_loss_equals_the_pair_loss_with_one_teacher_pass_per_set(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        teacher = random_net(rng)
+        students = [random_net(rng), None, random_net(rng), random_net(rng)]
+        sets = [("train", rng.normal(size=(8, 5))), ("ood", rng.normal(size=(6, 5)))]
+        expected = [(i, name, X.shape[0], imitation_loss(s, teacher, X))
+                    for i, s in enumerate(students) if s is not None for name, X in sets]
+        passes, real = [], metrics._outputs
+        monkeypatch.setattr(metrics, "_outputs",
+                            lambda net, X: passes.append(net) or real(net, X))
+        assert scatter_table(teacher, students, sets) == expected
+        assert passes == [teacher] * len(sets)
 
     def test_reproducible(self):
         rng = np.random.default_rng(15)

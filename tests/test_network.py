@@ -2,16 +2,22 @@ import hashlib
 import math
 import pickle
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from netrecon import train
+from netrecon.augment import AugmentationSpec, AugmentedSet
+from netrecon.data import ImageDataset
 from netrecon.errors import FormatError
 from netrecon.network import (
+    _ROWS,
     Mlp,
     _forward,
+    _outputs,
     activation,
     activation_prime,
     backprop_from_dout,
@@ -148,6 +154,65 @@ class TestForward:
         X = np.ones((2, 4))
         with pytest.raises(ValueError, match="slope"):
             backprop_from_dout(net, forward(net, X), X, np.ones((2, 2)))
+
+
+@pytest.fixture(params=["one", "default"])
+def blas_threads(request):
+    """Run the test at one BLAS thread, or at the thread count the process has."""
+    calls = train._blas_thread_calls()
+    if request.param == "default":
+        yield
+    elif calls is None:
+        pytest.skip("numpy does not bundle a scipy-openblas with thread-count calls")
+    else:
+        with train._one_blas_thread():
+            yield
+
+
+class TestRowBlocks:
+    """Full-set passes run in blocks of `_ROWS` rows and keep the one-shot bytes."""
+
+    @pytest.mark.parametrize("Q", [1000, 2 * _ROWS, 2 * _ROWS + 1, 3 * _ROWS - 1, 4 * _ROWS])
+    @pytest.mark.parametrize("side, r", [(5, 16), (28, 512)])
+    def test_passes_match_one_forward(self, blas_threads, side, r, Q):
+        rng = np.random.default_rng(Q + r)
+        net = init_mlp(r, side * side, 10, seed=1)
+        X = rng.normal(size=(Q, side * side))
+        Y = rng.normal(size=(Q, 10))
+        labels = rng.integers(0, 10, size=Q)
+        out = forward(net, X).out
+        err = out - Y
+        assert _outputs(net, X).tobytes() == out.tobytes()
+        assert mse_loss(net, X, Y) == float(np.sum(err * err) / Q)
+        ds = ImageDataset(images=X, labels=labels, height=side, width=side)
+        assert train.accuracy(net, ds) == float(np.mean(out.argmax(axis=1) == labels))
+        with train._one_blas_thread():  # the thread count query_teacher pins
+            pinned = forward(net, X).out
+        aug = AugmentedSet(inputs=X, source_indices=np.arange(Q),
+                           spec=AugmentationSpec("identity"))
+        assert train.query_teacher(net, aug).targets.tobytes() == pinned.tobytes()
+
+    def test_rejects_inputs_of_the_wrong_width(self):
+        net = init_mlp(3, 4, 2, seed=0)
+        with pytest.raises(ValueError, match="X must have shape"):
+            _outputs(net, np.zeros((3 * _ROWS, 5)))
+
+    def test_eval_peak_does_not_grow_with_Q(self):
+        r, d, c = 512, 16, 3
+        net = init_mlp(r, d, c, seed=0)
+        peaks = []
+        for Q in (4 * _ROWS, 16 * _ROWS):
+            rng = np.random.default_rng(Q)
+            X, Y = rng.normal(size=(Q, d)), rng.normal(size=(Q, c))
+            tracemalloc.start()
+            try:
+                mse_loss(net, X, Y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - 3 * Q * c * 8)  # the outputs, the residual and its square
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+        assert max(peaks) < 5 * (2 * _ROWS * r * 8), peaks
 
 
 class TestBackwardMse:

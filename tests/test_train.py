@@ -13,6 +13,7 @@ from netrecon.augment import AugmentationSpec, build
 from netrecon.data import make_synthetic_classification, standardize
 from netrecon.errors import DivergenceError
 from netrecon.network import Mlp, forward, init_mlp, mse_loss
+from netrecon.reconstruct import fine_tune
 from netrecon.train import (
     AdamState,
     PlateauScheduler,
@@ -349,6 +350,36 @@ for i, net, history, _ in iter_students(qs, 64, cfg, [0, 1], jobs=int(sys.argv[1
     print(i, hashlib.sha256(net.theta.tobytes()).hexdigest(), repr(history))
 """
 
+# A d=784 teacher, its query targets over 2,100 rows (two row blocks) and a
+# fine-tune on them; the bytes of each would follow an unpinned thread count.
+PAPER_WIDTH_TEACHER = """
+import hashlib
+from netrecon.augment import AugmentationSpec, build
+from netrecon.data import make_synthetic_classification, standardize
+from netrecon.network import init_mlp
+from netrecon.reconstruct import fine_tune
+from netrecon.train import TrainConfig, query_teacher, train_teacher
+ds, _, _ = standardize(make_synthetic_classification(700, 28, 28, 10, seed=0))
+cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_steps=6, eval_every=3, seed=5)
+teacher, history = train_teacher(ds, 32, cfg)
+qs = query_teacher(teacher, build(AugmentationSpec("biased_noise", magnitude=1.0, seed=2), ds))
+tuned, tuned_history = fine_tune(init_mlp(32, 784, 10, seed=6), qs, cfg)
+for name, array in (("teacher", teacher.theta), ("targets", qs.targets), ("tuned", tuned.theta)):
+    print(name, array.shape, hashlib.sha256(array.tobytes()).hexdigest())
+print(repr(history), repr(tuned_history))
+"""
+
+
+def run_with_threads(script, threads, *args):
+    """stdout of `script` in a fresh interpreter that inherits OPENBLAS_NUM_THREADS=threads."""
+    src = str(Path(netrecon.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
 
 class TestOneBlasThread:
     @pytest.fixture
@@ -362,18 +393,37 @@ class TestOneBlasThread:
         set_threads(caller)
 
     def test_paper_width_bytes_independent_of_jobs_and_inherited_threads(self):
-        src = str(Path(netrecon.__file__).resolve().parents[1])
         outputs = {}
         for threads in ("1", "2"):
             for jobs in ("1", "2"):  # one run at a time: at most 2 trainers at once
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                    p for p in (src, os.environ.get("PYTHONPATH")) if p))
-                done = subprocess.run([sys.executable, "-c", PAPER_WIDTH_STUDENTS, jobs],
-                                      env=env, capture_output=True, text=True, timeout=300)
-                assert done.returncode == 0, done.stderr
-                outputs[threads, jobs] = done.stdout
+                outputs[threads, jobs] = run_with_threads(PAPER_WIDTH_STUDENTS, threads, jobs)
         assert outputs["1", "1"].count("\n") == 2
         assert len(set(outputs.values())) == 1, outputs
+
+    def test_paper_width_teacher_queries_and_fine_tune_independent_of_inherited_threads(self):
+        # one process at a time
+        outputs = [run_with_threads(PAPER_WIDTH_TEACHER, threads) for threads in ("1", "2")]
+        assert "targets (2100, 10)" in outputs[0]
+        assert outputs[0] == outputs[1], outputs
+
+    def test_teacher_queries_and_fine_tune_pin_one_thread_and_restore_the_caller(
+            self, tiny_ds, blas_threads, monkeypatch):
+        set_threads, get_threads = blas_threads
+        set_threads(3)
+        during = []
+        for name in ("_fit", "_outputs"):  # the training loops and the teacher's passes
+            def recording(*args, _real=getattr(train, name), _name=name, **kwargs):
+                during.append((_name, get_threads()))
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(train, name, recording)
+        teacher, _ = train_teacher(tiny_ds, 3, cfg(max_steps=20, eval_every=10))
+        after = [get_threads()]
+        qs = query_teacher(teacher, make(tiny_ds, "biased_noise", magnitude=1.0, seed=2))
+        after.append(get_threads())
+        fine_tune(init_mlp(3, qs.d, qs.c, seed=1), qs, cfg(max_steps=20))
+        after.append(get_threads())
+        assert during == [("_fit", 1)] + [("_outputs", 1)] * 4 + [("_fit", 1)]
+        assert after == [3, 3, 3]
 
     def test_serial_training_pins_one_thread_and_restores_the_caller(
             self, tiny_queries, blas_threads, monkeypatch):

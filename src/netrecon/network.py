@@ -18,10 +18,16 @@ from .errors import FormatError
 MODEL_MAGIC = b"NRML"
 MODEL_VERSION = 1
 
-# rows per block of an outputs-only pass (see `_outputs`). Fixed in code, never
-# derived from the machine, and large: OpenBLAS multiplies blocks of 1-64 rows
-# at d=784 with other kernels, whose last bits differ from the whole set's.
+# rows per block of an outputs-only pass (see `_outputs`) at r >= 512; narrower
+# nets take proportionally more. Fixed in code, never derived from the machine,
+# and large: OpenBLAS multiplies blocks of 1-64 rows at d=784 with other
+# kernels, whose last bits differ from the whole set's.
 _ROWS = 1024
+
+# elements per tile of the elementwise kernels (`_activate`, `train.adam_step`):
+# 128 KB per float64 array, so a tile's few arrays stay in a 2 MB L2 cache.
+# Fixed in code; elementwise results do not depend on it.
+_TILE = 16384
 
 
 def _activate(z: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -32,30 +38,42 @@ def _activate(z: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None
     sigmoid(4z) = max(e4, u) / (1 + e4), and the derivative is
     sigmoid(z) + 4 e4 / (1 + e4)**2. No exp(z) is formed for large z and no
     1 - sigmoid is, so both tails are exact; max(., u) selects the numerator
-    without a branch. Without the slope, three arrays of z's size are alive.
+    without a branch. The kernel runs over flat tiles of `_TILE` elements,
+    writing into the results: besides them only two tile-sized scratch arrays
+    are alive, or four with the slope.
     """
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    e4 = np.square(e)
-    np.square(e4, out=e4)
-    u = np.greater_equal(z, 0.0, out=np.empty_like(z))
-    g = None
-    if slope:
-        den = np.add(e, 1.0)
-        g = np.maximum(e, u)
-        g /= den  # sigmoid(z)
-        np.add(e4, 1.0, out=den)
-        ds4 = np.divide(e4, den)
-        ds4 /= den
-        ds4 *= 4.0  # derivative of sigmoid(4z)
-        g += ds4
-    out = np.log1p(e, out=e)
-    np.maximum(e4, u, out=u)
-    np.add(e4, 1.0, out=e4)
-    np.divide(u, e4, out=u)  # sigmoid(4z)
-    out += np.maximum(z, 0.0, out=e4)
-    out += u
+    out = np.empty(z.shape)
+    g = np.empty(z.shape) if slope else None
+    zf, of = z.reshape(-1), out.reshape(-1)
+    gf = g.reshape(-1) if slope else None
+    bufs = [np.empty(min(zf.size, _TILE)) for _ in range(4 if slope else 2)]
+    for i in range(0, zf.size, _TILE):
+        tile = slice(i, i + _TILE)
+        zt, e = zf[tile], of[tile]
+        e4, u, *slope_bufs = (buf[:zt.size] for buf in bufs)
+        np.abs(zt, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.square(e, out=e4)
+        np.square(e4, out=e4)
+        np.greater_equal(zt, 0.0, out=u)
+        if slope:
+            den, ds4 = slope_bufs
+            gt = gf[tile]
+            np.add(e, 1.0, out=den)
+            np.maximum(e, u, out=gt)
+            gt /= den  # sigmoid(z)
+            np.add(e4, 1.0, out=den)
+            np.divide(e4, den, out=ds4)
+            ds4 /= den
+            ds4 *= 4.0  # derivative of sigmoid(4z)
+            gt += ds4
+        np.log1p(e, out=e)
+        np.maximum(e4, u, out=u)
+        np.add(e4, 1.0, out=e4)
+        np.divide(u, e4, out=u)  # sigmoid(4z)
+        e += np.maximum(zt, 0.0, out=e4)
+        e += u
     return out, g
 
 
@@ -164,7 +182,9 @@ def _inputs(net: Mlp, X: np.ndarray) -> np.ndarray:
 
 def _preactivations(net: Mlp, X: np.ndarray) -> np.ndarray:
     """W x + b for each row x of X."""
-    return _inputs(net, X) @ net.W.T + net.b
+    pre = _inputs(net, X) @ net.W.T
+    pre += net.b
+    return pre
 
 
 def _forward(net: Mlp, X: np.ndarray, slope: bool) -> ForwardTrace:
@@ -182,20 +202,22 @@ def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
 def _outputs(net: Mlp, X: np.ndarray) -> np.ndarray:
     """The logits `forward` returns for X, with the same bytes, in row blocks.
 
-    Blocks have `_ROWS` rows and any remainder joins the last one, so each has
-    at least `_ROWS` rows and fewer than 2 * `_ROWS` rows take one block. Only
-    one block's hidden-layer arrays are alive at a time: the peak does not
-    grow with Q, apart from the (Q, c) result.
+    Blocks have `_ROWS` rows, or `_ROWS` * 512 // r for nets narrower than 512
+    so that a tiny net is not run in many small calls; any remainder joins
+    the last block, so each has at least that many rows and fewer than twice
+    as many take one block. Only one block's hidden-layer arrays are alive at
+    a time: the peak does not grow with Q, apart from the (Q, c) result.
     """
     X = _inputs(net, X)
     n = X.shape[0]
-    blocks = max(n // _ROWS, 1)
+    size = max(_ROWS, (_ROWS * 512) // net.r)
+    blocks = max(n // size, 1)
     out = np.empty((n, net.c))
     for i in range(blocks):
-        rows = slice(i * _ROWS, n if i == blocks - 1 else (i + 1) * _ROWS)
+        rows = slice(i * size, n if i == blocks - 1 else (i + 1) * size)
         hidden = _activate(_preactivations(net, X[rows]), slope=False)[0]
         out[rows] = hidden @ net.A.T + net.c_out
-        del hidden  # so the next block's four arrays are the only ones alive
+        del hidden  # so the next block's arrays are the only ones alive
     return out
 
 

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from netrecon import train
+from netrecon import network, train
 from netrecon.augment import AugmentationSpec, AugmentedSet
 from netrecon.data import ImageDataset
 from netrecon.errors import FormatError
 from netrecon.network import (
     _ROWS,
+    _TILE,
     Mlp,
     _forward,
     _outputs,
@@ -97,6 +98,63 @@ class TestActivation:
     def test_prime_far_negative_tail(self, z):
         assert activation_prime(z) == pytest.approx(math.exp(z) + 4 * math.exp(4 * z),
                                                     rel=1e-14)
+
+
+def one_call_activate(z, slope):
+    """The activation kernel as one whole-array call, the reference for the tiled one."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e4 = np.square(e)
+    np.square(e4, out=e4)
+    u = np.greater_equal(z, 0.0, out=np.empty_like(z))
+    g = None
+    if slope:
+        den = np.add(e, 1.0)
+        g = np.maximum(e, u)
+        g /= den
+        np.add(e4, 1.0, out=den)
+        ds4 = np.divide(e4, den)
+        ds4 /= den
+        ds4 *= 4.0
+        g += ds4
+    out = np.log1p(e, out=e)
+    np.maximum(e4, u, out=u)
+    np.add(e4, 1.0, out=e4)
+    np.divide(u, e4, out=u)
+    out += np.maximum(z, 0.0, out=e4)
+    out += u
+    return out, g
+
+
+class TestTiles:
+    """The activation runs over flat tiles of `_TILE` elements with one call's bytes."""
+
+    @pytest.mark.parametrize("shape", [(_TILE - 1,), (_TILE,), (_TILE + 1,),
+                                       (3 * _TILE + 7,), (37, 1001)])
+    @pytest.mark.parametrize("slope", [False, True])
+    def test_matches_one_call(self, shape, slope):
+        z = np.random.default_rng(shape[-1]).normal(scale=10.0, size=shape)
+        flat = z.reshape(-1)
+        flat[:6] = flat[-6:] = [-745.0, -40.0, 0.0, 40.0, 710.0, -0.0]
+        out, g = network._activate(z, slope)
+        want, want_g = one_call_activate(z, slope)
+        assert out.shape == z.shape
+        assert out.tobytes() == want.tobytes()
+        if slope:
+            assert g.shape == z.shape and g.tobytes() == want_g.tobytes()
+        else:
+            assert g is None
+
+    def test_peak_is_the_result_and_two_tiles(self):
+        z = np.random.default_rng(0).normal(size=(1024, 512))
+        tracemalloc.start()
+        try:
+            network._activate(z, slope=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < z.nbytes + 8 * _TILE * 8, peak
 
 
 class TestForward:
@@ -191,6 +249,20 @@ class TestRowBlocks:
         aug = AugmentedSet(inputs=X, source_indices=np.arange(Q),
                            spec=AugmentationSpec("identity"))
         assert train.query_teacher(net, aug).targets.tobytes() == pinned.tobytes()
+
+    def test_a_narrow_net_takes_one_block(self, monkeypatch):
+        net = init_mlp(4, 25, 10, seed=0)
+        X = np.random.default_rng(4).normal(size=(6144, 25))
+        calls = []
+
+        def counting(*args, _real=network._preactivations):
+            calls.append(args[1].shape)
+            return _real(*args)
+
+        monkeypatch.setattr(network, "_preactivations", counting)
+        out = _outputs(net, X)
+        assert calls == [(6144, 25)]
+        assert out.tobytes() == forward(net, X).out.tobytes()
 
     def test_rejects_inputs_of_the_wrong_width(self):
         net = init_mlp(3, 4, 2, seed=0)

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from netrecon import train
 from netrecon.augment import AugmentationSpec, build
 from netrecon.data import make_synthetic_classification, standardize
 from netrecon.errors import DivergenceError
-from netrecon.network import Mlp, forward, init_mlp, mse_loss
+from netrecon.network import _TILE, Mlp, forward, init_mlp, mse_loss
 from netrecon.reconstruct import fine_tune
 from netrecon.train import (
     AdamState,
@@ -159,6 +160,39 @@ class TestAdam:
         net = init_mlp(2, 3, 2, seed=3)
         with pytest.raises(ValueError):
             adam_step(net, np.ones(net.n_params), AdamState.zeros_like(net), lr=np.inf)
+
+    def test_tiles_match_the_whole_vector_formula(self):
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(6)
+        r, d, c = 128, 252, 3  # 2 * _TILE + 3 parameters
+        net = Mlp.from_flat(rng.normal(size=r * d + r + c * r + c), r, d, c)
+        assert net.n_params == 2 * _TILE + 3
+        state = AdamState.zeros_like(net)
+        theta, m, v = net.theta.copy(), np.zeros(net.n_params), np.zeros(net.n_params)
+        for t in range(1, 6):
+            grad = rng.normal(scale=10.0 ** (t - 3), size=net.n_params)
+            lr = 10.0 ** -t
+            net = adam_step(net, grad, state, lr)
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * (grad * grad)
+            step_dir = (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+            theta = theta - lr * step_dir
+            assert net.theta.tobytes() == theta.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+    def test_no_parameter_sized_temporary(self):
+        net = init_mlp(512, 784, 10, seed=0)
+        grad = np.random.default_rng(7).normal(size=net.n_params)
+        state = AdamState.zeros_like(net)
+        tracemalloc.start()
+        try:
+            adam_step(net, grad, state, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < net.theta.nbytes + 4 * _TILE * 8, peak
 
 
 class TestPlateauScheduler:

@@ -74,6 +74,7 @@ from .train import (
     TrainConfig,
     accuracy,
     adam_step,
+    fit_lm,
     fit_mse,
     iter_students,
     query_teacher,

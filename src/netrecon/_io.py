@@ -67,6 +67,13 @@ def write_container(path: str, magic: bytes, version: int, fields, *parts) -> No
     atomic_write_bytes(path, magic, *chunks, struct.pack("<I", crc))
 
 
+def container_crc(path: str) -> int:
+    """The CRC32 trailer of a container file, as written; `read_container` checks it."""
+    with open(path, "rb") as f:
+        f.seek(-4, os.SEEK_END)
+        return struct.unpack("<I", f.read(4))[0]
+
+
 def check_size(f, size: int, path: str, kind: str) -> None:
     """Match the bytes left in the open file `f` against the `size` its header announces.
 

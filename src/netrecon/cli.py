@@ -2,7 +2,8 @@
 
 Stages write their artifacts into one output directory so later stages can
 pick them up: teacher.mlp, queries.qs, students/student_NN.mlp, then
-reconstructed.mlp and report.csv. Exit codes: 0 success, 2 config or input
+reconstructed.mlp and report.csv. students/queries.crc32 records the CRC32
+of the query set the students there were fitted to. Exit codes: 0 success, 2 config or input
 error, 3 training divergence, 4 empty reconstruction.
 
 The output directory comes from --out, else the NETRECON_OUT environment
@@ -17,7 +18,9 @@ import sys
 from math import nan
 from statistics import median
 
-from ._io import atomic_write_csv, atomic_write_text
+import numpy as np
+
+from ._io import atomic_write_csv, atomic_write_text, container_crc
 from .augment import build
 from .config import ExperimentConfig, load_config
 from .data import ImageDataset, load_idx, load_queryset, save_queryset, standardize, subset
@@ -136,17 +139,30 @@ def _read_history(path: str) -> list[HistoryPoint]:
     return history
 
 
+def _recorded_crc(path: str) -> str | None:
+    """The query-set CRC32 in a students/queries.crc32 file, None if there is none."""
+    try:
+        with open(path) as f:
+            return f.read().strip()
+    except FileNotFoundError:
+        return None
+
+
 def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                        resume: bool = False) -> int:
     """Train the students, saving each one's history file and then its model file.
 
     `resume` skips slots that have both files, after loading and checking both
-    before any student trains. The ensemble CSVs are built from every slot's
+    before any student trains; they must have been fitted to this
+    queries.qs, as students/queries.crc32 records. The files of every other
+    slot are deleted before the first student trains, so every student file
+    left matches the record. The ensemble CSVs are built from every slot's
     history, so they do not depend on what was resumed.
     """
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(queries_path)
     qs = load_queryset(queries_path)
+    crc = f"{container_crc(queries_path):08x}"
     scatter = _scatter_inputs(cfg, out_dir, qs) if cfg.eval_sets else None
     n = cfg.students.n
     r_student = cfg.students.rho * cfg.teacher.hidden
@@ -160,13 +176,21 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         if i not in todo:
             students[i] = _load_student(files[i][0], r_student, qs)
             histories[i] = _read_history(files[i][1])
+    record = os.path.join(out_dir, "students", "queries.crc32")
+    recorded = _recorded_crc(record)
+    if len(todo) < n and recorded != crc:
+        raise ConfigError(f"{record}: the kept students were fitted to the query set with "
+                          f"CRC32 {recorded or 'unrecorded'}, but {queries_path} has {crc}; "
+                          f"train them again without --resume")
+    # files left by an earlier run must not stand in for a student of this one
+    for i in todo:
+        for path in filter(os.path.exists, files[i]):
+            os.remove(path)
+    atomic_write_text(record, crc + "\n")
     failures: dict[int, str] = {}
     for index, net, history, message in iter_students(qs, r_student, cfg.students.train,
                                                       todo, jobs):
         if net is None:
-            # files left by an earlier run must not stand in for this student
-            for path in filter(os.path.exists, files[index]):
-                os.remove(path)
             failures[index] = message
             print(f"student {index}: DIVERGED ({message})", file=sys.stderr)
             continue
@@ -222,7 +246,7 @@ def _scatter_inputs(cfg: ExperimentConfig, out_dir: str, qs) -> tuple[Mlp, list]
 
 
 def _write_report(out_dir: str, method: str, r: int, n_students: int, report,
-                  Q: int) -> None:
+                  Q: int, relative_loss: float = nan) -> None:
     """report.csv and report.txt; `report` None records an empty reconstruction."""
     lines = [f"method: {method}", f"students: {n_students}", f"Q: {Q}"]
     if report is None:
@@ -232,14 +256,16 @@ def _write_report(out_dir: str, method: str, r: int, n_students: int, report,
         scores = (report.m_over_r, report.avg_dw, report.max_dw, report.avg_da,
                   report.max_da)
         lines += [
+            f"fine-tuned loss / mean squared target: {relative_loss:.3e}",
             f"recovered neurons: m={report.m} of r={report.r} (m/r = {report.m_over_r:.3f})",
             f"input-weight cosine distance: avg {report.avg_dw:.3e}, max {report.max_dw:.3e}",
             f"output-weight cosine distance: avg {report.avg_da:.3e}, max {report.max_da:.3e}",
             "matched pairs (recon -> teacher: d_w, d_a):",
         ]
         lines += [
-            f"  {p.recon_index:3d} -> {p.teacher_index:3d}: {p.dw:.3e}, {p.da:.3e}"
-            for p in report.pairs
+            f"  {i:3d} -> {j:3d}: {dw:.3e}, {da:.3e}"
+            for i, j, dw, da in zip(report.recon_index, report.teacher_index, report.dw,
+                                    report.da)
         ]
     atomic_write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
                      [(method, r, n_students, *scores, Q)])
@@ -269,11 +295,15 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
         print("reconstruction: no accepted clusters (m = 0)", file=sys.stderr)
         return EXIT_EMPTY_RECONSTRUCTION
     report = evaluate_reconstruction(tuned, teacher)
+    # the teacher-free signal: 0 for a perfect imitation, 1 for the zero net
+    target_power = float(np.sum(np.square(qs.targets))) / qs.Q
+    relative_loss = final_loss(history) / target_power if target_power > 0 else nan
     save_mlp(tuned, os.path.join(out_dir, "reconstructed.mlp"))
     atomic_write_csv(os.path.join(out_dir, "finetune_history.csv"), HISTORY_COLUMNS, history)
-    _write_report(out_dir, qs.provenance, teacher.r, n, report, qs.Q)
+    _write_report(out_dir, qs.provenance, teacher.r, n, report, qs.Q, relative_loss)
     print(f"reconstruction: m/r={report.m_over_r:.3f} "
-          f"avg_dw={report.avg_dw:.3e} max_dw={report.max_dw:.3e}")
+          f"avg_dw={report.avg_dw:.3e} max_dw={report.max_dw:.3e} "
+          f"relative_loss={relative_loss:.3e}")
     return EXIT_OK
 
 

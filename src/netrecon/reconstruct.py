@@ -24,7 +24,7 @@ from scipy.spatial.distance import squareform
 from .data import QuerySet
 from .errors import ConfigError, EmptyReconstructionError
 from .network import Mlp
-from .train import HistoryPoint, TrainConfig, _one_blas_thread, fit_mse
+from .train import HistoryPoint, TrainConfig, _one_blas_thread, fit_lm, fit_mse
 
 
 # rows of each upper-triangle Gram block: 512 x n float64 at a time
@@ -38,6 +38,9 @@ _CLUSTER_BYTES = 1 << 30
 _EDGE_BYTES = 64
 # [w; b] norm below which a neuron carries no usable direction
 _MIN_NORM = 1e-12
+# bytes the fine-tune's dense JᵀJ may take (2,048 parameters); a larger net is
+# fine-tuned by Adam. Fixed, so a net's path depends on its size alone.
+_LM_BYTES = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,19 +92,42 @@ class MatchedPair:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionReport:
-    """How well a reconstructed net matches a reference, neuron by neuron."""
+    """How well a reconstructed net matches a reference, neuron by neuron.
+
+    The four arrays hold one matched pair each, in ascending `recon_index`.
+    """
 
     m: int  # recovered hidden width
     r: int  # reference hidden width
-    avg_dw: float
-    max_dw: float
-    avg_da: float
-    max_da: float
-    pairs: list[MatchedPair]
+    recon_index: np.ndarray
+    teacher_index: np.ndarray
+    dw: np.ndarray  # cosine distance between [w; b] directions
+    da: np.ndarray  # cosine distance between outgoing weight columns
 
     @property
     def m_over_r(self) -> float:
         return self.m / self.r
+
+    @property
+    def avg_dw(self) -> float:
+        return float(np.mean(self.dw))
+
+    @property
+    def max_dw(self) -> float:
+        return float(np.max(self.dw))
+
+    @property
+    def avg_da(self) -> float:
+        return float(np.mean(self.da))
+
+    @property
+    def max_da(self) -> float:
+        return float(np.max(self.da))
+
+    @property
+    def pairs(self) -> list[MatchedPair]:
+        return [MatchedPair(int(i), int(j), float(dw), float(da)) for i, j, dw, da
+                in zip(self.recon_index, self.teacher_index, self.dw, self.da)]
 
 
 def _directions(W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,10 +273,18 @@ def collapse(result: ClusterResult, d: int, c: int,
 
 def fine_tune(net: Mlp, qs: QuerySet,
               cfg: TrainConfig) -> tuple[Mlp, list[HistoryPoint]]:
-    """Polish a collapsed net on the original teacher queries, with one BLAS thread."""
+    """Polish a collapsed net on the original teacher queries, with one BLAS thread.
+
+    A net whose dense JᵀJ (8 * n_params**2 bytes) fits `_LM_BYTES` runs
+    Levenberg-Marquardt on the full query set (`fit_lm`), which reads only
+    `cfg.max_steps` and `cfg.target_loss`; a larger one runs Adam
+    (`fit_mse`) with every field of `cfg`.
+    """
     if net.d != qs.d or net.c != qs.c:
         raise ValueError("net dimensions do not match the query set")
     with _one_blas_thread():
+        if 8 * net.n_params**2 <= _LM_BYTES:
+            return fit_lm(net, qs, cfg)
         return fit_mse(net, qs, cfg)
 
 
@@ -275,27 +309,19 @@ def evaluate_reconstruction(recon: Mlp, teacher: Mlp) -> ReconstructionReport:
         raise ValueError("networks must share input and output dimensions")
     ru, _ = _directions(recon.W, recon.b)
     tu, _ = _directions(teacher.W, teacher.b)
-    cost = np.clip(1.0 - ru @ tu.T, 0.0, None)
+    gram = ru @ tu.T
+    cost = np.clip(1.0 - gram, 0.0, None)
     # an antipodal neuron makes the assignment degenerate (swapping it with any
     # exact pair keeps the total cost); the concave nudge resolves such ties
     # toward keeping exact pairs together so the bad neuron is reported as-is
     rows, cols = linear_sum_assignment(cost - 1e-9 * cost**2)
-    pairs = []
-    for i, j in zip(rows, cols):
-        dw = float(1.0 - ru[i] @ tu[j])
-        da = cosine_distance(recon.A[:, i], teacher.A[:, j])
-        pairs.append(MatchedPair(int(i), int(j), dw, da))
-    dws = [p.dw for p in pairs]
-    das = [p.da for p in pairs]
-    return ReconstructionReport(
-        m=recon.r,
-        r=teacher.r,
-        avg_dw=float(np.mean(dws)),
-        max_dw=float(np.max(dws)),
-        avg_da=float(np.mean(das)),
-        max_da=float(np.max(das)),
-        pairs=pairs,
-    )
+    ra, ta = recon.A[:, rows], teacher.A[:, cols]
+    norms = np.linalg.norm(ra, axis=0) * np.linalg.norm(ta, axis=0)
+    # a zero outgoing column has no direction: distance 1, as in cosine_distance
+    cosines = np.sum(ra * ta, axis=0) / np.where(norms > 0, norms, 1.0)
+    return ReconstructionReport(m=recon.r, r=teacher.r, recon_index=rows, teacher_index=cols,
+                                dw=1.0 - gram[rows, cols],
+                                da=np.where(norms > 0, 1.0 - cosines, 1.0))
 
 
 def run_reconstruction(students: Sequence[Mlp | None], qs: QuerySet, gamma: float,

@@ -24,6 +24,7 @@ from .network import (
     _TILE,
     Mlp,
     _forward,
+    _gauss_newton,
     _outputs,
     backprop_from_dout,
     backward_mse,
@@ -35,6 +36,11 @@ HistoryPoint = tuple[int, float, float]  # (step, full-set train loss, lr)
 
 # Adam's moment decay rates and denominator guard
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+# Levenberg-Marquardt: the starting damping, its factors after a step that
+# lowers the loss (down) and one that does not (up), the damping past which
+# no step can help, and the iteration cap
+_LM_DAMPING, _LM_DOWN, _LM_UP, _LM_MAX_DAMPING, _LM_ITERATIONS = 1e-3, 3.0, 4.0, 1e10, 100
 
 
 @dataclass(frozen=True)
@@ -288,6 +294,57 @@ def fit_mse(net: Mlp, qs: QuerySet, cfg: TrainConfig) -> tuple[Mlp, list[History
         eval_fn=lambda m: mse_loss(m, X, Y),
         cfg=cfg,
     )
+
+
+def fit_lm(net: Mlp, qs: QuerySet, cfg: TrainConfig) -> tuple[Mlp, list[HistoryPoint]]:
+    """Minimize the imitation loss over the whole query set by Levenberg-Marquardt.
+
+    Each iteration solves (JᵀJ + λ D) δ = -Jᵀe, D the diagonal of JᵀJ
+    (Marquardt's scaling; 1 where a parameter moves no logit), in its
+    unit-diagonal form. It uses numpy's LAPACK, whose BLAS thread count the
+    callers pin; scipy bundles a BLAS of its own. A step that lowers the
+    full-set loss is taken and divides λ by `_LM_DOWN`; any other step, or a
+    singular system, multiplies λ by `_LM_UP`. The fit stops at
+    `cfg.target_loss`, after `cfg.max_steps` steps taken, after
+    `_LM_ITERATIONS` iterations or once λ passes `_LM_MAX_DAMPING`; no other
+    field of `cfg` is read. The history has row 0 and one (iteration, loss,
+    λ) row per iteration, with the loss of the net kept and the λ of the
+    next iteration, so the net returned has the history's lowest loss. JᵀJ
+    holds n_params**2 floats.
+    """
+    X, Y = qs.inputs, qs.targets
+    damping = _LM_DAMPING
+    loss = mse_loss(net, X, Y)
+    if not np.isfinite(loss):
+        raise DivergenceError(0)
+    history: list[HistoryPoint] = [(0, loss, damping)]
+    taken, jtj = 0, None
+    for iteration in range(1, _LM_ITERATIONS + 1):
+        if loss <= cfg.target_loss or taken >= cfg.max_steps or damping > _LM_MAX_DAMPING:
+            break
+        if jtj is None:  # the net moved: rebuild the normal equations
+            jtj, grad = _gauss_newton(net, X, Y)
+            scale = np.sqrt(np.diag(jtj))
+            scale[scale == 0.0] = 1.0
+            jtj /= scale[:, None]
+            jtj /= scale
+            grad /= scale
+        trial_loss = np.inf
+        try:
+            step = np.linalg.solve(jtj + damping * np.eye(len(grad)), grad) / scale
+            trial = Mlp.from_flat(net.theta - step, net.r, net.d, net.c)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_loss = mse_loss(trial, X, Y)
+        except (np.linalg.LinAlgError, ValueError):  # a singular system, a non-finite step
+            pass
+        if trial_loss < loss:
+            net, loss, jtj = trial, trial_loss, None
+            taken += 1
+            damping /= _LM_DOWN
+        else:
+            damping *= _LM_UP
+        history.append((iteration, loss, damping))
+    return net, history
 
 
 @dataclass(eq=False)

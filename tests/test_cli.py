@@ -15,7 +15,7 @@ from netrecon.cli import (
     main,
 )
 from netrecon.config import load_config
-from netrecon.data import make_synthetic_classification, save_idx
+from netrecon.data import load_queryset, make_synthetic_classification, save_idx
 from netrecon.errors import DivergenceError
 from netrecon.network import Mlp, init_mlp, save_mlp
 
@@ -126,6 +126,17 @@ class TestStages:
         captured = capsys.readouterr().out
         assert "Q=1200" in captured  # 3 x 400 for biased noise
         assert "biased_noise" in captured
+
+    def test_reconstruct_reports_the_relative_loss(self, workdir, capsys):
+        out = workdir / "stages"
+        assert run(workdir, "reconstruct", out) == EXIT_OK
+        value = float(capsys.readouterr().out.split("relative_loss=")[1])
+        rows = (out / "finetune_history.csv").read_text().splitlines()[1:]
+        loss = min(float(row.split(",")[1]) for row in rows)
+        targets = load_queryset(str(out / "queries.qs")).targets
+        assert value == pytest.approx(loss / np.mean(np.sum(targets**2, axis=1)), rel=1e-3)
+        assert f"fine-tuned loss / mean squared target: {value:.3e}\n" in \
+            (out / "report.txt").read_text()
 
     def test_teacher_rerun_identical(self, workdir):
         out_a, out_b = workdir / "det_a", workdir / "det_b"
@@ -316,6 +327,55 @@ class TestStudentFiles:
         assert code == EXIT_CONFIG
         assert "student_01.mlp: student has r=8 d=15 c=5" in capsys.readouterr().err
 
+    @staticmethod
+    def counting_students(monkeypatch):
+        real, calls = train.train_student, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(train, "train_student", counting)
+        return calls
+
+    def test_resume_refuses_students_of_another_query_set(self, workdir, queries, capsys,
+                                                           monkeypatch):
+        out = workdir / "requeried"
+        self.copy_queries(queries, out)
+        config = workdir / "requery.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(
+            "max_steps = 6000", "max_steps = 20"))
+        assert main(["train-students", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        trailer = (out / "queries.qs").read_bytes()[-4:]
+        assert (out / "students" / "queries.crc32").read_text() == \
+            f"{struct.unpack('<I', trailer)[0]:08x}\n"
+        # the same run, but its queries are rebuilt with another seed
+        other = workdir / "requery_seed.ini"
+        other.write_text(config.read_text().replace("[query]\n", "[query]\nseed = 77\n"))
+        assert main(["build-queries", "--config", str(other), "--out", str(out)]) == EXIT_OK
+        assert (out / "queries.qs").read_bytes()[-4:] != trailer
+        (out / "students" / "student_01.mlp").unlink()
+        kept = {path: path.read_bytes() for path in (out / "students").iterdir()}
+        calls = self.counting_students(monkeypatch)
+        code = main(["train-students", "--config", str(other), "--out", str(out), "--resume"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "queries.crc32: the kept students were fitted to the query set with" in err
+        assert "train them again without --resume" in err
+        assert calls == []
+        assert {path: path.read_bytes() for path in (out / "students").iterdir()} == kept
+
+    def test_resume_refuses_students_without_a_query_set_record(self, workdir, queries,
+                                                                capsys, monkeypatch):
+        out = workdir / "unrecorded"
+        self.copy_queries(queries, out)
+        self.write_students(out, [(8, 16, 5), (8, 16, 5)])
+        calls = self.counting_students(monkeypatch)
+        assert run(workdir, "train-students", out, "--resume") == EXIT_CONFIG
+        assert "with CRC32 unrecorded, but" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "students" / "student_02.mlp").exists()
+
     @pytest.mark.parametrize("history,needle", [
         ("step,loss,lr\n", "at least one row"),
         ("step,loss,lr\n0,1.0,0.02\n40,garbled\n", "unreadable training history"),
@@ -346,7 +406,8 @@ class TestPipeline:
         out_a, out_b = workdir / "pipe_a", workdir / "pipe_b"
         assert run(workdir, "pipeline", out_a) == EXIT_OK
         assert run(workdir, "pipeline", out_b, "--jobs", "2") == EXIT_OK
-        for name in ("report.csv", "losses.csv", "teacher.mlp", "queries.qs"):
+        for name in ("report.csv", "report.txt", "losses.csv", "teacher.mlp", "queries.qs",
+                     "reconstructed.mlp", "finetune_history.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_missing_dataset_fails_before_outputs(self, workdir):

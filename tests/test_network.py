@@ -18,6 +18,7 @@ from netrecon.network import (
     _TILE,
     Mlp,
     _forward,
+    _gauss_newton,
     _outputs,
     activation,
     activation_prime,
@@ -338,6 +339,34 @@ class TestBackwardMse:
         X = np.array([[1e2, 1e2], [-1e2, -1e2]])
         trace = forward(net, X)
         assert np.all(np.isfinite(trace.out))
+
+
+class TestGaussNewton:
+    """The structured normal equations equal those of the explicit Jacobian."""
+
+    @pytest.mark.parametrize("Q", [50, 2 * _ROWS + 7])
+    def test_matches_the_finite_difference_jacobian(self, Q):
+        rng = np.random.default_rng(19)
+        net = random_net(rng, 3, 4, 2)
+        X = rng.normal(size=(Q, 4))
+        Y = rng.normal(size=(Q, 2))
+        jtj, jte = _gauss_newton(net, X, Y)
+        h = 1e-6
+        J = np.column_stack([(forward(shifted(net, i, h), X).out
+                              - forward(shifted(net, i, -h), X).out).ravel() / (2 * h)
+                             for i in range(net.n_params)])
+        err = (forward(net, X).out - Y).ravel()
+        assert np.allclose(jtj, J.T @ J, rtol=1e-6, atol=1e-6 * np.abs(J.T @ J).max())
+        assert np.allclose(jte, J.T @ err, rtol=1e-6, atol=1e-6 * np.abs(J.T @ err).max())
+        assert np.array_equal(jtj, jtj.T)
+
+    def test_gradient_is_half_the_loss_gradient_times_q(self):
+        rng = np.random.default_rng(23)
+        net = random_net(rng, 4, 3, 2)
+        X = rng.normal(size=(40, 3))
+        Y = rng.normal(size=(40, 2))
+        grad, _ = backward_mse(net, X, Y)
+        assert np.allclose(_gauss_newton(net, X, Y)[1], grad * 40 / 2, rtol=1e-12)
 
 
 class TestInit:

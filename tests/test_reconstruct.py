@@ -11,7 +11,7 @@ from scipy.spatial.distance import squareform
 from netrecon import reconstruct
 from netrecon.data import QuerySet
 from netrecon.errors import ConfigError, EmptyReconstructionError
-from netrecon.network import Mlp, forward
+from netrecon.network import Mlp, _gauss_newton, forward, init_mlp, mse_loss
 from netrecon.reconstruct import (
     ClusterResult,
     Neurons,
@@ -23,7 +23,7 @@ from netrecon.reconstruct import (
     fine_tune,
     run_reconstruction,
 )
-from netrecon.train import TrainConfig
+from netrecon.train import TrainConfig, final_loss
 
 
 def unit(v):
@@ -442,6 +442,68 @@ class TestFineTune:
         for attr in ("W", "b", "A", "c_out"):
             assert np.array_equal(getattr(tuned, attr), getattr(start, attr))
 
+    def test_lm_reaches_the_float_floor_on_a_realizable_net(self):
+        rng = np.random.default_rng(14)
+        teacher = random_teacher(rng)
+        qs = self.make_queries(teacher, rng)
+        start = Mlp.from_flat(teacher.theta + 0.05 * rng.normal(size=teacher.n_params),
+                              teacher.r, teacher.d, teacher.c)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_steps=500,
+                          target_loss=1e-24, seed=0)
+        tuned, history = fine_tune(start, qs, cfg)
+        losses = [loss for _, loss, _ in history]
+        assert losses[-1] < 1e-20
+        assert losses == sorted(losses, reverse=True)
+        assert final_loss(history) == mse_loss(tuned, qs.inputs, qs.targets)
+        assert [step for step, _, _ in history] == list(range(len(history)))
+        assert np.max(np.abs(tuned.theta - teacher.theta)) < 1e-9
+
+    def test_singular_normal_equations_neither_raise_nor_diverge(self):
+        # an over-wide start: neurons 0 and 1 are each split into two copies
+        # that share their outgoing weight, and two dead neurons output zero
+        # with zero slope, so JᵀJ is singular and has zero rows
+        rng = np.random.default_rng(30)
+        teacher = random_teacher(rng)
+        W = np.vstack([teacher.W, teacher.W[:2], rng.normal(size=(2, 6))])
+        b = np.concatenate([teacher.b, teacher.b[:2], [-1000.0, -1000.0]])
+        A = np.hstack([teacher.A[:, :2] / 2, teacher.A[:, 2:], teacher.A[:, :2] / 2,
+                       rng.normal(size=(3, 2))])
+        start = Mlp(W=W + 1e-3 * rng.normal(size=W.shape), b=b, A=A, c_out=teacher.c_out)
+        qs = self.make_queries(teacher, rng, Q=400)
+        jtj, _ = _gauss_newton(start, qs.inputs, qs.targets)
+        assert np.linalg.matrix_rank(jtj) < start.n_params
+        assert np.any(np.diag(jtj) == 0.0)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_steps=500,
+                          target_loss=1e-24, seed=0)
+        tuned, history = fine_tune(start, qs, cfg)
+        losses = [loss for _, loss, _ in history]
+        assert np.all(np.isfinite(losses))
+        assert losses == sorted(losses, reverse=True)
+        assert losses[-1] < 1e-12 * losses[0]
+        # the dead neurons get no step: their rows of JᵀJ and Jᵀe are zero
+        assert np.array_equal(tuned.W[6:], start.W[6:])
+        assert np.array_equal(tuned.A[:, 6:], start.A[:, 6:])
+
+    @pytest.mark.parametrize("d,path", [(87, "fit_lm"), (88, "fit_mse")])
+    def test_levenberg_marquardt_only_within_the_byte_budget(self, monkeypatch, d, path):
+        # r=23, c=1: 23 * (d + 2) + 1 parameters, 2,048 at d=87; 8 * 2048**2
+        # bytes is the budget exactly
+        calls = []
+        for name in ("fit_lm", "fit_mse"):
+            def recording(*args, _real=getattr(reconstruct, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(reconstruct, name, recording)
+        net = init_mlp(23, d, 1, seed=0)
+        rng = np.random.default_rng(15)
+        qs = QuerySet(inputs=rng.normal(size=(32, d)), targets=rng.normal(size=(32, 1)))
+        tuned, history = fine_tune(net, qs, TrainConfig(learning_rate=1e-3, batch_size=8,
+                                                        max_steps=0, seed=0))
+        assert (net.n_params, 8 * net.n_params**2 <= reconstruct._LM_BYTES) == \
+            ((2048, True) if d == 87 else (2071, False))
+        assert calls == [path]
+        assert np.array_equal(tuned.theta, net.theta) and len(history) == 1
+
     def test_dimension_check(self):
         rng = np.random.default_rng(13)
         teacher = random_teacher(rng, d=6)
@@ -546,3 +608,21 @@ class TestEvaluateReconstruction:
         for _ in range(50):
             u, v = rng.normal(size=(2, 6))
             assert 0.0 <= cosine_distance(u, v) <= 2.0
+
+    @pytest.mark.parametrize("m,r", [(5, 5), (4, 6), (7, 5)])
+    def test_matches_the_per_pair_reference(self, m, r):
+        # the arrays against a loop over the matched pairs; the Gram product
+        # sums d + 1 = 7 terms in another order, so allow 7 ulps of 1
+        rng = np.random.default_rng(40 + m)
+        recon, teacher = random_teacher(rng, r=m), random_teacher(rng, r=r)
+        A = recon.A.copy()
+        A[:, 0] = 0.0  # a zero outgoing column: distance 1 on both sides
+        recon = Mlp(W=recon.W, b=recon.b, A=A, c_out=recon.c_out)
+        report = evaluate_reconstruction(recon, teacher)
+        rows, cols = report.recon_index, report.teacher_index
+        assert list(rows) == sorted(rows) and len(rows) == min(m, r)
+        dw = [cosine_distance(np.append(recon.W[i], recon.b[i]),
+                              np.append(teacher.W[j], teacher.b[j])) for i, j in zip(rows, cols)]
+        da = [cosine_distance(recon.A[:, i], teacher.A[:, j]) for i, j in zip(rows, cols)]
+        assert np.allclose(report.dw, dw, rtol=0, atol=7 * np.finfo(float).eps)
+        assert np.allclose(report.da, da, rtol=0, atol=7 * np.finfo(float).eps)

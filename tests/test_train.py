@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import netrecon
-from netrecon import train
+from netrecon import reconstruct, train
 from netrecon.augment import AugmentationSpec, build
 from netrecon.data import make_synthetic_classification, standardize
 from netrecon.errors import DivergenceError
@@ -403,6 +403,22 @@ for name, array in (("teacher", teacher.theta), ("targets", qs.targets), ("tuned
 print(repr(history), repr(tuned_history))
 """
 
+# A Levenberg-Marquardt fine-tune (d=40, r=8: 373 parameters, under the byte
+# budget) over 2,600 rows, two row blocks; drawn targets, as above.
+LM_FINE_TUNE = """
+import hashlib
+import numpy as np
+from netrecon.data import QuerySet
+from netrecon.network import init_mlp
+from netrecon.reconstruct import fine_tune
+from netrecon.train import TrainConfig
+rng = np.random.default_rng(0)
+qs = QuerySet(inputs=rng.standard_normal((2600, 40)), targets=rng.standard_normal((2600, 5)))
+cfg = TrainConfig(learning_rate=1e-3, batch_size=128, max_steps=8, seed=5)
+tuned, history = fine_tune(init_mlp(8, 40, 5, seed=6), qs, cfg)
+print(hashlib.sha256(tuned.theta.tobytes()).hexdigest(), repr(history))
+"""
+
 
 def run_with_threads(script, threads, *args):
     """stdout of `script` in a fresh interpreter that inherits OPENBLAS_NUM_THREADS=threads."""
@@ -440,23 +456,30 @@ class TestOneBlasThread:
         assert "targets (2100, 10)" in outputs[0]
         assert outputs[0] == outputs[1], outputs
 
+    def test_lm_fine_tune_independent_of_inherited_threads(self):
+        outputs = [run_with_threads(LM_FINE_TUNE, threads) for threads in ("1", "2")]
+        assert outputs[0].count("\n") == 1
+        assert outputs[0] == outputs[1], outputs
+
     def test_teacher_queries_and_fine_tune_pin_one_thread_and_restore_the_caller(
             self, tiny_ds, blas_threads, monkeypatch):
         set_threads, get_threads = blas_threads
         set_threads(3)
         during = []
-        for name in ("_fit", "_outputs"):  # the training loops and the teacher's passes
-            def recording(*args, _real=getattr(train, name), _name=name, **kwargs):
+        # the teacher's Adam loop, its passes and the fine-tune's
+        # Levenberg-Marquardt fit, which a net this small takes
+        for module, name in ((train, "_fit"), (train, "_outputs"), (reconstruct, "fit_lm")):
+            def recording(*args, _real=getattr(module, name), _name=name, **kwargs):
                 during.append((_name, get_threads()))
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(train, name, recording)
+            monkeypatch.setattr(module, name, recording)
         teacher, _ = train_teacher(tiny_ds, 3, cfg(max_steps=20, eval_every=10))
         after = [get_threads()]
         qs = query_teacher(teacher, make(tiny_ds, "biased_noise", magnitude=1.0, seed=2))
         after.append(get_threads())
         fine_tune(init_mlp(3, qs.d, qs.c, seed=1), qs, cfg(max_steps=20))
         after.append(get_threads())
-        assert during == [("_fit", 1)] + [("_outputs", 1)] * 4 + [("_fit", 1)]
+        assert during == [("_fit", 1)] + [("_outputs", 1)] * 4 + [("fit_lm", 1)]
         assert after == [3, 3, 3]
 
     def test_serial_training_pins_one_thread_and_restores_the_caller(

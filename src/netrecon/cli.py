@@ -263,9 +263,8 @@ def _write_report(out_dir: str, method: str, r: int, n_students: int, report,
             "matched pairs (recon -> teacher: d_w, d_a):",
         ]
         lines += [
-            f"  {i:3d} -> {j:3d}: {dw:.3e}, {da:.3e}"
-            for i, j, dw, da in zip(report.recon_index, report.teacher_index, report.dw,
-                                    report.da)
+            f"  {p.recon_index:3d} -> {p.teacher_index:3d}: {p.dw:.3e}, {p.da:.3e}"
+            for p in report.pairs
         ]
     atomic_write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
                      [(method, r, n_students, *scores, Q)])

@@ -273,44 +273,44 @@ def _gauss_newton(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, n
     """JᵀJ and Jᵀe, both in `theta`'s layout, for the residual e = out - Y over every row.
 
     J is the Jacobian of the Q*c logits with respect to `theta`; it is never
-    formed. With F the features g'(z_j) [x; 1] of each hidden neuron j and
-    H = [h; 1], the W/b block is (FᵀF) ⊙ (AᵀA ⊗ 1), the A/c_out block is
-    I_c ⊗ HᵀH and the cross block is A_kj (FᵀH)_j, so building it costs
-    about c times fewer flops than J. Jᵀe is the backpropagated residual. The
-    sums run over blocks of `_ROWS` rows, a remainder joining the last.
+    formed. With F the features g'(z_j) [x; 1] of each hidden neuron j, its
+    columns in `theta`'s W then b order, and H = [h; 1], the W/b block is
+    FᵀF scaled by (AᵀA)_jj' for the neurons j, j' of each row and column,
+    the A/c_out block is I_c ⊗ HᵀH and the cross block is A_kj (FᵀH)_j, so
+    building it costs about c times fewer flops than J. Jᵀe is the
+    backpropagated residual. The sums run over blocks of `_ROWS` rows, a
+    remainder joining the last. At most two arrays of JᵀJ's size are alive.
     """
     X = _inputs(net, X)
     r, d, c, n = net.r, net.d, net.c, X.shape[0]
-    FF = np.zeros((r * (d + 1), r * (d + 1)))
-    FH = np.zeros((r * (d + 1), r + 1))
+    rd, wb, ab = r * d, r * (d + 1), r * (d + 1) + c * r  # ends of W, b and A in theta
+    jtj = np.zeros((net.n_params, net.n_params))
+    FH = np.zeros((wb, r + 1))
     HH = np.zeros((r + 1, r + 1))
     grad = np.zeros(net.n_params)
     blocks = max(n // _ROWS, 1)
     for i in range(blocks):
         rows = slice(i * _ROWS, n if i == blocks - 1 else (i + 1) * _ROWS)
         trace = _forward(net, X[rows], slope=True)
-        ones = np.ones((len(trace.out), 1))
-        inputs = np.hstack([X[rows], ones])
-        F = (trace.slope[:, :, None] * inputs[:, None, :]).reshape(len(inputs), -1)
-        H = np.hstack([trace.hidden, ones])
-        FF += F.T @ F
+        F = np.empty((len(trace.out), wb))
+        np.multiply(trace.slope[:, :, None], X[rows, None, :], out=F[:, :rd].reshape(-1, r, d))
+        F[:, rd:] = trace.slope
+        H = np.hstack([trace.hidden, np.ones((len(trace.out), 1))])
+        jtj[:wb, :wb] += F.T @ F
         FH += F.T @ H
         HH += H.T @ H
         grad += backprop_from_dout(net, trace, X[rows], _mse(trace.out, Y[rows])[0])
-    # rows in neuron order: each neuron's [w; b], then each output's [A_k; c_k]
-    wb = r * (d + 1)
-    jtj = np.empty((net.n_params, net.n_params))
-    jtj[:wb, :wb] = FF * np.kron(net.A.T @ net.A, np.ones((d + 1, d + 1)))
-    cross = net.A.T[:, None, :, None] * FH.reshape(r, d + 1, 1, r + 1)
-    jtj[:wb, wb:] = cross.reshape(wb, c * (r + 1))
+    neuron = np.concatenate([np.repeat(np.arange(r), d), np.arange(r)])  # of each W/b entry
+    jtj[:wb, :wb] *= (net.A.T @ net.A)[np.ix_(neuron, neuron)]
+    A_of = net.A.T[neuron]  # (wb, c): A_kj of each W/b entry's neuron j
+    jtj[:wb, wb:ab] = (A_of[:, :, None] * FH[:, None, :r]).reshape(wb, c * r)
+    jtj[:wb, ab:] = A_of * FH[:, r:]
+    jtj[wb:ab, wb:ab] = np.kron(np.eye(c), HH[:r, :r])
+    jtj[wb:ab, ab:] = np.kron(np.eye(c), HH[:r, r:])
+    jtj[ab:, ab:] = HH[r, r] * np.eye(c)
     jtj[wb:, :wb] = jtj[:wb, wb:].T
-    jtj[wb:, wb:] = np.kron(np.eye(c), HH)
-    W, b, A, c_out = net.blocks(np.arange(net.n_params))
-    order = np.concatenate([np.hstack([W, b[:, None]]).ravel(),
-                            np.hstack([A, c_out[:, None]]).ravel()])
-    theta_jtj = np.empty_like(jtj)
-    theta_jtj[np.ix_(order, order)] = jtj
-    return theta_jtj, grad
+    jtj[ab:, wb:ab] = jtj[wb:ab, ab:].T
+    return jtj, grad
 
 
 def init_mlp(r: int, d: int, c: int, seed: int = 0) -> Mlp:

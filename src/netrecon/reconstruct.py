@@ -38,9 +38,13 @@ _CLUSTER_BYTES = 1 << 30
 _EDGE_BYTES = 64
 # [w; b] norm below which a neuron carries no usable direction
 _MIN_NORM = 1e-12
-# bytes the fine-tune's dense JᵀJ may take (2,048 parameters); a larger net is
-# fine-tuned by Adam. Fixed, so a net's path depends on its size alone.
-_LM_BYTES = 1 << 25
+# bytes the Levenberg-Marquardt fine-tune's two n_params x n_params arrays (JᵀJ
+# and the copy the solver factors) may take: 1,024 parameters. On desk-shaped
+# nets (Q = 6,144) of up to 1,162 parameters LM took at most 0.46x the time of
+# Adam's fine-tune; at 1,414 a start it cannot fit ran LM to its iteration cap
+# in 0.9x, at 2,026 in 2.0x (BENCH_lm_finetune.json, "lm_budget"). A larger
+# net is fine-tuned by Adam. Fixed, so a net's path depends on its size alone.
+_LM_BYTES = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,42 +96,19 @@ class MatchedPair:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionReport:
-    """How well a reconstructed net matches a reference, neuron by neuron.
-
-    The four arrays hold one matched pair each, in ascending `recon_index`.
-    """
+    """How well a reconstructed net matches a reference, neuron by neuron."""
 
     m: int  # recovered hidden width
     r: int  # reference hidden width
-    recon_index: np.ndarray
-    teacher_index: np.ndarray
-    dw: np.ndarray  # cosine distance between [w; b] directions
-    da: np.ndarray  # cosine distance between outgoing weight columns
+    avg_dw: float
+    max_dw: float
+    avg_da: float
+    max_da: float
+    pairs: list[MatchedPair]
 
     @property
     def m_over_r(self) -> float:
         return self.m / self.r
-
-    @property
-    def avg_dw(self) -> float:
-        return float(np.mean(self.dw))
-
-    @property
-    def max_dw(self) -> float:
-        return float(np.max(self.dw))
-
-    @property
-    def avg_da(self) -> float:
-        return float(np.mean(self.da))
-
-    @property
-    def max_da(self) -> float:
-        return float(np.max(self.da))
-
-    @property
-    def pairs(self) -> list[MatchedPair]:
-        return [MatchedPair(int(i), int(j), float(dw), float(da)) for i, j, dw, da
-                in zip(self.recon_index, self.teacher_index, self.dw, self.da)]
 
 
 def _directions(W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,15 +256,15 @@ def fine_tune(net: Mlp, qs: QuerySet,
               cfg: TrainConfig) -> tuple[Mlp, list[HistoryPoint]]:
     """Polish a collapsed net on the original teacher queries, with one BLAS thread.
 
-    A net whose dense JᵀJ (8 * n_params**2 bytes) fits `_LM_BYTES` runs
-    Levenberg-Marquardt on the full query set (`fit_lm`), which reads only
-    `cfg.max_steps` and `cfg.target_loss`; a larger one runs Adam
-    (`fit_mse`) with every field of `cfg`.
+    A net whose two n_params**2 float64 arrays (16 * n_params**2 bytes) fit
+    `_LM_BYTES` runs Levenberg-Marquardt on the full query set (`fit_lm`),
+    which reads only `cfg.max_steps` and `cfg.target_loss`; a larger one
+    runs Adam (`fit_mse`) with every field of `cfg`.
     """
     if net.d != qs.d or net.c != qs.c:
         raise ValueError("net dimensions do not match the query set")
     with _one_blas_thread():
-        if 8 * net.n_params**2 <= _LM_BYTES:
+        if 16 * net.n_params**2 <= _LM_BYTES:
             return fit_lm(net, qs, cfg)
         return fit_mse(net, qs, cfg)
 
@@ -319,9 +300,17 @@ def evaluate_reconstruction(recon: Mlp, teacher: Mlp) -> ReconstructionReport:
     norms = np.linalg.norm(ra, axis=0) * np.linalg.norm(ta, axis=0)
     # a zero outgoing column has no direction: distance 1, as in cosine_distance
     cosines = np.sum(ra * ta, axis=0) / np.where(norms > 0, norms, 1.0)
-    return ReconstructionReport(m=recon.r, r=teacher.r, recon_index=rows, teacher_index=cols,
-                                dw=1.0 - gram[rows, cols],
-                                da=np.where(norms > 0, 1.0 - cosines, 1.0))
+    dw, da = 1.0 - gram[rows, cols], np.where(norms > 0, 1.0 - cosines, 1.0)
+    return ReconstructionReport(
+        m=recon.r,
+        r=teacher.r,
+        avg_dw=float(np.mean(dw)),
+        max_dw=float(np.max(dw)),
+        avg_da=float(np.mean(da)),
+        max_da=float(np.max(da)),
+        pairs=[MatchedPair(*pair) for pair in zip(rows.tolist(), cols.tolist(), dw.tolist(),
+                                                  da.tolist())],
+    )
 
 
 def run_reconstruction(students: Sequence[Mlp | None], qs: QuerySet, gamma: float,

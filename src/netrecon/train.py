@@ -309,8 +309,9 @@ def fit_lm(net: Mlp, qs: QuerySet, cfg: TrainConfig) -> tuple[Mlp, list[HistoryP
     `_LM_ITERATIONS` iterations or once λ passes `_LM_MAX_DAMPING`; no other
     field of `cfg` is read. The history has row 0 and one (iteration, loss,
     λ) row per iteration, with the loss of the net kept and the λ of the
-    next iteration, so the net returned has the history's lowest loss. JᵀJ
-    holds n_params**2 floats.
+    next iteration, so the net returned has the history's lowest loss. At
+    most two arrays of n_params**2 floats are alive: JᵀJ, and the copy that
+    the solve factors or the mask `_gauss_newton` applies.
     """
     X, Y = qs.inputs, qs.targets
     damping = _LM_DAMPING
@@ -329,9 +330,11 @@ def fit_lm(net: Mlp, qs: QuerySet, cfg: TrainConfig) -> tuple[Mlp, list[HistoryP
             jtj /= scale[:, None]
             jtj /= scale
             grad /= scale
+            diagonal = np.diag(jtj).copy()
+        jtj.flat[::len(grad) + 1] = diagonal + damping  # solve factors a copy
         trial_loss = np.inf
         try:
-            step = np.linalg.solve(jtj + damping * np.eye(len(grad)), grad) / scale
+            step = np.linalg.solve(jtj, grad) / scale
             trial = Mlp.from_flat(net.theta - step, net.r, net.d, net.c)
             with np.errstate(over="ignore", invalid="ignore"):
                 trial_loss = mse_loss(trial, X, Y)

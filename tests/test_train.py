@@ -466,8 +466,9 @@ class TestOneBlasThread:
         set_threads, get_threads = blas_threads
         set_threads(3)
         during = []
-        # the teacher's Adam loop, its passes and the fine-tune's
-        # Levenberg-Marquardt fit, which a net this small takes
+        # the teacher's Adam loop, its passes, and the fine-tune's two paths:
+        # Levenberg-Marquardt for a small net, Adam's loop for one over the
+        # byte budget (49 * 21 + 4 = 1,033 parameters)
         for module, name in ((train, "_fit"), (train, "_outputs"), (reconstruct, "fit_lm")):
             def recording(*args, _real=getattr(module, name), _name=name, **kwargs):
                 during.append((_name, get_threads()))
@@ -479,8 +480,10 @@ class TestOneBlasThread:
         after.append(get_threads())
         fine_tune(init_mlp(3, qs.d, qs.c, seed=1), qs, cfg(max_steps=20))
         after.append(get_threads())
-        assert during == [("_fit", 1)] + [("_outputs", 1)] * 4 + [("fit_lm", 1)]
-        assert after == [3, 3, 3]
+        fine_tune(init_mlp(49, qs.d, qs.c, seed=1), qs, cfg(max_steps=20))
+        after.append(get_threads())
+        assert during == [("_fit", 1)] + [("_outputs", 1)] * 4 + [("fit_lm", 1), ("_fit", 1)]
+        assert after == [3, 3, 3, 3]
 
     def test_serial_training_pins_one_thread_and_restores_the_caller(
             self, tiny_queries, blas_threads, monkeypatch):

@@ -272,7 +272,12 @@ def _write_report(out_dir: str, method: str, r: int, n_students: int, report,
 
 
 def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
-    """Reconstruct from an ensemble of [students] n slots; a missing model file is a None slot."""
+    """Reconstruct from an ensemble of [students] n slots; a missing model file is a None slot.
+
+    The students must have been fitted to this queries.qs, as
+    students/queries.crc32 records; that is checked after their shapes and
+    before any clustering.
+    """
     teacher_path = os.path.join(out_dir, "teacher.mlp")
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(teacher_path, queries_path)
@@ -284,6 +289,12 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
     students = [_load_student(p, r_student, qs) if os.path.isfile(p) else None for p in paths]
     if sum(s is not None for s in students) < 2:
         raise ConfigError("need at least two trained students; run train-students first")
+    record = os.path.join(out_dir, "students", "queries.crc32")
+    recorded, crc = _recorded_crc(record), f"{container_crc(queries_path):08x}"
+    if recorded != crc:
+        raise ConfigError(f"{record}: the students were fitted to the query set with "
+                          f"CRC32 {recorded or 'unrecorded'}, but {queries_path} has {crc}; "
+                          f"run train-students again")
 
     try:
         tuned, _, history = run_reconstruction(students, qs, cfg.reconstruct.gamma,

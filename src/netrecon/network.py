@@ -30,7 +30,8 @@ _ROWS = 1024
 _TILE = 16384
 
 
-def _activate(z: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _activate(z: np.ndarray, slope: bool, out: np.ndarray | None = None,
+              g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """softplus(z) + sigmoid(4z) and, if `slope`, its derivative, from one exp.
 
     With e = exp(-|z|), e4 = e**4 and u the unit step (1 for z >= 0, else 0):
@@ -38,41 +39,46 @@ def _activate(z: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None
     sigmoid(4z) = max(e4, u) / (1 + e4), and the derivative is
     sigmoid(z) + 4 e4 / (1 + e4)**2. No exp(z) is formed for large z and no
     1 - sigmoid is, so both tails are exact; max(., u) selects the numerator
-    without a branch. The kernel runs over flat tiles of `_TILE` elements,
-    writing into the results: besides them only two tile-sized scratch arrays
-    are alive, or four with the slope.
+    without a branch. The results are written into `out` and `g`, C-ordered
+    arrays of z's shape, or into new arrays where they are None; both are
+    returned. `out` may be z itself, so the activation replaces z; `g` must
+    not overlap z. The kernel runs over flat tiles of `_TILE` elements:
+    besides the results only four tile-sized scratch arrays are alive, or
+    five with the slope.
     """
-    out = np.empty(z.shape)
-    g = np.empty(z.shape) if slope else None
+    out = np.empty(z.shape) if out is None else out
+    if slope and g is None:
+        g = np.empty(z.shape)
     zf, of = z.reshape(-1), out.reshape(-1)
     gf = g.reshape(-1) if slope else None
-    bufs = [np.empty(min(zf.size, _TILE)) for _ in range(4 if slope else 2)]
+    bufs = np.empty((5 if slope else 4, min(zf.size, _TILE)))
     for i in range(0, zf.size, _TILE):
         tile = slice(i, i + _TILE)
         zt, e = zf[tile], of[tile]
-        e4, u, *slope_bufs = (buf[:zt.size] for buf in bufs)
+        e4, den4, u, relu, *slope_bufs = bufs[:, :zt.size]
+        # the two reads of z come first, since e may be z's own tile
+        np.greater_equal(zt, 0.0, out=u)
+        np.maximum(zt, 0.0, out=relu)
         np.abs(zt, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
         np.square(e, out=e4)
         np.square(e4, out=e4)
-        np.greater_equal(zt, 0.0, out=u)
+        np.add(e4, 1.0, out=den4)
         if slope:
-            den, ds4 = slope_bufs
+            (den,) = slope_bufs
             gt = gf[tile]
             np.add(e, 1.0, out=den)
             np.maximum(e, u, out=gt)
             gt /= den  # sigmoid(z)
-            np.add(e4, 1.0, out=den)
-            np.divide(e4, den, out=ds4)
-            ds4 /= den
-            ds4 *= 4.0  # derivative of sigmoid(4z)
-            gt += ds4
+            np.divide(e4, den4, out=den)
+            den /= den4
+            den *= 4.0  # derivative of sigmoid(4z)
+            gt += den
         np.log1p(e, out=e)
         np.maximum(e4, u, out=u)
-        np.add(e4, 1.0, out=e4)
-        np.divide(u, e4, out=u)  # sigmoid(4z)
-        e += np.maximum(zt, 0.0, out=e4)
+        np.divide(u, den4, out=u)  # sigmoid(4z)
+        e += relu
         e += u
     return out, g
 
@@ -137,9 +143,7 @@ class Mlp:
     def _adopt(self, theta):
         if theta.shape != (self.n_params,):
             raise ValueError(f"theta must have shape ({self.n_params},), got {theta.shape}")
-        # min and max propagate nan; unlike isfinite(theta) they allocate nothing
-        if not (isfinite(theta.min()) and isfinite(theta.max())):
-            raise ValueError("parameters contain non-finite entries")
+        _require_finite(theta)
         theta.flags.writeable = False
         for name, value in zip(("theta", "W", "b", "A", "c_out"), (theta, *self.blocks(theta))):
             object.__setattr__(self, name, value)
@@ -162,6 +166,13 @@ class Mlp:
         return Mlp.from_flat, (self.theta, self.r, self.d, self.c)
 
 
+def _require_finite(theta: np.ndarray) -> None:
+    """Raise ValueError unless every parameter is finite."""
+    # min and max propagate nan; unlike isfinite(theta) they allocate nothing
+    if not (isfinite(theta.min()) and isfinite(theta.max())):
+        raise ValueError("parameters contain non-finite entries")
+
+
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
     """Intermediate values of one batched forward pass."""
@@ -180,17 +191,30 @@ def _inputs(net: Mlp, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _preactivations(net: Mlp, X: np.ndarray) -> np.ndarray:
-    """W x + b for each row x of X."""
-    pre = _inputs(net, X) @ net.W.T
+def _preactivations(net: Mlp, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """W x + b for each row x of X, written into `out` when it is given."""
+    pre = np.matmul(_inputs(net, X), net.W.T, out=out)
     pre += net.b
     return pre
 
 
+def _forward_into(net: Mlp, X: np.ndarray, pre: np.ndarray, hidden: np.ndarray,
+                  out: np.ndarray, slope: np.ndarray | None = None) -> None:
+    """The forward pass of X written into given arrays of its rows: `pre`,
+    `hidden` and `slope` (n, r), `out` (n, c); no slope where it is None.
+    `hidden` may be `pre`, which the hidden layer then replaces."""
+    _preactivations(net, X, pre)
+    _activate(pre, slope is not None, hidden, slope)
+    np.matmul(hidden, net.A.T, out=out)
+    out += net.c_out
+
+
 def _forward(net: Mlp, X: np.ndarray, slope: bool) -> ForwardTrace:
-    pre = _preactivations(net, X)
-    hidden, g = _activate(pre, slope)
-    out = hidden @ net.A.T + net.c_out
+    X = _inputs(net, X)
+    n = X.shape[0]
+    pre, hidden, out = np.empty((n, net.r)), np.empty((n, net.r)), np.empty((n, net.c))
+    g = np.empty((n, net.r)) if slope else None
+    _forward_into(net, X, pre, hidden, out, g)
     return ForwardTrace(pre=pre, hidden=hidden, out=out, slope=g)
 
 
@@ -205,20 +229,37 @@ def _outputs(net: Mlp, X: np.ndarray) -> np.ndarray:
     Blocks have `_ROWS` rows, or `_ROWS` * 512 // r for nets narrower than 512
     so that a tiny net is not run in many small calls; any remainder joins
     the last block, so each has at least that many rows and fewer than twice
-    as many take one block. Only one block's hidden-layer arrays are alive at
-    a time: the peak does not grow with Q, apart from the (Q, c) result.
+    as many take one block. The blocks share one hidden-layer array, sized
+    for the last and largest, which holds each block's pre-activations and
+    then its activations: the peak does not grow with Q, apart from the
+    (Q, c) result.
     """
     X = _inputs(net, X)
     n = X.shape[0]
     size = max(_ROWS, (_ROWS * 512) // net.r)
     blocks = max(n // size, 1)
     out = np.empty((n, net.c))
+    last = n - (blocks - 1) * size
+    hidden = np.empty((last, net.r))
     for i in range(blocks):
         rows = slice(i * size, n if i == blocks - 1 else (i + 1) * size)
-        hidden = _activate(_preactivations(net, X[rows]), slope=False)[0]
-        out[rows] = hidden @ net.A.T + net.c_out
-        del hidden  # so the next block's arrays are the only ones alive
+        block = hidden[:rows.stop - rows.start]
+        _forward_into(net, X[rows], block, block, out[rows])
     return out
+
+
+def _backprop_into(net: Mlp, X: np.ndarray, hidden: np.ndarray, slope: np.ndarray,
+                   dout: np.ndarray, dpre: np.ndarray, grad: np.ndarray) -> None:
+    """Pull `dout`, a gradient w.r.t. the logits of X's rows, back onto the
+    parameters: writes it into `grad`, laid out like `theta`, with `dpre`
+    (n, r) as scratch. `hidden` and `slope` come from the forward pass of X."""
+    dW, db, dA, dc_out = net.blocks(grad)
+    np.matmul(dout.T, hidden, out=dA)
+    dout.sum(axis=0, out=dc_out)
+    np.matmul(dout, net.A, out=dpre)
+    dpre *= slope
+    np.matmul(dpre.T, X, out=dW)
+    dpre.sum(axis=0, out=db)
 
 
 def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
@@ -230,13 +271,7 @@ def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
     if trace.slope is None:
         raise ValueError("trace has no slope; it must come from a gradient pass")
     grad = np.empty(net.n_params)
-    dW, db, dA, dc_out = net.blocks(grad)
-    np.matmul(dout.T, trace.hidden, out=dA)
-    dout.sum(axis=0, out=dc_out)
-    dpre = dout @ net.A
-    dpre *= trace.slope
-    np.matmul(dpre.T, X, out=dW)
-    dpre.sum(axis=0, out=db)
+    _backprop_into(net, X, trace.hidden, trace.slope, dout, np.empty(trace.hidden.shape), grad)
     return grad
 
 

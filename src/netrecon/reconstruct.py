@@ -24,7 +24,7 @@ from scipy.spatial.distance import squareform
 from .data import QuerySet
 from .errors import ConfigError, EmptyReconstructionError
 from .network import Mlp
-from .train import HistoryPoint, TrainConfig, _one_blas_thread, fit_lm, fit_mse
+from .train import HistoryPoint, TrainConfig, fit_lm, fit_mse
 
 
 # rows of each upper-triangle Gram block: 512 x n float64 at a time
@@ -263,10 +263,9 @@ def fine_tune(net: Mlp, qs: QuerySet,
     """
     if net.d != qs.d or net.c != qs.c:
         raise ValueError("net dimensions do not match the query set")
-    with _one_blas_thread():
-        if 16 * net.n_params**2 <= _LM_BYTES:
-            return fit_lm(net, qs, cfg)
-        return fit_mse(net, qs, cfg)
+    if 16 * net.n_params**2 <= _LM_BYTES:
+        return fit_lm(net, qs, cfg)
+    return fit_mse(net, qs, cfg)
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from netrecon import train
+from netrecon import cli, train
 from netrecon.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -375,6 +375,51 @@ class TestStudentFiles:
         assert "with CRC32 unrecorded, but" in capsys.readouterr().err
         assert calls == []
         assert not (out / "students" / "student_02.mlp").exists()
+
+    @staticmethod
+    def counting_reconstructions(monkeypatch):
+        real, calls = cli.run_reconstruction, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_reconstruction", counting)
+        return calls
+
+    def test_reconstruct_refuses_students_of_another_query_set(self, workdir, queries, capsys,
+                                                               monkeypatch):
+        out = workdir / "requeried_reconstruct"
+        self.copy_queries(queries, out)
+        config = workdir / "requery_reconstruct.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(
+            "max_steps = 6000", "max_steps = 20"))
+        assert main(["train-students", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        trailer = (out / "queries.qs").read_bytes()[-4:]
+        # the same run, but its queries are rebuilt with another seed
+        other = workdir / "requery_reconstruct_seed.ini"
+        other.write_text(config.read_text().replace("[query]\n", "[query]\nseed = 77\n"))
+        assert main(["build-queries", "--config", str(other), "--out", str(out)]) == EXIT_OK
+        assert (out / "queries.qs").read_bytes()[-4:] != trailer
+        calls = self.counting_reconstructions(monkeypatch)
+        assert main(["reconstruct", "--config", str(other), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "queries.crc32: the students were fitted to the query set with" in err
+        assert f"CRC32 {struct.unpack('<I', trailer)[0]:08x}, but" in err
+        assert "run train-students again" in err
+        assert calls == []
+        assert not (out / "report.csv").exists() and not (out / "reconstructed.mlp").exists()
+
+    def test_reconstruct_refuses_students_without_a_query_set_record(self, workdir, queries,
+                                                                     capsys, monkeypatch):
+        out = workdir / "unrecorded_reconstruct"
+        self.copy_queries(queries, out)
+        self.write_students(out, [(8, 16, 5)] * 3)
+        calls = self.counting_reconstructions(monkeypatch)
+        assert run(workdir, "reconstruct", out) == EXIT_CONFIG
+        assert "with CRC32 unrecorded, but" in capsys.readouterr().err
+        assert calls == []
+        assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("history,needle", [
         ("step,loss,lr\n", "at least one row"),

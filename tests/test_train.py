@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import netrecon
-from netrecon import reconstruct, train
+from netrecon import train
 from netrecon.augment import AugmentationSpec, build
-from netrecon.data import make_synthetic_classification, standardize
+from netrecon.data import QuerySet, make_synthetic_classification, standardize
 from netrecon.errors import DivergenceError
 from netrecon.network import _TILE, Mlp, forward, init_mlp, mse_loss
 from netrecon.reconstruct import fine_tune
@@ -252,9 +252,12 @@ class TestTeacherTraining:
         assert accuracy(tiny_teacher, tiny_ds) > 0.85
 
     def test_divergence_reports_step(self, tiny_ds):
+        # the first step moves the weights by about 1e160, so the second
+        # batch's logits overflow: a non-finite batch loss
         with pytest.raises(DivergenceError) as info:
             train_teacher(tiny_ds, 3, cfg(learning_rate=1e160, max_steps=500))
-        assert info.value.step >= 0
+        assert info.value.step == 1
+        assert str(info.value) == "non-finite training loss at step 1"
 
 
 class TestQueryTeacher:
@@ -309,6 +312,62 @@ class TestStudentTraining:
             assert final == best
         assert any(history[-1][1] > final
                    for history, final in zip(ens.histories, ens.final_losses))
+
+    def test_non_finite_parameters_report_step(self):
+        # input 4 is 1e308 in row 37 and 0 elsewhere, and its weights start
+        # at 0: every loss stays finite, but the batch holding row 37 gives
+        # an infinite gradient, so Adam's update makes the parameters nan
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((64, 5))
+        X[:, 4] = 0.0
+        X[37, 4] = 1e308
+        qs = QuerySet(inputs=X, targets=100.0 * rng.standard_normal((64, 3)))
+        start = init_mlp(4, 5, 3, seed=0)
+        W = start.W.copy()
+        W[:, 4] = 0.0
+        start = Mlp(W=W, b=start.b, A=start.A, c_out=start.c_out)
+        with pytest.raises(DivergenceError) as info:
+            fit_mse(start, qs, cfg(learning_rate=1e-3, batch_size=8))
+        assert info.value.step == 2
+        assert str(info.value) == "diverged at step 2: parameters contain non-finite entries"
+
+    @pytest.mark.parametrize("max_steps", [1, 40])
+    def test_returns_a_read_only_net_of_its_own(self, tiny_queries, max_steps):
+        start = init_mlp(6, tiny_queries.d, tiny_queries.c, seed=0)
+        before = start.theta.tobytes()
+        net, history = fit_mse(start, tiny_queries, cfg(max_steps=max_steps, eval_every=20))
+        assert final_loss(history) < history[0][1]  # an eval improved on step 0
+        assert not net.theta.flags.writeable
+        assert not np.shares_memory(net.theta, start.theta)
+        assert start.theta.tobytes() == before
+        with pytest.raises(ValueError):
+            net.theta[0] = 0.0
+
+    def test_peak_does_not_grow_with_steps(self):
+        # paper-shaped rows: r=512, d=784, c=10, 407,050 parameters; no eval
+        # between step 0 and the last step
+        r, d, c, Q, B = 512, 784, 10, 256, 64
+        rng = np.random.default_rng(0)
+        qs = QuerySet(inputs=rng.standard_normal((Q, d)), targets=rng.standard_normal((Q, c)))
+        start = init_mlp(r, d, c, seed=1)
+        peaks = []
+        for steps in (2, 6):
+            tracemalloc.start()
+            try:
+                _, history = fit_mse(start, qs, cfg(learning_rate=1e-3, batch_size=B,
+                                                    max_steps=steps, eval_every=1000))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [h[0] for h in history] == [0, steps]
+        # theta, the best parameters, Adam's m and v, and the gradient; the
+        # step workspace (the batch, the hidden layer, its slope, dpre, the
+        # logits, dout and the gathered targets); an eval block's hidden
+        # layer, and at most eight tile-sized scratch arrays
+        workspace = 8 * B * (d + 3 * r + 3 * c)
+        bound = 5 * start.theta.nbytes + workspace + 8 * Q * r + 8 * 8 * _TILE
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
+        assert max(peaks) < bound, (peaks, bound)
 
     def test_history_records_lr_and_steps(self, tiny_queries):
         _, history = train_student(tiny_queries, 6, cfg(max_steps=120, eval_every=40))
@@ -461,43 +520,53 @@ class TestOneBlasThread:
         assert outputs[0].count("\n") == 1
         assert outputs[0] == outputs[1], outputs
 
+    @staticmethod
+    def record_threads(monkeypatch, get_threads, names):
+        """Record (name, BLAS threads) at each call of train's kernels `names`,
+        which run inside the fits and passes that pin the count."""
+        during = []
+        for name in names:
+            def recording(*args, _real=getattr(train, name), _name=name, **kwargs):
+                during.append((_name, get_threads()))
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(train, name, recording)
+        return during
+
     def test_teacher_queries_and_fine_tune_pin_one_thread_and_restore_the_caller(
             self, tiny_ds, blas_threads, monkeypatch):
         set_threads, get_threads = blas_threads
         set_threads(3)
-        during = []
-        # the teacher's Adam loop, its passes, and the fine-tune's two paths:
-        # Levenberg-Marquardt for a small net, Adam's loop for one over the
-        # byte budget (49 * 21 + 4 = 1,033 parameters)
-        for module, name in ((train, "_fit"), (train, "_outputs"), (reconstruct, "fit_lm")):
-            def recording(*args, _real=getattr(module, name), _name=name, **kwargs):
-                during.append((_name, get_threads()))
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(module, name, recording)
-        teacher, _ = train_teacher(tiny_ds, 3, cfg(max_steps=20, eval_every=10))
-        after = [get_threads()]
-        qs = query_teacher(teacher, make(tiny_ds, "biased_noise", magnitude=1.0, seed=2))
-        after.append(get_threads())
-        fine_tune(init_mlp(3, qs.d, qs.c, seed=1), qs, cfg(max_steps=20))
-        after.append(get_threads())
-        fine_tune(init_mlp(49, qs.d, qs.c, seed=1), qs, cfg(max_steps=20))
-        after.append(get_threads())
-        assert during == [("_fit", 1)] + [("_outputs", 1)] * 4 + [("fit_lm", 1), ("_fit", 1)]
-        assert after == [3, 3, 3, 3]
+        during = self.record_threads(monkeypatch, get_threads,
+                                     ("_forward_into", "_outputs", "mse_loss", "_gauss_newton"))
+        phases = []
+
+        def phase(run):
+            during.clear()
+            result = run()
+            phases.append((sorted(set(during)), get_threads()))
+            return result
+
+        # the teacher's Adam loop and its passes, then the fine-tune's two
+        # paths: Levenberg-Marquardt for a small net, Adam's loop for one over
+        # the byte budget (49 * 21 + 4 = 1,033 parameters)
+        teacher, _ = phase(lambda: train_teacher(tiny_ds, 3, cfg(max_steps=20, eval_every=10)))
+        qs = phase(lambda: query_teacher(teacher, make(tiny_ds, "biased_noise",
+                                                       magnitude=1.0, seed=2)))
+        phase(lambda: fine_tune(init_mlp(3, qs.d, qs.c, seed=1), qs, cfg(max_steps=20)))
+        phase(lambda: fine_tune(init_mlp(49, qs.d, qs.c, seed=1), qs, cfg(max_steps=20)))
+        assert phases == [([("_forward_into", 1), ("_outputs", 1)], 3),
+                          ([("_outputs", 1)], 3),
+                          ([("_gauss_newton", 1), ("mse_loss", 1)], 3),
+                          ([("_forward_into", 1), ("mse_loss", 1)], 3)]
 
     def test_serial_training_pins_one_thread_and_restores_the_caller(
             self, tiny_queries, blas_threads, monkeypatch):
         set_threads, get_threads = blas_threads
         set_threads(3)
-        during, real = [], train.train_student
-
-        def recording(*args):
-            during.append(get_threads())
-            return real(*args)
-
-        monkeypatch.setattr(train, "train_student", recording)
+        during = self.record_threads(monkeypatch, get_threads, ("_forward_into", "mse_loss"))
         seen = [get_threads() for _ in iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1])]
-        assert during == [1, 1]
+        # per student: 20 steps and the evals at steps 0 and 20
+        assert during == 2 * ([("mse_loss", 1)] + [("_forward_into", 1)] * 20 + [("mse_loss", 1)])
         assert seen == [3, 3]
         assert get_threads() == 3
 

@@ -6,6 +6,11 @@ neuron's normalized [w; b] direction, clustering the directions, and
 collapsing each sufficiently shared cluster back into a single neuron yields a
 candidate teacher, which a final fine-tuning pass polishes on the same
 queries.
+
+scipy is imported by the functions that use it, so importing this module
+(and every CLI stage but `reconstruct`) does not load it: the first call to
+`cluster_neurons` loads its sparse, csgraph, hierarchy and spatial packages,
+and the first `evaluate_reconstruction` loads `scipy.optimize`.
 """
 
 from __future__ import annotations
@@ -15,11 +20,6 @@ from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import squareform
 
 from .data import QuerySet
 from .errors import ConfigError, EmptyReconstructionError
@@ -111,12 +111,13 @@ class ReconstructionReport:
         return self.m / self.r
 
 
-def _directions(W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalized rows of [W | b] plus their raw norms."""
-    wb = np.hstack([W, b[:, None]])
-    norms = np.linalg.norm(wb, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    return wb / safe[:, None], norms
+def _directions(W: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the unit-normalized rows of [W | b] into `out`; return their raw norms."""
+    out[:, :-1] = W
+    out[:, -1] = b
+    norms = np.linalg.norm(out, axis=1)
+    out /= np.where(norms > 0, norms, 1.0)[:, None]
+    return norms
 
 
 def extract_neurons(students: Sequence[Mlp | None]) -> Neurons:
@@ -126,20 +127,30 @@ def extract_neurons(students: Sequence[Mlp | None]) -> Neurons:
     missing (None) slots. Neurons whose [w; b] norm is below `_MIN_NORM`
     carry no usable direction and are excluded; the excluded count is the
     difference between the pooled total and len(result).
+
+    The direction table is allocated once and built in place, one student's
+    rows at a time, so the peak is the table plus one student's block; only
+    a pool with excluded neurons is copied once more.
     """
     trained = [(i, net) for i, net in enumerate(students) if net is not None]
     if not trained:
         raise ValueError("ensemble contains no trained students")
-    dirs, norms = _directions(np.vstack([net.W for _, net in trained]),
-                              np.concatenate([net.b for _, net in trained]))
+    d, c = trained[0][1].d, trained[0][1].c
+    n = sum(net.r for _, net in trained)
+    dirs, norms, outgoing = np.empty((n, d + 1)), np.empty(n), np.empty((n, c))
+    lo = 0
+    for _, net in trained:
+        rows = slice(lo, lo + net.r)
+        norms[rows] = _directions(net.W, net.b, dirs[rows])
+        outgoing[rows] = net.A.T
+        lo += net.r
+    table = (dirs, norms, outgoing,
+             np.repeat([i for i, _ in trained], [net.r for _, net in trained]),
+             np.concatenate([np.arange(net.r) for _, net in trained]))
     keep = norms >= _MIN_NORM
-    return Neurons(
-        directions=dirs[keep],
-        norms=norms[keep],
-        outgoing=np.hstack([net.A for _, net in trained]).T[keep],
-        student=np.repeat([i for i, _ in trained], [net.r for _, net in trained])[keep],
-        index=np.concatenate([np.arange(net.r) for _, net in trained])[keep],
-    )
+    if not keep.all():
+        table = tuple(column[keep] for column in table)
+    return Neurons(*table)
 
 
 def _check_budget(nbytes: int, what: str, beta: float) -> None:
@@ -154,6 +165,9 @@ def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
     The edges come from upper-triangle Gram row blocks; their running count
     is held to the byte budget, and the edge lists are freed on return.
     """
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
     n = len(dirs)
     # the slack lets a last-bit difference between this product and a
     # component's own only join two components, never split a cluster
@@ -187,6 +201,9 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     ceil(gamma * n_students) distinct students are accepted. Deterministic:
     clusters are numbered by their lowest member row.
     """
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import squareform
+
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0, 1]")
     if not np.isfinite(beta):
@@ -285,10 +302,13 @@ def evaluate_reconstruction(recon: Mlp, teacher: Mlp) -> ReconstructionReport:
     neuron order on either side. With m != r only min(m, r) pairs are matched
     and m/r records the deficit or surplus.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if recon.d != teacher.d or recon.c != teacher.c:
         raise ValueError("networks must share input and output dimensions")
-    ru, _ = _directions(recon.W, recon.b)
-    tu, _ = _directions(teacher.W, teacher.b)
+    ru, tu = np.empty((recon.r, recon.d + 1)), np.empty((teacher.r, teacher.d + 1))
+    _directions(recon.W, recon.b, ru)
+    _directions(teacher.W, teacher.b, tu)
     gram = ru @ tu.T
     cost = np.clip(1.0 - gram, 0.0, None)
     # an antipodal neuron makes the assignment degenerate (swapping it with any

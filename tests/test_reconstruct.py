@@ -155,6 +155,23 @@ def bundle_students(rng, n, r, rho, d, c, noise=1e-6):
     return students
 
 
+def stacked_extract(students):
+    """Reference extract: stack every trained slot, normalize, then drop tiny rows."""
+    trained = [(i, net) for i, net in enumerate(students) if net is not None]
+    wb = np.hstack([np.vstack([net.W for _, net in trained]),
+                    np.concatenate([net.b for _, net in trained])[:, None]])
+    norms = np.linalg.norm(wb, axis=1)
+    dirs = wb / np.where(norms > 0, norms, 1.0)[:, None]
+    keep = norms >= reconstruct._MIN_NORM
+    return Neurons(
+        directions=dirs[keep],
+        norms=norms[keep],
+        outgoing=np.hstack([net.A for _, net in trained]).T[keep],
+        student=np.repeat([i for i, _ in trained], [net.r for _, net in trained])[keep],
+        index=np.concatenate([np.arange(net.r) for _, net in trained])[keep],
+    )
+
+
 class TestExtractNeurons:
     def test_counts(self):
         rng = np.random.default_rng(0)
@@ -201,6 +218,43 @@ class TestExtractNeurons:
         assert np.array_equal(neurons.outgoing, np.hstack([a.A, b.A]).T)
         assert np.array_equal(neurons.norms, np.linalg.norm(
             np.hstack([np.vstack([a.W, b.W]), np.concatenate([a.b, b.b])[:, None]]), axis=1))
+
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_same_bytes_as_the_stacked_formula(self, tiny):
+        # slots of widths 5, 3 and 7 around an empty slot; with `tiny`, slot 2
+        # also holds an all-zero row and a row below _MIN_NORM, which are dropped
+        rng = np.random.default_rng(12)
+        students = [random_teacher(rng, r=r, d=9, c=4) for r in (5, 3, 7)]
+        if tiny:
+            W, b = students[1].W.copy(), students[1].b.copy()
+            W[0], b[0] = 0.0, 0.0
+            W[2], b[2] = 1e-15 * W[2], 1e-15 * b[2]
+            students[1] = Mlp(W=W, b=b, A=students[1].A, c_out=students[1].c_out)
+        students.insert(1, None)
+        got, want = extract_neurons(students), stacked_extract(students)
+        assert len(got) == 15 - 2 * tiny
+        for f in fields(Neurons):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            assert np.array_equal(a, b), f.name
+
+    def test_peak_is_about_one_table(self):
+        # 8 students of 512 neurons at d = 784: stacking, normalizing and
+        # masking held three tables at once; one table built in place holds
+        # the table plus one student's block (1/8) and the outgoing columns
+        rng = np.random.default_rng(13)
+        students = [Mlp(W=rng.normal(size=(512, 784)), b=rng.normal(size=512),
+                        A=rng.normal(size=(10, 512)), c_out=np.zeros(10)) for _ in range(8)]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            neurons = extract_neurons(students)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(neurons) == 8 * 512
+        assert peak - before <= 1.15 * neurons.directions.nbytes
 
 
 class TestClusterNeurons:

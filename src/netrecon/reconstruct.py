@@ -7,10 +7,13 @@ collapsing each sufficiently shared cluster back into a single neuron yields a
 candidate teacher, which a final fine-tuning pass polishes on the same
 queries.
 
-scipy is imported by the functions that use it, so importing this module
-(and every CLI stage but `reconstruct`) does not load it: the first call to
-`cluster_neurons` loads its sparse, csgraph, hierarchy and spatial packages,
-and the first `evaluate_reconstruction` loads `scipy.optimize`.
+Everything runs on numpy alone. The average-linkage cut and the minimum-cost
+assignment are ports of the routines scipy runs: Müllner's nearest-neighbour
+chain ("Modern hierarchical, agglomerative clustering algorithms",
+arXiv:1109.2378) and Crouse's shortest augmenting path ("On implementing 2D
+rectangular assignment algorithms", IEEE TAES 2016). They keep scipy's tie
+rules and order of operations, so labels and pairs are scipy's, bit for bit;
+the tests hold them to scipy as the reference.
 """
 
 from __future__ import annotations
@@ -29,13 +32,17 @@ from .train import HistoryPoint, TrainConfig, fit_lm, fit_mse
 
 # rows of each upper-triangle Gram block: 512 x n float64 at a time
 _GRAM_ROWS = 512
+# rows of a Gram block whose edges are listed, and later joined, at once: the
+# int64 indices and gathers of 64 x n pairs fit in the Gram block's room
+_EDGE_ROWS = 64
 # bytes clustering may spend on its edge lists or on one component's distance
 # matrices; a cut loose enough to need more is refused. Fixed, not sized to the
 # machine, so the same config is refused everywhere.
 _CLUSTER_BYTES = 1 << 30
-# peak bytes per edge while the components are found (the int64 head and tail
-# lists, the COO weights, scipy's CSR copies): about 60 measured at 4,096 rows
-_EDGE_BYTES = 64
+# peak bytes per edge while the components are found, above one Gram block and
+# its mask: the int32 head and tail lists. tracemalloc measured 6.8 and 7.3 on
+# 4,096 and 8,192 rows of d = 785 with every pair an edge
+_EDGE_BYTES = 8
 # [w; b] norm below which a neuron carries no usable direction
 _MIN_NORM = 1e-12
 # bytes the Levenberg-Marquardt fine-tune's two n_params x n_params arrays (JᵀJ
@@ -159,30 +166,110 @@ def _check_budget(nbytes: int, what: str, beta: float) -> None:
                           f"{nbytes} bytes, over the {_CLUSTER_BYTES}-byte budget")
 
 
+def _roots(n: int, edges: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Lowest node of the connected component of each of n nodes.
+
+    `edges` holds (head, tail) int32 arrays and is consumed. Each round drops
+    the edges whose ends share a root, hooks each larger root under the
+    smallest root it meets, then compresses the forest by pointer jumping so
+    that every node points at its root again. Parents only ever point lower,
+    so a root is its component's lowest member.
+    """
+    parent = np.arange(n, dtype=np.int32)
+    while edges:
+        hooked = parent.copy()
+        # names are dropped once dead, so the peak is the lists plus one slice's gathers
+        for k, (head, tail) in enumerate(edges):
+            a, b = parent[head], parent[tail]
+            live = a != b
+            edges[k] = head[live], tail[live]
+            del head, tail
+            a, b = a[live], b[live]
+            np.minimum.at(hooked, np.maximum(a, b), np.minimum(a, b))
+            del a, b, live
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        parent = hooked
+        edges = [(head, tail) for head, tail in edges if len(head)]
+    return parent
+
+
 def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
     """Connected component of each row in the graph of pairs with 1 - cos <= tau.
 
-    The edges come from upper-triangle Gram row blocks; their running count
-    is held to the byte budget, and the edge lists are freed on return.
+    The edges come from upper-triangle Gram row blocks as int32 head and tail
+    lists; their running count is held to the byte budget, and the lists are
+    freed on return. Components are numbered by their lowest row.
     """
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
     n = len(dirs)
     # the slack lets a last-bit difference between this product and a
     # component's own only join two components, never split a cluster
     min_gram = 1.0 - tau * (1.0 + 1e-6)
-    heads, tails = [np.arange(n)], [np.arange(n)]  # self-loops keep the lists non-empty
-    edges = n
+    edges, count = [], 0
     for i in range(0, n, _GRAM_ROWS):
-        head, tail = np.nonzero(dirs[i:i + _GRAM_ROWS] @ dirs[i:].T >= min_gram)
-        edges += len(head)
-        _check_budget(_EDGE_BYTES * edges, f"{edges} pairs of neurons", beta)
-        heads.append(head + i)
-        tails.append(tail + i)
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    graph = coo_array((np.ones(len(heads)), (heads, tails)), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+        near = dirs[i:i + _GRAM_ROWS] @ dirs[i:].T >= min_gram
+        count += int(np.count_nonzero(near))
+        _check_budget(_EDGE_BYTES * count, f"{count} pairs of neurons", beta)
+        for r in range(0, len(near), _EDGE_ROWS):
+            head, tail = np.nonzero(near[r:r + _EDGE_ROWS])
+            edges.append(((head + (i + r)).astype(np.int32), (tail + i).astype(np.int32)))
+    return np.unique(_roots(n, edges), return_inverse=True)[1]
+
+
+def _average_cut(dist: np.ndarray, tau: float) -> np.ndarray:
+    """Flat clusters of average linkage over `dist` cut at tau: a label per row.
+
+    The partition is scipy's fcluster(linkage(squareform(dist), "average"),
+    tau, "distance"), which reads only the upper triangle of `dist`; `dist`
+    is overwritten. A matrix whose largest entry is within tau * (1 - 1e-9)
+    is one cluster: every height is a weighted mean of its entries, and the
+    slack covers their rounding.
+
+    Otherwise this is scipy's nearest-neighbour chain. The chain grows from
+    the lowest live cluster to its nearest neighbour (the previous link unless
+    another is strictly nearer, else the lowest such index) until two clusters
+    are each other's nearest; those two, x < y, merge into y with the update
+    (nx * d(x, i) + ny * d(y, i)) / (nx + ny). fcluster joins a merge when the
+    largest height in its subtree is <= tau. Sorted by height, no subtree
+    holds a merge above its own, so that is each merge of height <= tau; and
+    the merged pairs form a tree, so the pairs that join fix the partition
+    whatever their order.
+    """
+    k = len(dist)
+    if dist.max() <= tau * (1.0 - 1e-9):
+        return np.zeros(k, dtype=np.int32)
+    for i in range(1, k):
+        dist[i, :i] = dist[:i, i]
+    # inf marks what the chain never picks: a row itself, and each merged-away cluster
+    np.fill_diagonal(dist, np.inf)
+    size = np.ones(k, dtype=np.int64)
+    chain, heads, tails = [], [], []
+    for _ in range(k - 1):
+        if not chain:
+            chain.append(int(np.flatnonzero(size)[0]))
+        while True:
+            x = chain[-1]
+            row = dist[x]
+            y = int(row.argmin())
+            if len(chain) > 1 and not row[y] < row[chain[-2]]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        height = dist[x, y]
+        x, y = min(x, y), max(x, y)
+        nx, ny = int(size[x]), int(size[y])
+        merged = (nx * dist[x] + ny * dist[y]) / (nx + ny)
+        dist[y], dist[:, y] = merged, merged
+        dist[x], dist[:, x] = np.inf, np.inf
+        size[x], size[y] = 0, nx + ny
+        if height <= tau:
+            heads.append(x)
+            tails.append(y)
+    return _roots(k, [(np.array(heads, dtype=np.int32), np.array(tails, dtype=np.int32))])
 
 
 def cluster_neurons(neurons: Neurons, n_students: int,
@@ -201,9 +288,6 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     ceil(gamma * n_students) distinct students are accepted. Deterministic:
     clusters are numbered by their lowest member row.
     """
-    from scipy.cluster.hierarchy import fcluster, linkage
-    from scipy.spatial.distance import squareform
-
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0, 1]")
     if not np.isfinite(beta):
@@ -217,15 +301,14 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     order = np.argsort(component, kind="stable")
     for rows in np.split(order, np.cumsum(np.bincount(component))[:-1]):
         if len(rows) > 1:
-            # the square matrix plus its condensed copy, before either exists
+            # 8 bytes a pair for the square matrix and 4 for the condensed
+            # copy scipy's linkage took, kept so the same cut is refused
             _check_budget(12 * len(rows) ** 2, f"{len(rows)} neurons into one component", beta)
-            # one square matrix at a time: built in place, freed before linkage copies
+            # one square matrix at a time, built and cut in place
             dist = dirs[rows] @ dirs[rows].T
             np.subtract(1.0, dist, out=dist)
             np.clip(dist, 0.0, None, out=dist)
-            dist = squareform(dist, checks=False)
-            Z = linkage(dist, method="average")
-            labels[rows] += fcluster(Z, t=tau, criterion="distance")
+            labels[rows] += _average_cut(dist, tau)
     _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
     labels = np.argsort(np.argsort(first))[labels]
     # one row per distinct (cluster, student) pair, so bincount counts students
@@ -294,6 +377,65 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(1.0 - (u @ v) / (nu * nv))
 
 
+def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost pairs of distinct rows and columns, min(m, r) of them, rows ascending.
+
+    scipy's rectangular linear_sum_assignment, ported so the pairs are its
+    pairs. A tall matrix is transposed. Each row in turn grows a shortest
+    augmenting path: the columns not yet on the path (kept in scipy's
+    swap-remove order, filled last column first) take reduced costs
+    ((min_val + c) - u) - v, and among equal minima the path takes the last
+    unassigned column, else the first one. The duals then move and the path
+    is flipped into the assignment.
+    """
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    u, v = np.zeros(nr), np.zeros(nc)
+    path, row4col, col4row = np.full(nc, -1), np.full(nc, -1), np.full(nr, -1)
+    for cur in range(nr):
+        shortest = np.full(nc, np.inf)
+        remaining = np.arange(nc - 1, -1, -1)
+        left, min_val, i = nc, 0.0, cur
+        visited, reached = [], []
+        while True:
+            visited.append(i)
+            cols = remaining[:left]
+            reduced = min_val + cost[i, cols] - u[i] - v[cols]
+            better = reduced < shortest[cols]
+            nearer = cols[better]
+            path[nearer] = i
+            shortest[nearer] = reduced[better]
+            path_costs = shortest[cols]
+            ties = np.flatnonzero(path_costs == path_costs.min())
+            free = ties[row4col[cols[ties]] < 0]
+            index = free[-1] if len(free) else ties[0]
+            j = cols[index]
+            min_val = shortest[j]
+            reached.append(j)
+            left -= 1
+            remaining[index] = remaining[left]
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        others = np.array(visited[1:], dtype=np.int64)
+        u[others] += min_val - shortest[col4row[others]]
+        reached = np.array(reached)
+        v[reached] -= min_val - shortest[reached]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row
+
+
 def evaluate_reconstruction(recon: Mlp, teacher: Mlp) -> ReconstructionReport:
     """Match reconstructed neurons to teacher neurons and report cosine distances.
 
@@ -302,8 +444,6 @@ def evaluate_reconstruction(recon: Mlp, teacher: Mlp) -> ReconstructionReport:
     neuron order on either side. With m != r only min(m, r) pairs are matched
     and m/r records the deficit or surplus.
     """
-    from scipy.optimize import linear_sum_assignment
-
     if recon.d != teacher.d or recon.c != teacher.c:
         raise ValueError("networks must share input and output dimensions")
     ru, tu = np.empty((recon.r, recon.d + 1)), np.empty((teacher.r, teacher.d + 1))
@@ -314,7 +454,7 @@ def evaluate_reconstruction(recon: Mlp, teacher: Mlp) -> ReconstructionReport:
     # an antipodal neuron makes the assignment degenerate (swapping it with any
     # exact pair keeps the total cost); the concave nudge resolves such ties
     # toward keeping exact pairs together so the bad neuron is reported as-is
-    rows, cols = linear_sum_assignment(cost - 1e-9 * cost**2)
+    rows, cols = _assignment(cost - 1e-9 * cost**2)
     ra, ta = recon.A[:, rows], teacher.A[:, cols]
     norms = np.linalg.norm(ra, axis=0) * np.linalg.norm(ta, axis=0)
     # a zero outgoing column has no direction: distance 1, as in cosine_distance

@@ -387,9 +387,9 @@ def fit_lm(net: Mlp, qs: QuerySet, cfg: TrainConfig) -> tuple[Mlp, list[HistoryP
     Each iteration solves (JᵀJ + λ D) δ = -Jᵀe, D the diagonal of JᵀJ
     (Marquardt's scaling; 1 where a parameter moves no logit), in its
     unit-diagonal form. It uses numpy's LAPACK, whose BLAS thread count it
-    pins; scipy bundles a BLAS of its own. A step that lowers the
-    full-set loss is taken and divides λ by `_LM_DOWN`; any other step, or a
-    singular system, multiplies λ by `_LM_UP`. The fit stops at
+    pins. A step that lowers the full-set loss is taken and divides λ by
+    `_LM_DOWN`; any other step, or a singular system, multiplies λ by
+    `_LM_UP`. The fit stops at
     `cfg.target_loss`, after `cfg.max_steps` steps taken, after
     `_LM_ITERATIONS` iterations or once λ passes `_LM_MAX_DAMPING`; no other
     field of `cfg` is read. The history has row 0 and one (iteration, loss,

@@ -6,6 +6,9 @@ from math import ceil
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import squareform
 
 from netrecon import reconstruct
@@ -407,6 +410,130 @@ class TestDenseEquivalence:
                           norms=np.ones(n), outgoing=np.zeros((n, 2)),
                           student=np.arange(n) % 8, index=np.arange(n) // 8)
         self.assert_same(neurons, 8)
+
+
+def first_seen(labels):
+    """`labels` renumbered by first occurrence, so equal partitions compare equal."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def skewed_directions(rng, n, d):
+    """Unit rows scattered around one axis by a per-row spread in [0.1, 0.6].
+
+    Every pair lies within cosine distance 10**-0.5 of each other, and about
+    four in ten within 10**-1.
+    """
+    dirs = 1.0 + rng.uniform(0.1, 0.6, size=(n, 1)) * rng.normal(size=(n, d))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+class TestScipyOracles:
+    """The numpy ports in `reconstruct` against the scipy routines they replace."""
+
+    @staticmethod
+    def costs(rng, m, r):
+        """Random, integer-valued (many ties) or one-decimal costs."""
+        kind = rng.integers(3)
+        if kind == 0:
+            return rng.random((m, r))
+        if kind == 1:
+            return rng.integers(0, 3, size=(m, r)).astype(float)
+        return np.round(rng.random((m, r)), 1)
+
+    @pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_assignment_is_linear_sum_assignment(self, shape, seed):
+        rng = np.random.default_rng([21, seed, ["square", "wide", "tall"].index(shape)])
+        for _ in range(120):
+            m = int(rng.integers(1, 12))
+            r = {"square": m, "wide": m + int(rng.integers(1, 6)),
+                 "tall": max(1, m - int(rng.integers(1, 6)))}[shape]
+            cost = self.costs(rng, m, r)
+            rows, cols = reconstruct._assignment(cost)
+            expected_rows, expected_cols = linear_sum_assignment(cost)
+            assert rows.tolist() == expected_rows.tolist()
+            assert cols.tolist() == expected_cols.tolist()
+
+    def test_constant_cost_assigns_the_identity(self):
+        for m, r in [(4, 4), (3, 6), (6, 3)]:
+            rows, cols = reconstruct._assignment(np.ones((m, r)))
+            assert rows.tolist() == cols.tolist() == list(range(min(m, r)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cut_is_fcluster_of_average_linkage(self, seed):
+        rng = np.random.default_rng([22, seed])
+        for trial in range(150):
+            k = int(rng.integers(2, 40))
+            kind = trial % 3
+            if kind == 0:  # asymmetric: only the upper triangle counts
+                dist, tau = rng.random((k, k)), float(rng.uniform(0.0, 1.0))
+            elif kind == 1:  # integer distances and cuts: ties everywhere
+                dist = rng.integers(0, 5, size=(k, k)).astype(float)
+                tau = float(rng.integers(0, 5))
+            else:  # tight bundles, cut between 1e-4 and 0.3
+                centers = rng.normal(size=(4, 6))
+                rows = centers[rng.integers(0, 4, size=k)]
+                rows = rows + 10 ** rng.uniform(-5, -1) * rng.normal(size=(k, 6))
+                rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+                dist = np.clip(1.0 - rows @ rows.T, 0.0, None)
+                tau = float(10 ** rng.uniform(-4, np.log10(0.3)))
+            expected = fcluster(linkage(squareform(dist, checks=False), method="average"),
+                                t=tau, criterion="distance")
+            got = reconstruct._average_cut(dist.copy(), tau)
+            assert np.array_equal(first_seen(got), first_seen(expected))
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_one_cluster_exit_at_its_boundary(self, above):
+        # a diameter of exactly tau * (1 - 1e-9) is one cluster without the
+        # chain, which leaves the matrix as it was; one ulp more runs the chain
+        tau = 1e-3
+        edge = tau * (1.0 - 1e-9)
+        rng = np.random.default_rng(23)
+        dist = rng.uniform(0.0, edge, size=(12, 12))
+        dist[2, 9] = np.nextafter(edge, np.inf) if above else edge
+        expected = fcluster(linkage(squareform(dist, checks=False), method="average"),
+                            t=tau, criterion="distance")
+        work = dist.copy()
+        got = reconstruct._average_cut(work, tau)
+        assert np.array_equal(first_seen(got), first_seen(expected))
+        assert len(set(expected.tolist())) == 1
+        assert np.array_equal(work, dist) != above
+
+    def test_components_are_connected_components(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            n = int(rng.integers(1, 150))
+            head, tail = rng.integers(0, n, size=(2, int(rng.integers(0, 3 * n))), dtype=np.int32)
+            graph = coo_array((np.ones(len(head)), (head, tail)), shape=(n, n))
+            expected = connected_components(graph, directed=False)[1]
+            roots = reconstruct._roots(n, [(head, tail)])
+            assert np.array_equal(first_seen(roots), expected)
+            assert np.all(roots <= np.arange(n))  # each root is its component's lowest node
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_edge_lists_hold_edge_bytes(self, beta):
+        # 2,048 rows of d = 785: every pair is an edge at beta 0.5, about four
+        # in ten at 1; the peak stays within _EDGE_BYTES an edge plus one
+        # float64 Gram block and its bool mask
+        n = 2048
+        dirs = skewed_directions(np.random.default_rng(25), n, 785)
+        tau = 10.0 ** -beta
+        min_gram = 1.0 - tau * (1.0 + 1e-6)
+        rows = reconstruct._GRAM_ROWS
+        edges = sum(int(np.count_nonzero(dirs[i:i + rows] @ dirs[i:].T >= min_gram))
+                    for i in range(0, n, rows))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            component = reconstruct._components(dirs, tau, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert edges > n**2 // 5
+        assert (component.max() == 0) == (beta == 0.5)
+        assert peak - before <= reconstruct._EDGE_BYTES * edges + 9 * rows * n
 
 
 class TestCollapse:

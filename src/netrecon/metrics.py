@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write_csv
-from .network import Mlp, _outputs, _preactivations, mse_loss
+from .network import (Mlp, _inputs, _outputs, _pass_rows, _preactivations, _row_blocks,
+                      mse_loss)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,14 +49,64 @@ def imitation_loss(student: Mlp, teacher: Mlp, X: np.ndarray) -> float:
     return mse_loss(student, X, _outputs(teacher, X))
 
 
+def _preactivation_blocks(net: Mlp, X: np.ndarray, lead: int = 0):
+    """A function whose every call runs one pass over X, yielding the
+    pre-activations W x + b one row block at a time.
+
+    The blocks are `_outputs`', whose products have a whole-set pass's bytes
+    (but see `network._ROWS`). Every pass yields them in one array, sized for the largest: each block as its
+    first `lead` + rows rows, the pre-activations in rows `lead`: and the
+    first `lead` rows left to the caller. No (Q, r) array is formed.
+    """
+    blocks = _row_blocks(X.shape[0], _pass_rows(net.r))
+    buf = np.empty((lead + blocks[-1].stop - blocks[-1].start, net.r))
+
+    def one_pass():
+        for rows in blocks:
+            block = buf[:lead + rows.stop - rows.start]
+            _preactivations(net, X[rows], block[lead:])
+            yield block
+    return one_pass
+
+
+def _blocked_std(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """The bytes of `pre.std(axis=0)` on the (Q, r) pre-activations, r >= 2.
+
+    Two passes over row blocks sum the pre-activations, then their squared
+    deviations from the mean. Each block is summed with the running total as
+    its row 0, which keeps numpy's row-by-row order.
+    """
+    blocks = _preactivation_blocks(net, X, lead=1)
+    total = np.zeros(net.r)
+    for block in blocks():
+        block[0] = total
+        block.sum(axis=0, out=total)
+    mean = np.divide(total, X.shape[0])
+    squares = np.zeros(net.r)
+    for block in blocks():
+        dev = block[1:]
+        dev -= mean
+        np.square(dev, out=dev)
+        block[0] = squares
+        block.sum(axis=0, out=squares)
+    return np.sqrt(np.divide(squares, X.shape[0]))
+
+
 def preactivation_variability(net: Mlp, X: np.ndarray) -> VariabilityStats:
     """Spread of each hidden neuron's pre-activation w.x + b across the rows of X.
 
     Population (ddof=0) standard deviations; the aggregate is their mean with
-    the standard error of that mean across neurons.
+    the standard error of that mean across neurons. They have the bytes of
+    `pre.std(axis=0)` on the whole (Q, r) matrix, which is formed only at
+    r = 1.
     """
-    pre = _preactivations(net, X)
-    per_neuron = pre.std(axis=0)
+    X = _inputs(net, X)
+    if net.r == 1:
+        # numpy sums a (Q, 1) column pairwise, not row by row; it is no
+        # larger than a column of X, so it is formed whole
+        per_neuron = _preactivations(net, X).std(axis=0)
+    else:
+        per_neuron = _blocked_std(net, X)
     r = per_neuron.shape[0]
     return VariabilityStats(
         per_neuron_std=per_neuron,
@@ -65,12 +116,26 @@ def preactivation_variability(net: Mlp, X: np.ndarray) -> VariabilityStats:
 
 
 def preactivation_histogram(net: Mlp, X: np.ndarray, bins: int) -> Histogram:
-    """Pooled histogram of all r*Q pre-activation values, uniform bins over [min, max]."""
+    """Pooled histogram of all r*Q pre-activation values, uniform bins over [min, max].
+
+    One pass over row blocks finds the range, a second bins each block into
+    it: the counts and edges are `np.histogram`'s on the whole (Q, r) matrix.
+    """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    pre = _preactivations(net, X).ravel()
-    counts, edges = np.histogram(pre, bins=bins)
-    return Histogram(counts=counts.astype(np.int64), edges=edges)
+    X = _inputs(net, X)
+    blocks = _preactivation_blocks(net, X)
+    lo, hi = np.inf, -np.inf
+    for pre in blocks():
+        # minimum and maximum propagate nan, which np.histogram then refuses
+        lo = np.minimum(lo, pre.min(initial=np.inf))
+        hi = np.maximum(hi, pre.max(initial=-np.inf))
+    span = (lo, hi) if X.shape[0] else None  # None: np.histogram bins no values over [0, 1]
+    counts = np.zeros(bins, dtype=np.int64)
+    for pre in blocks():
+        block_counts, edges = np.histogram(pre.ravel(), bins, range=span)
+        counts += block_counts
+    return Histogram(counts=counts, edges=edges)
 
 
 def scatter_table(teacher: Mlp, students: list[Mlp | None],

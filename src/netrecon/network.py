@@ -18,10 +18,12 @@ from .errors import FormatError
 MODEL_MAGIC = b"NRML"
 MODEL_VERSION = 1
 
-# rows per block of an outputs-only pass (see `_outputs`) at r >= 512; narrower
+# rows per block of a full-set pass (see `_pass_rows`) at r >= 512; narrower
 # nets take proportionally more. Fixed in code, never derived from the machine,
 # and large: OpenBLAS multiplies blocks of 1-64 rows at d=784 with other
-# kernels, whose last bits differ from the whole set's.
+# kernels, whose last bits differ from the whole set's. At widths r off its
+# 8-column unroll (say 513 or 700) the last r % 8 columns of even large
+# blocks can differ from the whole set's in the last bits.
 _ROWS = 1024
 
 # elements per tile of the elementwise kernels (`_activate`, `train.adam_step`):
@@ -223,26 +225,35 @@ def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
     return _forward(net, X, slope=False)
 
 
-def _outputs(net: Mlp, X: np.ndarray) -> np.ndarray:
-    """The logits `forward` returns for X, with the same bytes, in row blocks.
+def _row_blocks(n: int, size: int) -> list[slice]:
+    """Slices of `size` rows covering n rows, any remainder joining the last
+    block: n < 2 * size rows make one block, more make blocks of `size` to
+    2 * size - 1 rows."""
+    blocks = max(n // size, 1)
+    return [slice(i * size, n if i == blocks - 1 else (i + 1) * size) for i in range(blocks)]
 
-    Blocks have `_ROWS` rows, or `_ROWS` * 512 // r for nets narrower than 512
-    so that a tiny net is not run in many small calls; any remainder joins
-    the last block, so each has at least that many rows and fewer than twice
-    as many take one block. The blocks share one hidden-layer array, sized
-    for the last and largest, which holds each block's pre-activations and
-    then its activations: the peak does not grow with Q, apart from the
-    (Q, c) result.
+
+def _pass_rows(r: int) -> int:
+    """Rows per block of a full-set pass of a net of width r: `_ROWS` at
+    r >= 512, proportionally more for narrower nets, so that a tiny net is
+    not run in many small calls."""
+    return max(_ROWS, (_ROWS * 512) // r)
+
+
+def _outputs(net: Mlp, X: np.ndarray) -> np.ndarray:
+    """The logits `forward` returns for X, with the same bytes (but see
+    `_ROWS`), in row blocks.
+
+    Blocks are `_row_blocks` of `_pass_rows` rows. They share one
+    hidden-layer array, sized for the last and largest, which holds each
+    block's pre-activations and then its activations: the peak does not grow
+    with Q, apart from the (Q, c) result.
     """
     X = _inputs(net, X)
-    n = X.shape[0]
-    size = max(_ROWS, (_ROWS * 512) // net.r)
-    blocks = max(n // size, 1)
-    out = np.empty((n, net.c))
-    last = n - (blocks - 1) * size
-    hidden = np.empty((last, net.r))
-    for i in range(blocks):
-        rows = slice(i * size, n if i == blocks - 1 else (i + 1) * size)
+    blocks = _row_blocks(X.shape[0], _pass_rows(net.r))
+    out = np.empty((X.shape[0], net.c))
+    hidden = np.empty((blocks[-1].stop - blocks[-1].start, net.r))
+    for rows in blocks:
         block = hidden[:rows.stop - rows.start]
         _forward_into(net, X[rows], block, block, out[rows])
     return out
@@ -275,18 +286,28 @@ def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
     return grad
 
 
-def _mse(out: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Residual out - Y and the imitation loss it gives."""
+def _residual(out: np.ndarray, Y: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+    """out - Y, written into `into` (which may be `out`) when it is given."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != out.shape:
         raise ValueError(f"targets must have shape {out.shape}, got {Y.shape}")
-    err = out - Y
+    return np.subtract(out, Y, out=into)
+
+
+def _mse(out: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Residual out - Y and the imitation loss it gives."""
+    err = _residual(out, Y)
     return err, float(np.sum(err * err) / out.shape[0])
 
 
 def mse_loss(net: Mlp, X: np.ndarray, Y: np.ndarray) -> float:
     """Imitation loss: (1/Q) sum over rows of the squared error summed over outputs."""
-    return _mse(_outputs(net, X), Y)[1]
+    # the logits array is ours: the residual and its square replace it, with
+    # the same products and sum as `_mse`
+    sq = _outputs(net, X)
+    _residual(sq, Y, sq)
+    sq *= sq
+    return float(np.sum(sq) / sq.shape[0])
 
 
 def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -313,8 +334,8 @@ def _gauss_newton(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, n
     FᵀF scaled by (AᵀA)_jj' for the neurons j, j' of each row and column,
     the A/c_out block is I_c ⊗ HᵀH and the cross block is A_kj (FᵀH)_j, so
     building it costs about c times fewer flops than J. Jᵀe is the
-    backpropagated residual. The sums run over blocks of `_ROWS` rows, a
-    remainder joining the last. At most two arrays of JᵀJ's size are alive.
+    backpropagated residual. The sums run over `_row_blocks` of `_ROWS`
+    rows. At most two arrays of JᵀJ's size are alive.
     """
     X = _inputs(net, X)
     r, d, c, n = net.r, net.d, net.c, X.shape[0]
@@ -323,9 +344,7 @@ def _gauss_newton(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, n
     FH = np.zeros((wb, r + 1))
     HH = np.zeros((r + 1, r + 1))
     grad = np.zeros(net.n_params)
-    blocks = max(n // _ROWS, 1)
-    for i in range(blocks):
-        rows = slice(i * _ROWS, n if i == blocks - 1 else (i + 1) * _ROWS)
+    for rows in _row_blocks(n, _ROWS):
         trace = _forward(net, X[rows], slope=True)
         F = np.empty((len(trace.out), wb))
         np.multiply(trace.slope[:, :, None], X[rows, None, :], out=F[:, :rd].reshape(-1, r, d))

@@ -5,12 +5,11 @@ the same size check, so a file of the wrong length gives the same errors
 whatever its format, and loading holds about one copy of the payload.
 """
 
-import gc
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import peak_while
 
 from netrecon.data import QuerySet, load_queryset, save_queryset
 from netrecon.errors import FormatError, TruncatedFileError
@@ -34,23 +33,6 @@ def save_queries(path):
 
 
 LOADERS = {"model": (save_model, load_mlp), "queries": (save_queries, load_queryset)}
-
-
-def peak_while(fn, *args):
-    """tracemalloc peak in bytes above the memory in use when `fn` starts."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        try:
-            result = fn(*args)
-        except Exception as exc:  # the caller asserts on the exception
-            result = exc
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak - before
 
 
 def big_model(path):

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from conftest import peak_while
 
 from netrecon import metrics
 from netrecon.metrics import (
@@ -11,7 +14,7 @@ from netrecon.metrics import (
     write_losses_csv,
     write_variability_csv,
 )
-from netrecon.network import Mlp, forward
+from netrecon.network import _ROWS, Mlp, _pass_rows, forward
 
 
 def random_net(rng, r=4, d=5, c=3):
@@ -118,6 +121,102 @@ class TestPreactivationHistogram:
         net = random_net(np.random.default_rng(13))
         with pytest.raises(ValueError):
             preactivation_histogram(net, np.zeros((4, 5)), bins=0)
+
+
+class TestRowBlocks:
+    """Both pre-activation metrics run over row blocks and keep the bytes of
+    the whole-matrix formulas they replaced."""
+
+    @staticmethod
+    def whole_matrix(net, X, bins):
+        pre = X @ net.W.T + net.b
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Q = 0: nan std
+            std = pre.std(axis=0)
+        return std, np.histogram(pre.ravel(), bins)
+
+    @pytest.mark.parametrize("r,Q", [
+        (16, 2 * _pass_rows(16) + 5),  # narrow: wider blocks, a remainder in the last
+        (768, 3 * _ROWS + 17),
+        (512, 2 * _ROWS - 1),  # the largest single block
+        (1, 5000),  # numpy sums a lone column pairwise
+        (7, 1),  # one row
+        (8, 0),  # no rows: nan std, no counts over [0, 1]
+    ])
+    def test_same_bytes_as_the_whole_matrix(self, r, Q):
+        rng = np.random.default_rng(r + Q)
+        net = random_net(rng, r=r)
+        X = rng.normal(size=(Q, 5)) + 2.0
+        std, (counts, edges) = self.whole_matrix(net, X, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            stats = preactivation_variability(net, X)
+        hist = preactivation_histogram(net, X, 40)
+        assert np.array_equal(stats.per_neuron_std, std, equal_nan=True)
+        assert np.array_equal(hist.counts, counts) and hist.counts.dtype == np.int64
+        assert np.array_equal(hist.edges, edges)
+        if Q == 0:
+            assert np.isnan(stats.per_neuron_std).all() and hist.total == 0
+            assert (hist.edges[0], hist.edges[-1]) == (0.0, 1.0)
+
+    def test_sums_and_bins_are_exact_on_the_block_products(self):
+        # at widths off OpenBLAS's 8-column unroll (here 700) a product of row
+        # blocks can differ from the whole set's in its last columns' last
+        # bits; the reductions over those products stay exact
+        rng = np.random.default_rng(23)
+        net = random_net(rng, r=700)
+        X = rng.normal(size=(3 * _ROWS + 17, 5))
+        pre = np.vstack([X[rows] @ net.W.T + net.b for rows in
+                         (slice(0, _ROWS), slice(_ROWS, 2 * _ROWS), slice(2 * _ROWS, None))])
+        counts, edges = np.histogram(pre.ravel(), 40)
+        hist = preactivation_histogram(net, X, 40)
+        assert np.array_equal(preactivation_variability(net, X).per_neuron_std,
+                              pre.std(axis=0))
+        assert np.array_equal(hist.counts, counts) and np.array_equal(hist.edges, edges)
+
+    def test_constant_preactivations_over_blocks(self):
+        net = Mlp(W=np.zeros((600, 5)), b=np.full(600, 1.5), A=np.zeros((2, 600)),
+                  c_out=np.zeros(2))
+        X = np.random.default_rng(19).normal(size=(3 * _ROWS + 1, 5))
+        std, (counts, edges) = self.whole_matrix(net, X, 9)
+        stats = preactivation_variability(net, X)
+        hist = preactivation_histogram(net, X, 9)
+        assert np.array_equal(stats.per_neuron_std, std) and not std.any()
+        assert np.array_equal(hist.counts, counts) and np.array_equal(hist.edges, edges)
+        assert (edges[0], edges[-1]) == (1.0, 2.0)  # numpy widens an empty range by 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs(self, bad):
+        net = random_net(np.random.default_rng(20), r=600)
+        X = np.random.default_rng(21).normal(size=(3 * _ROWS, 5))
+        X[2 * _ROWS + 3, 1] = bad  # in the last block
+        with pytest.raises(ValueError, match="not finite"):
+            preactivation_histogram(net, X, 10)
+        # the std has no check: non-finite values give nan, as pre.std does
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = (X @ net.W.T + net.b).std(axis=0)
+            got = preactivation_variability(net, X).per_neuron_std
+        assert np.array_equal(got, want, equal_nan=True) and np.isnan(got).any()
+
+    @pytest.mark.parametrize("metric", [
+        preactivation_variability,
+        lambda net, X: preactivation_histogram(net, X, 80),
+    ], ids=["variability", "histogram"])
+    def test_peak_does_not_grow_with_Q(self, metric):
+        r, d = 1024, 8
+        net = random_net(np.random.default_rng(22), r=r, d=d)
+        block = _ROWS * r * 8
+        peaks = []
+        for Q in (4 * _ROWS, 16 * _ROWS):
+            X = np.random.default_rng(Q).normal(size=(Q, d))
+            result, peak = peak_while(metric, net, X)
+            assert not isinstance(result, Exception), result
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+        # one block, its running-total row and a few (r,) vectors; np.histogram
+        # bins in chunks of 65,536 values, a few arrays of that length each
+        assert max(peaks) < block + 8 * r * 8 + 64 * 65536, (peaks, block)
 
 
 class TestScatterTable:

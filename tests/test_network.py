@@ -2,11 +2,11 @@ import hashlib
 import math
 import pickle
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from conftest import peak_while
 from scipy.special import expit
 
 from netrecon import network, train
@@ -149,12 +149,8 @@ class TestTiles:
 
     def test_peak_is_the_result_and_two_tiles(self):
         z = np.random.default_rng(0).normal(size=(1024, 512))
-        tracemalloc.start()
-        try:
-            network._activate(z, slope=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (out, _), peak = peak_while(network._activate, z, False)
+        assert out.shape == z.shape
         assert peak < z.nbytes + 8 * _TILE * 8, peak
 
 
@@ -277,13 +273,9 @@ class TestRowBlocks:
         for Q in (4 * _ROWS, 16 * _ROWS):
             rng = np.random.default_rng(Q)
             X, Y = rng.normal(size=(Q, d)), rng.normal(size=(Q, c))
-            tracemalloc.start()
-            try:
-                mse_loss(net, X, Y)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # the outputs: the residual and its square come after the block's array is freed
+            loss, peak = peak_while(mse_loss, net, X, Y)
+            assert np.isfinite(loss)
+            # the outputs, which then hold the residual and its square
             peaks.append(peak - Q * c * 8)
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
         # one block's hidden-layer array, which first holds its pre-activations

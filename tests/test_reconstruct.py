@@ -1,10 +1,10 @@
 import hashlib
-import tracemalloc
 from dataclasses import fields
 from math import ceil
 
 import numpy as np
 import pytest
+from conftest import peak_while
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import coo_array
@@ -248,16 +248,9 @@ class TestExtractNeurons:
         rng = np.random.default_rng(13)
         students = [Mlp(W=rng.normal(size=(512, 784)), b=rng.normal(size=512),
                         A=rng.normal(size=(10, 512)), c_out=np.zeros(10)) for _ in range(8)]
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            neurons = extract_neurons(students)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        neurons, peak = peak_while(extract_neurons, students)
         assert len(neurons) == 8 * 512
-        assert peak - before <= 1.15 * neurons.directions.nbytes
+        assert peak <= 1.15 * neurons.directions.nbytes
 
 
 class TestClusterNeurons:
@@ -339,12 +332,7 @@ class TestClusterNeurons:
         # 8,192 rows: a dense n x n matrix plus its condensed copy would peak
         # at 768 MB; small components leave one Gram row block as the peak
         neurons = random_pool(np.random.default_rng(11), n_students=16, width=512, dim=32)
-        tracemalloc.start()
-        try:
-            result = cluster_neurons(neurons, 16, gamma=0.75, beta=3.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = peak_while(cluster_neurons, neurons, 16, 0.75, 3.0)
         assert peak < 128 * 2**20
         assert len(result.accepted) == len(neurons)  # random directions stay apart
 
@@ -523,17 +511,10 @@ class TestScipyOracles:
         rows = reconstruct._GRAM_ROWS
         edges = sum(int(np.count_nonzero(dirs[i:i + rows] @ dirs[i:].T >= min_gram))
                     for i in range(0, n, rows))
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            component = reconstruct._components(dirs, tau, beta)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        component, peak = peak_while(reconstruct._components, dirs, tau, beta)
         assert edges > n**2 // 5
         assert (component.max() == 0) == (beta == 0.5)
-        assert peak - before <= reconstruct._EDGE_BYTES * edges + 9 * rows * n
+        assert peak <= reconstruct._EDGE_BYTES * edges + 9 * rows * n
 
 
 class TestCollapse:

@@ -2,11 +2,11 @@ import hashlib
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import peak_while
 
 import netrecon
 from netrecon import train
@@ -186,12 +186,8 @@ class TestAdam:
         net = init_mlp(512, 784, 10, seed=0)
         grad = np.random.default_rng(7).normal(size=net.n_params)
         state = AdamState.zeros_like(net)
-        tracemalloc.start()
-        try:
-            adam_step(net, grad, state, lr=1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        stepped, peak = peak_while(adam_step, net, grad, state, 1e-3)
+        assert isinstance(stepped, Mlp)
         assert peak < net.theta.nbytes + 4 * _TILE * 8, peak
 
 
@@ -352,13 +348,10 @@ class TestStudentTraining:
         start = init_mlp(r, d, c, seed=1)
         peaks = []
         for steps in (2, 6):
-            tracemalloc.start()
-            try:
-                _, history = fit_mse(start, qs, cfg(learning_rate=1e-3, batch_size=B,
-                                                    max_steps=steps, eval_every=1000))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            (_, history), peak = peak_while(fit_mse, start, qs,
+                                            cfg(learning_rate=1e-3, batch_size=B,
+                                                max_steps=steps, eval_every=1000))
+            peaks.append(peak)
             assert [h[0] for h in history] == [0, steps]
         # theta, the best parameters, Adam's m and v, and the gradient; the
         # step workspace (the batch, the hidden layer, its slope, dpre, the

@@ -127,13 +127,12 @@ def _band_slices(length: int, k: int) -> list[slice]:
 
 
 # Each strategy takes the base dataset and the spec fields its table row names,
-# and returns a new (k, m, d) array of k row blocks (originals first) plus the
-# base-image sources of one block; every block has those same sources. The
-# blocks are filled in place, so the query set is never stacked from parts.
+# and returns its row blocks (originals first; a lone block must be a new array)
+# plus the base-image sources of one block; every block has those same sources.
 
 def _identity(ds):
     """The base images themselves, unchanged."""
-    return ds.images[None].copy(), np.arange(ds.n_samples)
+    return [ds.images.copy()], np.arange(ds.n_samples)
 
 
 def _random_rotations(ds, copies, seed):
@@ -147,46 +146,34 @@ def _random_rotations(ds, copies, seed):
     rng = np.random.default_rng(seed)
     n, h, w = ds.n_samples, ds.height, ds.width
     stacked = ds.images.reshape(n, h, w)
-    out = np.empty((1 + copies, n, h * w))
-    out[0] = ds.images
-    for block in out[1:].reshape(copies, n, h, w):
+    blocks = [ds.images]
+    for _ in range(copies):
         angles = rng.uniform(0.0, 360.0, size=n)
-        for row, img, angle in zip(block, stacked, angles):
-            row[...] = rotate_image(img, angle, fill)
-    return out, np.arange(n)
+        rotated = [rotate_image(img, angle, fill) for img, angle in zip(stacked, angles)]
+        blocks.append(np.reshape(rotated, (n, h * w)))
+    return blocks, np.arange(n)
 
 
 def _hv_flips(ds):
     """Originals plus a horizontally flipped and a vertically flipped copy of each."""
     n, h, w = ds.n_samples, ds.height, ds.width
     stacked = ds.images.reshape(n, h, w)
-    out = np.empty((3, n, h * w))
-    same, horizontal, vertical = out.reshape(3, n, h, w)
-    same[...], horizontal[...], vertical[...] = stacked, stacked[:, :, ::-1], stacked[:, ::-1, :]
-    return out, np.arange(n)
+    return [ds.images, stacked[:, :, ::-1].reshape(n, h * w),
+            stacked[:, ::-1, :].reshape(n, h * w)], np.arange(n)
 
 
 def _uniform_noise(ds, copies, lo, hi, seed):
     """Originals plus `copies` versions with independent per-pixel U[lo, hi] noise."""
     rng = np.random.default_rng(seed)
-    out = np.empty((1 + copies, *ds.images.shape))
-    out[0] = ds.images
-    for block in out[1:]:
-        np.add(ds.images, rng.uniform(lo, hi, size=ds.images.shape), out=block)
-    return out, np.arange(ds.n_samples)
+    noisy = [ds.images + rng.uniform(lo, hi, size=ds.images.shape) for _ in range(copies)]
+    return [ds.images, *noisy], np.arange(ds.n_samples)
 
 
-def _plus_minus(out, u, rng):
-    """Fill blocks 1 and 2 of `out` with block 0 plus +U[0, u] and -U[0, u] noise
-    (positive drawn first).
-
-    U[0, u] is drawn as 0 + u * random(), which `random(out=...)` and an
-    in-place product give bit for bit without a temporary.
-    """
-    for block, sign in ((out[1], np.add), (out[2], np.subtract)):
-        rng.random(out=block)
-        block *= u
-        sign(out[0], block, out=block)
+def _plus_minus(images, u, rng):
+    """`images` plus one +U[0, u] and one -U[0, u] perturbed copy (positive drawn first)."""
+    positive = images + rng.uniform(0.0, u, size=images.shape)
+    negative = images - rng.uniform(0.0, u, size=images.shape)
+    return [images, positive, negative]
 
 
 def _biased_noise(ds, magnitude, seed):
@@ -196,23 +183,7 @@ def _biased_noise(ds, magnitude, seed):
     which is what makes these queries informative: they move pre-activations
     instead of averaging out.
     """
-    out = np.empty((3, *ds.images.shape))
-    out[0] = ds.images
-    _plus_minus(out, magnitude, np.random.default_rng(seed))
-    return out, np.arange(ds.n_samples)
-
-
-def _compose(ds, grid_x, grid_y, seed, out):
-    """Fill `out`, (count, d), with grid-composed images and return their sources."""
-    rng = np.random.default_rng(seed)
-    n, h, w = ds.n_samples, ds.height, ds.width
-    count = out.shape[0]
-    sources = rng.integers(0, n, size=(count, grid_x * grid_y))
-    stacked, composed = ds.images.reshape(n, h, w), out.reshape(count, h, w)
-    for iy, rs in enumerate(_band_slices(h, grid_y)):
-        for ix, cs in enumerate(_band_slices(w, grid_x)):
-            composed[:, rs, cs] = stacked[sources[:, iy * grid_x + ix], rs, cs]
-    return sources
+    return _plus_minus(ds.images, magnitude, np.random.default_rng(seed)), np.arange(ds.n_samples)
 
 
 def _grid(ds, grid_x, grid_y, count, seed):
@@ -223,16 +194,21 @@ def _grid(ds, grid_x, grid_y, count, seed):
     reading order per row of the sources. With D distinct bases this can
     reach D**(grid_x*grid_y) distinct outputs.
     """
-    out = np.empty((1, count, ds.images.shape[1]))
-    return out, _compose(ds, grid_x, grid_y, seed, out[0])
+    rng = np.random.default_rng(seed)
+    n, h, w = ds.n_samples, ds.height, ds.width
+    sources = rng.integers(0, n, size=(count, grid_x * grid_y))
+    stacked = ds.images.reshape(n, h, w)
+    out = np.empty((count, h, w))
+    for iy, rs in enumerate(_band_slices(h, grid_y)):
+        for ix, cs in enumerate(_band_slices(w, grid_x)):
+            out[:, rs, cs] = stacked[sources[:, iy * grid_x + ix], rs, cs]
+    return [out.reshape(count, h * w)], sources
 
 
 def _grid_biased_noise(ds, magnitude, grid_x, grid_y, count, seed):
     """Grid-composed images (seed) plus +U[0, u] and -U[0, u] noisy copies (seed + 1)."""
-    out = np.empty((3, count, ds.images.shape[1]))
-    sources = _compose(ds, grid_x, grid_y, seed, out[0])
-    _plus_minus(out, magnitude, np.random.default_rng(seed + 1))
-    return out, sources
+    (composed,), sources = _grid(ds, grid_x, grid_y, count, seed)
+    return _plus_minus(composed, magnitude, np.random.default_rng(seed + 1)), sources
 
 
 # kind -> (strategy, the spec fields it reads in PARAMS order, then seed if it draws)
@@ -253,5 +229,7 @@ def build(spec: AugmentationSpec, ds: ImageDataset) -> AugmentedSet:
     """Run the strategy a spec describes against a base dataset."""
     strategy, reads = _STRATEGIES[spec.kind]
     blocks, sources = strategy(ds, *(getattr(spec, p) for p in reads))
-    return AugmentedSet(inputs=blocks.reshape(-1, blocks.shape[2]),
-                        source_indices=np.concatenate([sources] * len(blocks)), spec=spec)
+    # stacking a lone block would only copy it
+    inputs = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    return AugmentedSet(inputs=inputs, source_indices=np.concatenate([sources] * len(blocks)),
+                        spec=spec)

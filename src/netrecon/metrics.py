@@ -54,9 +54,10 @@ def _preactivation_blocks(net: Mlp, X: np.ndarray, lead: int = 0):
     pre-activations W x + b one row block at a time.
 
     The blocks are `_outputs`', whose products have a whole-set pass's bytes
-    (but see `network._ROWS`). Every pass yields them in one array, sized for the largest: each block as its
-    first `lead` + rows rows, the pre-activations in rows `lead`: and the
-    first `lead` rows left to the caller. No (Q, r) array is formed.
+    (but see `network._ROWS`). Every pass yields them in one array, sized for
+    the largest: each block as its first `lead` + rows rows, the
+    pre-activations in rows `lead`: and the first `lead` rows left to the
+    caller. No (Q, r) array is formed.
     """
     blocks = _row_blocks(X.shape[0], _pass_rows(net.r))
     buf = np.empty((lead + blocks[-1].stop - blocks[-1].start, net.r))
@@ -69,13 +70,21 @@ def _preactivation_blocks(net: Mlp, X: np.ndarray, lead: int = 0):
     return one_pass
 
 
-def _blocked_std(net: Mlp, X: np.ndarray) -> np.ndarray:
-    """The bytes of `pre.std(axis=0)` on the (Q, r) pre-activations, r >= 2.
+def preactivation_variability(net: Mlp, X: np.ndarray) -> VariabilityStats:
+    """Spread of each hidden neuron's pre-activation w.x + b across the rows of X.
 
-    Two passes over row blocks sum the pre-activations, then their squared
-    deviations from the mean. Each block is summed with the running total as
-    its row 0, which keeps numpy's row-by-row order.
+    Population (ddof=0) standard deviations; the aggregate is their mean with
+    the standard error of that mean across neurons. No (Q, r) matrix is
+    formed. At r >= 2 they have the bytes of `pre.std(axis=0)` on the whole
+    matrix wherever `_outputs`' block products equal the whole-set product:
+    at widths off OpenBLAS's 8-column unroll (say r = 513 or 700) the two
+    can differ in the last bits (see `network._ROWS` and CHANGES.md).
     """
+    X = _inputs(net, X)
+    # two passes sum the pre-activations, then their squared deviations from
+    # the mean; each block is summed with the running total as its row 0,
+    # which keeps numpy's row-by-row order (a lone column, r = 1, numpy sums
+    # pairwise, so there the last bits can differ)
     blocks = _preactivation_blocks(net, X, lead=1)
     total = np.zeros(net.r)
     for block in blocks():
@@ -89,24 +98,7 @@ def _blocked_std(net: Mlp, X: np.ndarray) -> np.ndarray:
         np.square(dev, out=dev)
         block[0] = squares
         block.sum(axis=0, out=squares)
-    return np.sqrt(np.divide(squares, X.shape[0]))
-
-
-def preactivation_variability(net: Mlp, X: np.ndarray) -> VariabilityStats:
-    """Spread of each hidden neuron's pre-activation w.x + b across the rows of X.
-
-    Population (ddof=0) standard deviations; the aggregate is their mean with
-    the standard error of that mean across neurons. They have the bytes of
-    `pre.std(axis=0)` on the whole (Q, r) matrix, which is formed only at
-    r = 1.
-    """
-    X = _inputs(net, X)
-    if net.r == 1:
-        # numpy sums a (Q, 1) column pairwise, not row by row; it is no
-        # larger than a column of X, so it is formed whole
-        per_neuron = _preactivations(net, X).std(axis=0)
-    else:
-        per_neuron = _blocked_std(net, X)
+    per_neuron = np.sqrt(np.divide(squares, X.shape[0]))
     r = per_neuron.shape[0]
     return VariabilityStats(
         per_neuron_std=per_neuron,
@@ -119,7 +111,10 @@ def preactivation_histogram(net: Mlp, X: np.ndarray, bins: int) -> Histogram:
     """Pooled histogram of all r*Q pre-activation values, uniform bins over [min, max].
 
     One pass over row blocks finds the range, a second bins each block into
-    it: the counts and edges are `np.histogram`'s on the whole (Q, r) matrix.
+    it. The counts and edges are `np.histogram`'s on the whole (Q, r) matrix
+    wherever `_outputs`' block products equal the whole-set product; at
+    widths off OpenBLAS's 8-column unroll (say r = 513 or 700) a value's last
+    bits, and so a bin edge or count, can differ (see `network._ROWS`).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")

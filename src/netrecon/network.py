@@ -286,28 +286,18 @@ def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
     return grad
 
 
-def _residual(out: np.ndarray, Y: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
-    """out - Y, written into `into` (which may be `out`) when it is given."""
+def _mse(out: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Residual out - Y and the imitation loss it gives."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != out.shape:
         raise ValueError(f"targets must have shape {out.shape}, got {Y.shape}")
-    return np.subtract(out, Y, out=into)
-
-
-def _mse(out: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Residual out - Y and the imitation loss it gives."""
-    err = _residual(out, Y)
+    err = out - Y
     return err, float(np.sum(err * err) / out.shape[0])
 
 
 def mse_loss(net: Mlp, X: np.ndarray, Y: np.ndarray) -> float:
     """Imitation loss: (1/Q) sum over rows of the squared error summed over outputs."""
-    # the logits array is ours: the residual and its square replace it, with
-    # the same products and sum as `_mse`
-    sq = _outputs(net, X)
-    _residual(sq, Y, sq)
-    sq *= sq
-    return float(np.sum(sq) / sq.shape[0])
+    return _mse(_outputs(net, X), Y)[1]
 
 
 def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:

@@ -4,10 +4,10 @@ import gc
 import tracemalloc
 
 
-def peak_while(fn, *args):
+def peak_while(fn, *args, catch=False):
     """`fn(*args)` and its tracemalloc peak in bytes above the memory in use
-    when it starts. An exception `fn` raises is returned as its result, for
-    the caller to assert on."""
+    when it starts. An exception `fn` raises propagates, unless `catch` is
+    set: then it is returned as the result, for the caller to assert on."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -15,7 +15,9 @@ def peak_while(fn, *args):
         tracemalloc.reset_peak()
         try:
             result = fn(*args)
-        except Exception as exc:  # the caller asserts on the exception
+        except Exception as exc:
+            if not catch:
+                raise
             result = exc
         _, peak = tracemalloc.get_traced_memory()
     finally:

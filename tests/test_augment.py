@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import peak_while
 
 from netrecon.augment import PARAMS, AugmentationSpec, build, grid_bands, rotate_image
 from netrecon.data import ImageDataset, make_synthetic_classification, standardize
@@ -352,19 +351,3 @@ class TestOneBuildPath:
                 spec, **{field: _bumped(field, getattr(spec, field))}), base).inputs)
         }
         assert named == changing
-
-
-class TestBuildInPlace:
-    @pytest.mark.parametrize("spec", [
-        AugmentationSpec(kind="biased_noise", magnitude=1.0, seed=10),
-        AugmentationSpec(kind="grid_biased_noise", grid_x=2, grid_y=2, count=1024,
-                         magnitude=1.0, seed=10),
-    ], ids=lambda spec: spec.kind)
-    def test_peak_is_about_the_inputs(self, spec):
-        # 28x28 bases: the (Q, d) inputs are allocated once and each block
-        # filled in place; stacking the blocks held them twice
-        base, _, _ = standardize(make_synthetic_classification(512, height=28, width=28,
-                                                               seed=11))
-        out, peak = peak_while(build, spec, base)
-        assert out.inputs.shape == (3 * (spec.count or base.n_samples), 784)
-        assert peak <= 1.15 * out.inputs.nbytes, peak / out.inputs.nbytes

@@ -51,8 +51,7 @@ def test_load_peaks_at_one_payload(tmp_path, kind, save):
     save(path)
     payload = path.stat().st_size
     assert payload >= 32 << 20
-    loaded, peak = peak_while(LOADERS[kind][1], str(path))
-    assert not isinstance(loaded, Exception), loaded
+    _, peak = peak_while(LOADERS[kind][1], str(path))
     assert peak <= 1.1 * payload, peak / payload
 
 
@@ -63,7 +62,7 @@ def test_trailing_bytes_refused_before_reading(tmp_path, kind):
     save(path)
     with open(path, "r+b") as f:  # sparse: the trailing bytes take no disk
         f.truncate(path.stat().st_size + TRAILING)
-    exc, peak = peak_while(load, str(path))
+    exc, peak = peak_while(load, str(path), catch=True)
     assert isinstance(exc, FormatError) and not isinstance(exc, TruncatedFileError)
     assert f"{TRAILING} bytes after" in str(exc)
     assert peak < 1 << 20

@@ -275,7 +275,7 @@ class TestRowBlocks:
             X, Y = rng.normal(size=(Q, d)), rng.normal(size=(Q, c))
             loss, peak = peak_while(mse_loss, net, X, Y)
             assert np.isfinite(loss)
-            # the outputs, which then hold the residual and its square
+            # the outputs: the residual and its square come after the block's array is freed
             peaks.append(peak - Q * c * 8)
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
         # one block's hidden-layer array, which first holds its pre-activations

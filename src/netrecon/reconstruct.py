@@ -18,7 +18,7 @@ the tests hold them to scipy as the reference.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import ceil
 
@@ -30,19 +30,49 @@ from .network import Mlp
 from .train import HistoryPoint, TrainConfig, fit_lm, fit_mse
 
 
-# rows of each upper-triangle Gram block: 512 x n float64 at a time
+# rows of each upper-triangle Gram block, compared with every later row
 _GRAM_ROWS = 512
+# columns of a Gram block formed at once, as a 512 x 2,048 float64 product
+# into the block's bool mask; on 6,144 bundle neurons the exact pass took
+# 0.35 s in 2,048-column products and 0.40 s in 512-column ones
+_GRAM_COLS = 2048
 # rows of a Gram block whose edges are listed, and later joined, at once: the
-# int64 indices and gathers of 64 x n pairs fit in the Gram block's room
+# int64 indices of 64 x n pairs take at most the room of a 512 x n float64 block
 _EDGE_ROWS = 64
 # bytes clustering may spend on its edge lists or on one component's distance
 # matrices; a cut loose enough to need more is refused. Fixed, not sized to the
 # machine, so the same config is refused everywhere.
 _CLUSTER_BYTES = 1 << 30
-# peak bytes per edge while the components are found, above one Gram block and
-# its mask: the int32 head and tail lists. tracemalloc measured 6.8 and 7.3 on
-# 4,096 and 8,192 rows of d = 785 with every pair an edge
+# peak bytes per edge while the components are found, above one Gram block's
+# mask and products: the int32 head and tail lists. tracemalloc measured 6.8
+# and 7.3 on 4,096 and 8,192 rows of d = 785 with every pair an edge
 _EDGE_BYTES = 8
+# columns of the pair screen's projection P (`_screen`): a screen row has K + 1
+# entries against d + 1 = 785 in the exact pass. `_components` with K = 16,
+# 32 and 64 took 0.10, 0.11 and 0.13 s on 6,144 bundle neurons at beta 3,
+# 0.19, 0.10 and 0.07 s on skewed directions (4,096 x 785, beta 3), and 0.58,
+# 0.09 and 0.09 s on random ones (6,144 x 785, beta 2), where K = 16 lets 5%
+# of the pairs through
+_SCREEN_K = 32
+# seed of the Gaussian whose QR gives P; any fixed seed keeps the screen
+# deterministic, and P moves only the candidate groups, never the components
+_SCREEN_SEED = 20230601
+# rounding slack of the screen's bound. With unit rows of m = d + 1 entries
+# and unit roundoff eps = 2**-53: the exact Gram entry is within m eps of
+# u . v; each projection within sqrt(K) m eps; each residual norm within
+# about sqrt(K) m eps + K**1.5 eps; P's columns are orthonormal within about
+# m eps; the screen's own product adds (K + 1) eps. Summed over both rows,
+# about (2 + 4 sqrt(K)) m eps: 2.2e-12 at m = 785, and under 1e-9 up to
+# m = 360,000. On pairs whose bound is tight (parallel residuals) the gap
+# measured at most 2.0e-15 at m = 785.
+_SCREEN_SLACK = 1e-9
+# share of a block's pairs, and of the edge byte budget, past which the
+# screen gives up and the exact pass runs on all rows. On skewed directions
+# (4,096 x 785) screen blocks admitted at most 3.5% of their pairs at beta 3,
+# where the screen then ran at 0.5x the exact pass alone, and at least 95%
+# at beta 2, where it ran at 3.0x without this rule; random directions,
+# screened only where at most about 0.8% of their pairs pass, stay far below
+_SCREEN_SHARE = 0.1
 # [w; b] norm below which a neuron carries no usable direction
 _MIN_NORM = 1e-12
 # bytes the Levenberg-Marquardt fine-tune's two n_params x n_params arrays (JᵀJ
@@ -197,26 +227,120 @@ def _roots(n: int, edges: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return parent
 
 
+def _edges(table: np.ndarray, rows: np.ndarray | None, min_gram: float,
+           share: float) -> tuple[list[tuple[np.ndarray, np.ndarray]] | None, int]:
+    """Edge lists of the graph joining each pair of nodes whose dot product is >= min_gram.
+
+    The nodes are `table[rows]`, or every row of `table` where `rows` is None;
+    edges come as int32 (head, tail) node positions. Each block of
+    `_GRAM_ROWS` nodes meets every later node, `_GRAM_COLS` at a time, so no
+    (n, d + 1) gather is formed. A block's pairs are counted before its edges
+    are listed, and listing stops, returning None and the running edge count,
+    once the block admits more than `share` of its pairs or the edges would
+    take more than `share` of the byte budget.
+    """
+    n = len(table) if rows is None else len(rows)
+
+    def nodes(lo: int, hi: int) -> np.ndarray:
+        return table[lo:hi] if rows is None else table[rows[lo:hi]]
+
+    edges, count = [], 0
+    for i in range(0, n, _GRAM_ROWS):
+        head = nodes(i, i + _GRAM_ROWS)
+        near = np.empty((len(head), n - i), dtype=bool)
+        for j in range(i, n, _GRAM_COLS):
+            np.greater_equal(head @ nodes(j, j + _GRAM_COLS).T, min_gram,
+                             out=near[:, j - i:j - i + _GRAM_COLS])
+        admitted = int(np.count_nonzero(near))
+        count += admitted
+        if admitted > share * near.size or _EDGE_BYTES * count > share * _CLUSTER_BYTES:
+            return None, count
+        for r in range(0, len(near), _EDGE_ROWS):
+            head_at, tail_at = np.divmod(np.flatnonzero(near[r:r + _EDGE_ROWS]), n - i)
+            edges.append(((head_at + (i + r)).astype(np.int32), (tail_at + i).astype(np.int32)))
+    return edges, count
+
+
+def _groups(label: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows, ascending, of each label that two or more rows share; labels are below n."""
+    counts = np.bincount(label)
+    order = np.argsort(label, kind="stable")
+    ends = np.cumsum(counts)
+    for k in np.flatnonzero(counts > 1):
+        yield order[ends[k] - counts[k]:ends[k]]
+
+
+def _screen(dirs: np.ndarray, min_gram: float) -> np.ndarray | None:
+    """Lowest row of each row's candidate group, or None where the screen gives up.
+
+    Row u of the screen table is [P^T u, |u - P P^T u|], for a fixed
+    (d + 1, `_SCREEN_K`) matrix P with orthonormal columns. By Cauchy-Schwarz
+    on the parts of u and v outside P's span, screen(u) . screen(v) >= u . v,
+    so each pair of rows that the exact pass joins is joined here at
+    min_gram - `_SCREEN_SLACK`: the candidate groups, the components of this
+    (n, K + 1) graph, are unions of exact components. The table is built in
+    blocks of `_GRAM_ROWS` rows.
+    """
+    n, width = dirs.shape
+    P = np.linalg.qr(np.random.default_rng(_SCREEN_SEED).normal(size=(width, _SCREEN_K)))[0]
+    table = np.empty((n, _SCREEN_K + 1))
+    for i in range(0, n, _GRAM_ROWS):
+        block = dirs[i:i + _GRAM_ROWS]
+        proj = block @ P
+        resid = proj @ P.T
+        resid -= block
+        table[i:i + _GRAM_ROWS, :-1] = proj
+        table[i:i + _GRAM_ROWS, -1] = np.linalg.norm(resid, axis=1)
+    edges, _ = _edges(table, None, min_gram - _SCREEN_SLACK, _SCREEN_SHARE)
+    return None if edges is None else _roots(n, edges)
+
+
 def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
     """Connected component of each row in the graph of pairs with 1 - cos <= tau.
 
-    The edges come from upper-triangle Gram row blocks as int32 head and tail
-    lists; their running count is held to the byte budget, and the lists are
-    freed on return. Components are numbered by their lowest row.
+    Components come in two levels. Where the screen can prune, `_screen`
+    splits the rows into candidate groups that no edge crosses, and the exact
+    float64 Gram pass runs inside each group of two or more rows. Elsewhere,
+    or where the screen gives up, the exact pass runs on all rows. Both
+    passes list their edges with `_edges`, and the lists are freed on return.
+
+    The screen runs where K < d + 1 and tau * (d + 1) < K / 2. Two random
+    directions pass it when a chi-square of K degrees of freedom falls below
+    tau * (d + 1): 0.8% of them at K / 2 and 19% at K. Past K / 2 the few
+    percent that pass chain nearly every row into one group; on 6,144 random
+    directions of d + 1 = 785 the screen then ran at up to 1.4x the exact
+    pass alone (beta 1.6, 4% of the pairs passing), and at 1.1x just below
+    K / 2 (beta 1.7).
+
+    Only the exact pass refuses a cut. Its running edge count is held to the
+    byte budget. The screen's count bounds the whole exact pass's at every
+    block, so a cut the exact pass would refuse makes the screen give up
+    first, and the exact pass then refuses it with the same count. A screen
+    that finishes admitted at most `_SCREEN_SHARE` of the budget, and a group
+    counts each screened pair at most twice, so no group is refused.
+    Components are numbered by their lowest row.
     """
-    n = len(dirs)
+    n, width = dirs.shape
     # the slack lets a last-bit difference between this product and a
     # component's own only join two components, never split a cluster
     min_gram = 1.0 - tau * (1.0 + 1e-6)
-    edges, count = [], 0
-    for i in range(0, n, _GRAM_ROWS):
-        near = dirs[i:i + _GRAM_ROWS] @ dirs[i:].T >= min_gram
-        count += int(np.count_nonzero(near))
-        _check_budget(_EDGE_BYTES * count, f"{count} pairs of neurons", beta)
-        for r in range(0, len(near), _EDGE_ROWS):
-            head, tail = np.nonzero(near[r:r + _EDGE_ROWS])
-            edges.append(((head + (i + r)).astype(np.int32), (tail + i).astype(np.int32)))
-    return np.unique(_roots(n, edges), return_inverse=True)[1]
+
+    def exact_roots(rows: np.ndarray | None) -> np.ndarray:
+        edges, count = _edges(dirs, rows, min_gram, 1.0)
+        if edges is None:
+            _check_budget(_EDGE_BYTES * count, f"{count} pairs of neurons", beta)
+        return _roots(n if rows is None else len(rows), edges)
+
+    group = None
+    if _SCREEN_K < width and 2 * tau * width < _SCREEN_K:
+        group = _screen(dirs, min_gram)
+    if group is None:
+        root = exact_roots(None)
+    else:
+        root = group.copy()
+        for rows in _groups(group):
+            root[rows] = rows[exact_roots(rows)]
+    return np.unique(root, return_inverse=True)[1]
 
 
 def _average_cut(dist: np.ndarray, tau: float) -> np.ndarray:
@@ -280,11 +404,13 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     or below the cut average at most tau, so some pair between them is within
     tau: the clusters refine the connected components of the graph whose
     edges are the pairs with 1 - cos <= tau. The components come from row
-    blocks of the upper-triangle Gram matrix; average linkage then runs on
-    each component's own square distance matrix, so memory grows with the
-    edge count and the largest component, not with n**2. A cut so loose
-    that either would need more than `_CLUSTER_BYTES` raises ConfigError
-    before it is allocated. Clusters spanning at least
+    blocks of the upper-triangle Gram matrix, formed only inside the
+    candidate groups of a 33-column screen where d + 1 > 32 and
+    tau * (d + 1) < 16 (`_components`). Average linkage then runs on each
+    component of two or more rows, on its own square distance matrix, so
+    memory grows with the edge count and the largest component, not with
+    n**2. A cut so loose that either would need more than `_CLUSTER_BYTES`
+    raises ConfigError before it is allocated. Clusters spanning at least
     ceil(gamma * n_students) distinct students are accepted. Deterministic:
     clusters are numbered by their lowest member row.
     """
@@ -298,17 +424,15 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     component = _components(dirs, tau, beta)
     # component * n + cluster within it: distinct for distinct (component, cluster)
     labels = component.astype(np.int64) * n
-    order = np.argsort(component, kind="stable")
-    for rows in np.split(order, np.cumsum(np.bincount(component))[:-1]):
-        if len(rows) > 1:
-            # 8 bytes a pair for the square matrix and 4 for the condensed
-            # copy scipy's linkage took, kept so the same cut is refused
-            _check_budget(12 * len(rows) ** 2, f"{len(rows)} neurons into one component", beta)
-            # one square matrix at a time, built and cut in place
-            dist = dirs[rows] @ dirs[rows].T
-            np.subtract(1.0, dist, out=dist)
-            np.clip(dist, 0.0, None, out=dist)
-            labels[rows] += _average_cut(dist, tau)
+    for rows in _groups(component):
+        # 8 bytes a pair for the square matrix and 4 for the condensed
+        # copy scipy's linkage took, kept so the same cut is refused
+        _check_budget(12 * len(rows) ** 2, f"{len(rows)} neurons into one component", beta)
+        # one square matrix at a time, built and cut in place
+        dist = dirs[rows] @ dirs[rows].T
+        np.subtract(1.0, dist, out=dist)
+        np.clip(dist, 0.0, None, out=dist)
+        labels[rows] += _average_cut(dist, tau)
     _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
     labels = np.argsort(np.argsort(first))[labels]
     # one row per distinct (cluster, student) pair, so bincount counts students

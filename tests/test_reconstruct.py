@@ -125,14 +125,20 @@ def dense_clusters(neurons, n_students, gamma, beta):
     return labels, accepted
 
 
+def pool(directions, n_students):
+    """Unit-norm neurons with these directions, an equal share per student in slot order."""
+    n = len(directions)
+    width = n // n_students
+    return Neurons(directions=directions, norms=np.ones(n), outgoing=np.zeros((n, 2)),
+                   student=np.repeat(np.arange(n_students), width),
+                   index=np.tile(np.arange(width), n_students))
+
+
 def random_pool(rng, n_students, width, dim):
     """`width` random unit directions per student, no structure shared between them."""
     directions = rng.normal(size=(n_students * width, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    n = len(directions)
-    return Neurons(directions=directions, norms=np.ones(n), outgoing=np.zeros((n, 2)),
-                   student=np.repeat(np.arange(n_students), width),
-                   index=np.tile(np.arange(width), n_students))
+    return pool(directions, n_students)
 
 
 def bundle_students(rng, n, r, rho, d, c, noise=1e-6):
@@ -336,6 +342,28 @@ class TestClusterNeurons:
         assert peak < 128 * 2**20
         assert len(result.accepted) == len(neurons)  # random directions stay apart
 
+    def test_memory_on_the_screened_path(self, monkeypatch):
+        # 8,192 random directions of d + 1 = 785 at beta 1.7: the screen admits
+        # about 0.7% of the pairs, which chain 95% of the rows into one
+        # candidate group, and no two rows lie within the cut. The peak stays
+        # within one float64 Gram block, the screen table and the edge lists
+        neurons = random_pool(np.random.default_rng(15), n_students=16, width=512, dim=785)
+        n, beta = len(neurons), 1.7
+        group = reconstruct._screen(neurons.directions, 1.0 - 10.0 ** -beta * (1.0 + 1e-6))
+        assert np.bincount(group).max() > 0.9 * n
+        counts, edges = [], reconstruct._edges
+
+        def counted(*args):
+            listed = edges(*args)
+            counts.append(listed[1])
+            return listed
+
+        monkeypatch.setattr(reconstruct, "_edges", counted)
+        result, peak = peak_while(cluster_neurons, neurons, 16, 0.75, beta)
+        assert len(result.accepted) == n  # no component of two rows, so no square matrix
+        assert peak <= (8 * reconstruct._GRAM_ROWS * n + 8 * (reconstruct._SCREEN_K + 1) * n
+                        + reconstruct._EDGE_BYTES * max(counts))
+
     def test_edges_over_the_byte_budget_are_refused(self, monkeypatch):
         # beta = 0 joins every pair with cos >= 0: about n**2 / 4 edges for 512 rows
         neurons = random_pool(np.random.default_rng(14), n_students=8, width=64, dim=20)
@@ -387,6 +415,27 @@ class TestDenseEquivalence:
         self.assert_same(neurons, len(students))
         assert cluster_neurons(neurons, 4, 0.75, 3.0).accepted.sum() == 8
 
+    @pytest.mark.parametrize(("kind", "beta", "path"), [
+        ("random", 1.5, "exact"), ("random", 2.0, "screen"),
+        ("random", 3.0, "screen"), ("random", 5.0, "screen"),
+        ("skewed", 1.5, "exact"), ("skewed", 2.0, "gives up"),
+        ("skewed", 3.0, "screen"), ("skewed", 5.0, "screen"),
+        ("bundle", 1.5, "exact"), ("bundle", 2.0, "screen"),
+        ("bundle", 3.0, "screen"), ("bundle", 5.0, "screen"),
+    ])
+    def test_paper_width(self, kind, beta, path):
+        # d + 1 = 785: tau * 785 < K / 2 from beta 1.7 on, so beta 1.5 runs
+        # the exact pass alone and the rest screen, or give up on crowded blocks
+        rng = np.random.default_rng([28, int(10 * beta)])
+        if kind == "bundle":
+            neurons = extract_neurons(bundle_students(rng, n=8, r=16, rho=4, d=784, c=10))
+        elif kind == "random":
+            neurons = random_pool(rng, n_students=8, width=96, dim=785)
+        else:
+            neurons = pool(skewed_directions(rng, 768, 785), n_students=8)
+        assert screen_path(neurons.directions, beta) == path
+        self.assert_same(neurons, 8, gamma=0.75, beta=beta)
+
     @pytest.mark.parametrize("rows", [0, 1, 2])
     def test_tiny_pools(self, rows):
         neurons, _ = synthetic_bundles(np.random.default_rng(13), n_dirs=1, n_students=2, dim=5)
@@ -414,6 +463,28 @@ def skewed_directions(rng, n, d):
     """
     dirs = 1.0 + rng.uniform(0.1, 0.6, size=(n, 1)) * rng.normal(size=(n, d))
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def screen_projection(width):
+    """The (width, K) matrix P with orthonormal columns, drawn as `_screen` draws it."""
+    rng = np.random.default_rng(reconstruct._SCREEN_SEED)
+    return np.linalg.qr(rng.normal(size=(width, reconstruct._SCREEN_K)))[0]
+
+
+def screen_path(dirs, beta):
+    """How `_components` finds the components of `dirs` at `beta`."""
+    tau, width = 10.0 ** -beta, dirs.shape[1]
+    if not reconstruct._SCREEN_K < width or 2 * tau * width >= reconstruct._SCREEN_K:
+        return "exact"
+    if reconstruct._screen(dirs, 1.0 - tau * (1.0 + 1e-6)) is None:
+        return "gives up"
+    return "screen"
+
+
+def rotated(a, other, gram):
+    """The unit vector at dot product `gram` from unit `a`, towards `other`."""
+    w = other - (other @ a) * a
+    return gram * a + np.sqrt(1.0 - gram * gram) * w / np.linalg.norm(w)
 
 
 class TestScipyOracles:
@@ -515,6 +586,74 @@ class TestScipyOracles:
         assert edges > n**2 // 5
         assert (component.max() == 0) == (beta == 0.5)
         assert peak <= reconstruct._EDGE_BYTES * edges + 9 * rows * n
+
+
+class TestScreen:
+    """The pair screen of `_components` against the exact pass on all rows."""
+
+    WIDTH, BETA = 785, 3.0
+
+    def test_never_drops_an_exact_edge(self, monkeypatch):
+        # 1,100 rows (two full Gram blocks and 76 rows): boundary pairs whose
+        # Gram entry is exact in any summation order, pairs inside P's span
+        # and orthogonal to it just inside and outside the cut, duplicated
+        # rows, and random rows
+        tau = 10.0 ** -self.BETA
+        min_gram = 1.0 - tau * (1.0 + 1e-6)
+        rng = np.random.default_rng(26)
+        rows = []
+        grams = [g for edge in (1.0 - tau, min_gram)
+                 for g in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))]
+        for k, g in enumerate(grams):
+            u = np.zeros(self.WIDTH)
+            v = np.zeros(self.WIDTH)
+            u[2 * k] = 1.0
+            v[2 * k], v[2 * k + 1] = g, np.sqrt(1.0 - g * g)
+            rows += [u, v]
+        P = screen_projection(self.WIDTH)
+        for g in (1.0 - (1.0 - min_gram) * (1.0 - 1e-6), 1.0 - (1.0 - min_gram) * (1.0 + 1e-6)):
+            for _ in range(10):
+                a = unit(rng.normal(size=reconstruct._SCREEN_K))
+                rows += [P @ a, P @ rotated(a, rng.normal(size=reconstruct._SCREEN_K), g)]
+                x, y = rng.normal(size=(2, self.WIDTH))
+                x, y = unit(x - P @ (P.T @ x)), y - P @ (P.T @ y)
+                rows += [x, rotated(x, y, g)]
+        rows += [rows[1], rows[13], rows[40], rows[41]]
+        dirs = np.vstack([rows, random_pool(rng, 1, 1100 - len(rows), self.WIDTH).directions])
+        dirs = dirs[rng.permutation(len(dirs))]
+        gram = dirs @ dirs.T
+        assert np.count_nonzero(np.triu(gram >= min_gram, 1)) >= 30
+        group = reconstruct._screen(dirs, min_gram)
+        assert group is not None and len(np.unique(group)) > len(dirs) // 2
+        screened = reconstruct._components(dirs, tau, self.BETA)
+        monkeypatch.setattr(reconstruct, "_screen", lambda dirs, min_gram: None)
+        assert np.array_equal(screened, reconstruct._components(dirs, tau, self.BETA))
+
+    def test_tight_bounds_within_ulps_of_the_cut(self):
+        # pairs sharing their part outside P's span, so the screen's bound
+        # equals their dot product, placed within a few ulps of the cut: each
+        # pair that one product puts at or above it shares a candidate group
+        tau = 10.0 ** -self.BETA
+        min_gram = 1.0 - tau * (1.0 + 1e-6)
+        rng = np.random.default_rng(27)
+        P = screen_projection(self.WIDTH)
+        rows = []
+        for k in range(-20, 20):
+            outside = rng.normal(size=self.WIDTH)
+            outside -= P @ (P.T @ outside)
+            rho = rng.uniform(0.3, 0.9)
+            outside *= rho / np.linalg.norm(outside)
+            g = min_gram + k * np.spacing(min_gram)
+            a = np.sqrt(1.0 - rho**2) * unit(rng.normal(size=reconstruct._SCREEN_K))
+            b = np.sqrt(1.0 - rho**2) * rotated(unit(a), rng.normal(size=reconstruct._SCREEN_K),
+                                                (g - rho**2) / (1.0 - rho**2))
+            rows += [outside + P @ a, outside + P @ b]
+        dirs = np.vstack([rows, random_pool(rng, 1, 600 - len(rows), self.WIDTH).directions])
+        head, tail = np.nonzero(dirs @ dirs.T >= min_gram)
+        assert np.count_nonzero(head != tail) > 20
+        group = reconstruct._screen(dirs, min_gram)
+        assert group is not None
+        assert np.array_equal(group[head], group[tail])
 
 
 class TestCollapse:

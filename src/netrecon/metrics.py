@@ -15,6 +15,7 @@ import numpy as np
 from ._io import atomic_write_csv
 from .network import (Mlp, _inputs, _outputs, _pass_rows, _preactivations, _row_blocks,
                       mse_loss)
+from .train import _one_blas_thread
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +134,7 @@ def preactivation_histogram(net: Mlp, X: np.ndarray, bins: int) -> Histogram:
     return Histogram(counts=counts, edges=edges)
 
 
+@_one_blas_thread()
 def scatter_table(teacher: Mlp, students: list[Mlp | None],
                   eval_sets: list[tuple[str, np.ndarray]],
                   ) -> list[tuple[int, str, int, float]]:
@@ -142,7 +144,8 @@ def scatter_table(teacher: Mlp, students: list[Mlp | None],
     against a differently-distributed set's loss from this table is the
     quickest overfitting check. `student_index` is the student's slot in
     `students`; missing (None) students get no rows. The teacher's logits are
-    computed once per set, not once per pair.
+    computed once per set, not once per pair. Runs with one BLAS thread, so
+    the losses do not depend on the machine's core count.
     """
     labelled = [(name, X, _outputs(teacher, X)) for name, X in eval_sets]
     return [(i, name, X.shape[0], mse_loss(student, X, Y))

@@ -182,7 +182,6 @@ class ForwardTrace:
     pre: np.ndarray  # (batch, r) pre-activations W x + b
     hidden: np.ndarray  # (batch, r) activation(pre)
     out: np.ndarray  # (batch, c) logits
-    slope: np.ndarray | None = None  # (batch, r) activation_prime(pre), gradient passes only
 
 
 def _inputs(net: Mlp, X: np.ndarray) -> np.ndarray:
@@ -211,18 +210,13 @@ def _forward_into(net: Mlp, X: np.ndarray, pre: np.ndarray, hidden: np.ndarray,
     out += net.c_out
 
 
-def _forward(net: Mlp, X: np.ndarray, slope: bool) -> ForwardTrace:
+def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
+    """Batched forward pass; X has one input point per row."""
     X = _inputs(net, X)
     n = X.shape[0]
     pre, hidden, out = np.empty((n, net.r)), np.empty((n, net.r)), np.empty((n, net.c))
-    g = np.empty((n, net.r)) if slope else None
-    _forward_into(net, X, pre, hidden, out, g)
-    return ForwardTrace(pre=pre, hidden=hidden, out=out, slope=g)
-
-
-def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
-    """Batched forward pass; X has one input point per row. The trace has no slope."""
-    return _forward(net, X, slope=False)
+    _forward_into(net, X, pre, hidden, out)
+    return ForwardTrace(pre=pre, hidden=hidden, out=out)
 
 
 def _row_blocks(n: int, size: int) -> list[slice]:
@@ -277,12 +271,11 @@ def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
                        dout: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. the logits back onto the parameters, in `theta`'s layout.
 
-    `trace` must carry the slope, i.e. come from a gradient pass.
+    `trace` is :func:`forward`'s trace of X.
     """
-    if trace.slope is None:
-        raise ValueError("trace has no slope; it must come from a gradient pass")
     grad = np.empty(net.n_params)
-    _backprop_into(net, X, trace.hidden, trace.slope, dout, np.empty(trace.hidden.shape), grad)
+    _backprop_into(net, X, trace.hidden, activation_prime(trace.pre), dout,
+                   np.empty(trace.hidden.shape), grad)
     return grad
 
 
@@ -310,7 +303,7 @@ def backward_mse(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, fl
     output width.
     """
     X = np.asarray(X, dtype=np.float64)
-    trace = _forward(net, X, slope=True)
+    trace = forward(net, X)
     err, loss = _mse(trace.out, Y)
     return backprop_from_dout(net, trace, X, (2.0 / X.shape[0]) * err), loss
 
@@ -335,10 +328,11 @@ def _gauss_newton(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, n
     HH = np.zeros((r + 1, r + 1))
     grad = np.zeros(net.n_params)
     for rows in _row_blocks(n, _ROWS):
-        trace = _forward(net, X[rows], slope=True)
+        trace = forward(net, X[rows])
+        slope = activation_prime(trace.pre)
         F = np.empty((len(trace.out), wb))
-        np.multiply(trace.slope[:, :, None], X[rows, None, :], out=F[:, :rd].reshape(-1, r, d))
-        F[:, rd:] = trace.slope
+        np.multiply(slope[:, :, None], X[rows, None, :], out=F[:, :rd].reshape(-1, r, d))
+        F[:, rd:] = slope
         H = np.hstack([trace.hidden, np.ones((len(trace.out), 1))])
         jtj[:wb, :wb] += F.T @ F
         FH += F.T @ H

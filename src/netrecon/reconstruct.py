@@ -115,12 +115,11 @@ class ClusterResult:
     @property
     def clusters(self) -> list[np.ndarray]:
         """Member rows of each cluster, ascending."""
-        counts = np.bincount(self.labels, minlength=len(self.accepted))
-        return np.split(np.argsort(self.labels, kind="stable"), np.cumsum(counts))[:-1]
+        return list(_groups(self.labels, np.ones_like(self.accepted)))
 
     @property
     def accepted_clusters(self) -> list[np.ndarray]:
-        return [c for c, ok in zip(self.clusters, self.accepted) if ok]
+        return list(_groups(self.labels, self.accepted))
 
 
 @dataclass(frozen=True)
@@ -261,12 +260,13 @@ def _edges(table: np.ndarray, rows: np.ndarray | None, min_gram: float,
     return edges, count
 
 
-def _groups(label: np.ndarray) -> Iterator[np.ndarray]:
-    """The rows, ascending, of each label that two or more rows share; labels are below n."""
+def _groups(label: np.ndarray, keep: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The rows, ascending, of each label k with keep[k], or where `keep` is
+    None of each label that two or more rows share; labels are below n."""
     counts = np.bincount(label)
     order = np.argsort(label, kind="stable")
     ends = np.cumsum(counts)
-    for k in np.flatnonzero(counts > 1):
+    for k in np.flatnonzero(counts > 1 if keep is None else keep):
         yield order[ends[k] - counts[k]:ends[k]]
 
 
@@ -296,7 +296,7 @@ def _screen(dirs: np.ndarray, min_gram: float) -> np.ndarray | None:
 
 
 def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
-    """Connected component of each row in the graph of pairs with 1 - cos <= tau.
+    """Lowest row of each row's connected component in the graph of pairs with 1 - cos <= tau.
 
     Components come in two levels. Where the screen can prune, `_screen`
     splits the rows into candidate groups that no edge crosses, and the exact
@@ -318,7 +318,6 @@ def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
     first, and the exact pass then refuses it with the same count. A screen
     that finishes admitted at most `_SCREEN_SHARE` of the budget, and a group
     counts each screened pair at most twice, so no group is refused.
-    Components are numbered by their lowest row.
     """
     n, width = dirs.shape
     # the slack lets a last-bit difference between this product and a
@@ -340,7 +339,7 @@ def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
         root = group.copy()
         for rows in _groups(group):
             root[rows] = rows[exact_roots(rows)]
-    return np.unique(root, return_inverse=True)[1]
+    return root
 
 
 def _average_cut(dist: np.ndarray, tau: float) -> np.ndarray:
@@ -419,12 +418,10 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
     tau = 10.0 ** (-beta)
-    n = len(neurons)
     dirs = neurons.directions
-    component = _components(dirs, tau, beta)
-    # component * n + cluster within it: distinct for distinct (component, cluster)
-    labels = component.astype(np.int64) * n
-    for rows in _groups(component):
+    # each row's lowest fellow row: first of its component, then of its cluster
+    labels = _components(dirs, tau, beta)
+    for rows in _groups(labels):
         # 8 bytes a pair for the square matrix and 4 for the condensed
         # copy scipy's linkage took, kept so the same cut is refused
         _check_budget(12 * len(rows) ** 2, f"{len(rows)} neurons into one component", beta)
@@ -432,12 +429,11 @@ def cluster_neurons(neurons: Neurons, n_students: int,
         dist = dirs[rows] @ dirs[rows].T
         np.subtract(1.0, dist, out=dist)
         np.clip(dist, 0.0, None, out=dist)
-        labels[rows] += _average_cut(dist, tau)
-    _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
-    labels = np.argsort(np.argsort(first))[labels]
+        labels[rows] = rows[_average_cut(dist, tau)]
+    lowest, labels = np.unique(labels, return_inverse=True)
     # one row per distinct (cluster, student) pair, so bincount counts students
     spans = np.unique(np.column_stack([labels, neurons.student]), axis=0)[:, 0]
-    accepted = np.bincount(spans, minlength=len(first)) >= ceil(gamma * n_students)
+    accepted = np.bincount(spans, minlength=len(lowest)) >= ceil(gamma * n_students)
     return ClusterResult(neurons, labels, accepted, gamma, n_students)
 
 

@@ -3,6 +3,10 @@
 import gc
 import tracemalloc
 
+import pytest
+
+from netrecon import train
+
 
 def peak_while(fn, *args, catch=False):
     """`fn(*args)` and its tracemalloc peak in bytes above the memory in use
@@ -23,3 +27,16 @@ def peak_while(fn, *args, catch=False):
     finally:
         tracemalloc.stop()
     return result, peak - before
+
+
+@pytest.fixture(params=["one", "default"])
+def blas_threads(request):
+    """Run the test at one BLAS thread, or at the thread count the process has."""
+    calls = train._blas_thread_calls()
+    if request.param == "default":
+        yield
+    elif calls is None:
+        pytest.skip("numpy does not bundle a scipy-openblas with thread-count calls")
+    else:
+        with train._one_blas_thread():
+            yield

@@ -1,12 +1,15 @@
-"""Importing, clustering and matching must run on numpy alone, without loading scipy."""
+"""Importing, clustering and matching must run on numpy alone, without loading
+scipy; every function the benchmark's tracer wraps must exist."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SCRIPT = """
 import json, sys
@@ -30,3 +33,15 @@ def test_clustering_and_matching_load_no_scipy():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_every_traced_name_exists():
+    # Tracer.install() raises AttributeError on a missing name, but only the
+    # traced benchmark runs install it
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, names in tracer.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"netrecon.{module}"), name, None))]
+    assert missing == []

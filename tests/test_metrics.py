@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import peak_while
 
-from netrecon import metrics
+from netrecon import metrics, train
 from netrecon.metrics import (
     imitation_loss,
     preactivation_histogram,
@@ -14,7 +14,7 @@ from netrecon.metrics import (
     write_losses_csv,
     write_variability_csv,
 )
-from netrecon.network import _ROWS, Mlp, _pass_rows, forward
+from netrecon.network import _ROWS, Mlp, _outputs, _pass_rows, forward, init_mlp, mse_loss
 
 
 def random_net(rng, r=4, d=5, c=3):
@@ -270,6 +270,17 @@ class TestScatterTable:
         sets = [("train", rng.normal(size=(8, 5)))]
         assert scatter_table(teacher, students, sets) == \
             scatter_table(teacher, students, sets)
+
+    def test_independent_of_the_blas_thread_count(self, blas_threads):
+        # at this shape OpenBLAS's two-thread products differ from its
+        # one-thread ones in the last bits of some losses
+        X = np.random.default_rng(0).normal(size=(3000, 784))
+        teacher = init_mlp(512, 784, 10, seed=0)
+        students = [init_mlp(512, 784, 10, seed=seed) for seed in (100, 101, 102)]
+        rows = scatter_table(teacher, students, [("x", X)])
+        with train._one_blas_thread():
+            Y = _outputs(teacher, X)
+            assert rows == [(i, "x", 3000, mse_loss(s, X, Y)) for i, s in enumerate(students)]
 
 
 class TestCsvEmission:

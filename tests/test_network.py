@@ -17,7 +17,6 @@ from netrecon.network import (
     _ROWS,
     _TILE,
     Mlp,
-    _forward,
     _gauss_newton,
     _outputs,
     activation,
@@ -193,35 +192,14 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(net, np.zeros((5, 7)))
 
-    def test_gradient_pass_matches_forward_and_slope(self):
+    def test_backprop_of_the_forward_trace_is_the_mse_gradient(self):
         rng = np.random.default_rng(5)
         net = random_net(rng, 6, 4, 2)
         X = 4.0 * rng.normal(size=(9, 4))
-        plain = forward(net, X)
-        traced = _forward(net, X, slope=True)
-        assert plain.slope is None
-        for name in ("pre", "hidden", "out"):
-            assert np.array_equal(getattr(traced, name), getattr(plain, name)), name
-        assert np.array_equal(traced.slope, activation_prime(traced.pre))
-
-    def test_backprop_needs_a_slope(self):
-        net = init_mlp(3, 4, 2, seed=0)
-        X = np.ones((2, 4))
-        with pytest.raises(ValueError, match="slope"):
-            backprop_from_dout(net, forward(net, X), X, np.ones((2, 2)))
-
-
-@pytest.fixture(params=["one", "default"])
-def blas_threads(request):
-    """Run the test at one BLAS thread, or at the thread count the process has."""
-    calls = train._blas_thread_calls()
-    if request.param == "default":
-        yield
-    elif calls is None:
-        pytest.skip("numpy does not bundle a scipy-openblas with thread-count calls")
-    else:
-        with train._one_blas_thread():
-            yield
+        Y = rng.normal(size=(9, 2))
+        trace = forward(net, X)
+        grad = backprop_from_dout(net, trace, X, (2.0 / 9) * (trace.out - Y))
+        assert grad.tobytes() == backward_mse(net, X, Y)[0].tobytes()
 
 
 class TestRowBlocks:
@@ -361,6 +339,14 @@ class TestGaussNewton:
         Y = rng.normal(size=(40, 2))
         grad, _ = backward_mse(net, X, Y)
         assert np.allclose(_gauss_newton(net, X, Y)[1], grad * 40 / 2, rtol=1e-12)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_rejects_targets_of_the_wrong_shape(self, c):
+        # a (Q, 1) target would broadcast against (Q, 2) logits without the check
+        rng = np.random.default_rng(29)
+        net = random_net(rng, 4, 3, 2)
+        with pytest.raises(ValueError, match="targets must have shape"):
+            _gauss_newton(net, rng.normal(size=(40, 3)), rng.normal(size=(40, c)))
 
 
 class TestInit:

@@ -55,17 +55,29 @@ _EDGE_BYTES = 8
 # of the pairs through
 _SCREEN_K = 32
 # seed of the Gaussian whose QR gives P; any fixed seed keeps the screen
-# deterministic, and P moves only the candidate groups, never the components
+# deterministic, and P moves only the candidate groups, never the labels
 _SCREEN_SEED = 20230601
-# rounding slack of the screen's bound. With unit rows of m = d + 1 entries
-# and unit roundoff eps = 2**-53: the exact Gram entry is within m eps of
-# u . v; each projection within sqrt(K) m eps; each residual norm within
-# about sqrt(K) m eps + K**1.5 eps; P's columns are orthonormal within about
-# m eps; the screen's own product adds (K + 1) eps. Summed over both rows,
-# about (2 + 4 sqrt(K)) m eps: 2.2e-12 at m = 785, and under 1e-9 up to
-# m = 360,000. On pairs whose bound is tight (parallel residuals) the gap
-# measured at most 2.0e-15 at m = 785.
-_SCREEN_SLACK = 1e-9
+# rounding terms of the screen's float32 bound. With unit rows of m = d + 1
+# > K entries, float64 unit roundoff eps = 2**-53 and float32 u = 2**-24,
+# P's columns are orthonormal within about m eps (measured: 0.01 m eps at
+# m = 785), so P^T u is within e = (sqrt(K) + 1) m eps of Q^T u for some
+# exactly orthonormal Q. |u|**2 comes within m eps, |P^T u|**2 within
+# K eps + 2 e and their difference within eps more: at most
+# (3 + 2 sqrt(K)) m eps + (K + 1) eps <= 16 m eps of |u - Q Q^T u|**2.
+# Adding delta = 16 m eps (`_SCREEN_DELTA` per entry) before the square root
+# makes each residual entry at least |u - Q Q^T u|, so the float64 entries
+# bound u . v from above within 2 e. Rounding them to float32 moves a
+# product by (2 u + u**2) |x| |y|, the float32 product of K + 1 terms by
+# gamma_{K+1} = (K + 1) u / (1 - (K + 1) u) (Higham, Accuracy and
+# Stability of Numerical Algorithms, 3.1), and |x|, |y| are 1 within
+# delta. So the screen's product falls short of the exact pass's float64
+# Gram entry (itself within m eps of u . v) by (K + 3) u to first order
+# plus (3 + 2 sqrt(K)) m eps; one u more covers the rest up to m = 37
+# million. The threshold is rounded down to float32, which only loosens it.
+# On 800 pairs whose bound is tight (parallel residuals) at m = 785 the gap
+# measured at most 2.2e-7, against a slack of 2.1e-6.
+_SCREEN_DELTA = 2.0**-49
+_SCREEN_SLACK = (_SCREEN_K + 4) * 2.0**-24
 # share of a block's pairs, and of the edge byte budget, past which the
 # screen gives up and the exact pass runs on all rows. On skewed directions
 # (4,096 x 785) screen blocks admitted at most 3.5% of their pairs at beta 3,
@@ -233,22 +245,31 @@ def _edges(table: np.ndarray, rows: np.ndarray | None, min_gram: float,
     The nodes are `table[rows]`, or every row of `table` where `rows` is None;
     edges come as int32 (head, tail) node positions. Each block of
     `_GRAM_ROWS` nodes meets every later node, `_GRAM_COLS` at a time, so no
-    (n, d + 1) gather is formed. A block's pairs are counted before its edges
+    (n, d + 1) gather is formed: `table[rows]` is gathered a head block and a
+    column chunk at a time, into two buffers reused throughout. The products
+    take the table's dtype. A block's pairs are counted before its edges
     are listed, and listing stops, returning None and the running edge count,
     once the block admits more than `share` of its pairs or the edges would
     take more than `share` of the byte budget.
     """
     n = len(table) if rows is None else len(rows)
+    head_rows, chunk_rows = (None, None) if rows is None else (
+        np.empty((min(n, size), table.shape[1]), dtype=table.dtype)
+        for size in (_GRAM_ROWS, _GRAM_COLS))
 
-    def nodes(lo: int, hi: int) -> np.ndarray:
-        return table[lo:hi] if rows is None else table[rows[lo:hi]]
+    def nodes(lo: int, hi: int, buffer: np.ndarray | None) -> np.ndarray:
+        if rows is None:
+            return table[lo:hi]
+        at = rows[lo:hi]
+        # mode="clip" lets take write into `out` unbuffered; every index is in range
+        return np.take(table, at, axis=0, mode="clip", out=buffer[:len(at)])
 
     edges, count = [], 0
     for i in range(0, n, _GRAM_ROWS):
-        head = nodes(i, i + _GRAM_ROWS)
+        head = nodes(i, i + _GRAM_ROWS, head_rows)
         near = np.empty((len(head), n - i), dtype=bool)
         for j in range(i, n, _GRAM_COLS):
-            np.greater_equal(head @ nodes(j, j + _GRAM_COLS).T, min_gram,
+            np.greater_equal(head @ nodes(j, j + _GRAM_COLS, chunk_rows).T, min_gram,
                              out=near[:, j - i:j - i + _GRAM_COLS])
         admitted = int(np.count_nonzero(near))
         count += admitted
@@ -273,44 +294,56 @@ def _groups(label: np.ndarray, keep: np.ndarray | None = None) -> Iterator[np.nd
 def _screen(dirs: np.ndarray, min_gram: float) -> np.ndarray | None:
     """Lowest row of each row's candidate group, or None where the screen gives up.
 
-    Row u of the screen table is [P^T u, |u - P P^T u|], for a fixed
-    (d + 1, `_SCREEN_K`) matrix P with orthonormal columns. By Cauchy-Schwarz
-    on the parts of u and v outside P's span, screen(u) . screen(v) >= u . v,
-    so each pair of rows that the exact pass joins is joined here at
-    min_gram - `_SCREEN_SLACK`: the candidate groups, the components of this
-    (n, K + 1) graph, are unions of exact components. The table is built in
-    blocks of `_GRAM_ROWS` rows.
+    Row u of the float32 screen table is [P^T u, sqrt(|u|**2 - |P^T u|**2 +
+    delta)], for a fixed (d + 1, `_SCREEN_K`) matrix P with orthonormal
+    columns; the last entry bounds |u - P P^T u| from above. By
+    Cauchy-Schwarz on the parts of u and v outside P's span, screen(u) .
+    screen(v) >= u . v, so each pair of rows that the exact pass joins is
+    joined here at min_gram - `_SCREEN_SLACK`, which covers the float32
+    rounding: the candidate groups, the components of this (n, K + 1) graph,
+    are unions of exact components. The table takes one product with P per
+    block of `_GRAM_ROWS` rows.
     """
     n, width = dirs.shape
     P = np.linalg.qr(np.random.default_rng(_SCREEN_SEED).normal(size=(width, _SCREEN_K)))[0]
-    table = np.empty((n, _SCREEN_K + 1))
+    table = np.empty((n, _SCREEN_K + 1), dtype=np.float32)
     for i in range(0, n, _GRAM_ROWS):
         block = dirs[i:i + _GRAM_ROWS]
         proj = block @ P
-        resid = proj @ P.T
-        resid -= block
+        rest = np.einsum("ij,ij->i", block, block) - np.einsum("ij,ij->i", proj, proj)
         table[i:i + _GRAM_ROWS, :-1] = proj
-        table[i:i + _GRAM_ROWS, -1] = np.linalg.norm(resid, axis=1)
-    edges, _ = _edges(table, None, min_gram - _SCREEN_SLACK, _SCREEN_SHARE)
+        table[i:i + _GRAM_ROWS, -1] = np.sqrt(np.maximum(rest, 0.0) + _SCREEN_DELTA * width)
+    # the largest float32 at or below the bound's threshold
+    bound = min_gram - _SCREEN_SLACK
+    threshold = np.float32(bound)
+    if float(threshold) > bound:
+        threshold = np.nextafter(threshold, np.float32(-1.0))
+    edges, _ = _edges(table, None, threshold, _SCREEN_SHARE)
     return None if edges is None else _roots(n, edges)
 
 
 def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
-    """Lowest row of each row's connected component in the graph of pairs with 1 - cos <= tau.
+    """Lowest row of each row's group in the graph of pairs with 1 - cos <= tau.
 
-    Components come in two levels. Where the screen can prune, `_screen`
-    splits the rows into candidate groups that no edge crosses, and the exact
-    float64 Gram pass runs inside each group of two or more rows. Elsewhere,
-    or where the screen gives up, the exact pass runs on all rows. Both
-    passes list their edges with `_edges`, and the lists are freed on return.
+    Each group is a union of the graph's connected components, and one
+    component wherever the exact pass finds it. Where the screen can prune,
+    `_screen` splits the rows into candidate groups that no edge crosses. A
+    group of at most `_GRAM_ROWS` rows is returned whole: its exact pass
+    would be one Gram block, the product that the linkage of
+    `cluster_neurons` forms again and whose cut refines its components
+    anyway. The exact float64 Gram pass runs inside each larger group.
+    Elsewhere, or where the screen gives up, the exact pass runs on all rows.
+    Both passes list their edges with `_edges`, and the lists are freed on
+    return.
 
     The screen runs where K < d + 1 and tau * (d + 1) < K / 2. Two random
     directions pass it when a chi-square of K degrees of freedom falls below
     tau * (d + 1): 0.8% of them at K / 2 and 19% at K. Past K / 2 the few
     percent that pass chain nearly every row into one group; on 6,144 random
     directions of d + 1 = 785 the screen then ran at up to 1.4x the exact
-    pass alone (beta 1.6, 4% of the pairs passing), and at 1.1x just below
-    K / 2 (beta 1.7).
+    pass alone (beta 1.6, 4% of the pairs passing), and it still runs at
+    1.24x just below K / 2 (beta 1.7), where one candidate group holds 94%
+    of the rows and its gathered pass is slower than the sliced one.
 
     Only the exact pass refuses a cut. Its running edge count is held to the
     byte budget. The screen's count bounds the whole exact pass's at every
@@ -334,12 +367,11 @@ def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
     if _SCREEN_K < width and 2 * tau * width < _SCREEN_K:
         group = _screen(dirs, min_gram)
     if group is None:
-        root = exact_roots(None)
-    else:
-        root = group.copy()
-        for rows in _groups(group):
-            root[rows] = rows[exact_roots(rows)]
-    return root
+        return exact_roots(None)
+    for rows in _groups(group):
+        if len(rows) > _GRAM_ROWS:
+            group[rows] = rows[exact_roots(rows)]
+    return group
 
 
 def _average_cut(dist: np.ndarray, tau: float) -> np.ndarray:
@@ -402,16 +434,18 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     The dendrogram is cut at distance tau = 10**-beta. Two clusters merged at
     or below the cut average at most tau, so some pair between them is within
     tau: the clusters refine the connected components of the graph whose
-    edges are the pairs with 1 - cos <= tau. The components come from row
-    blocks of the upper-triangle Gram matrix, formed only inside the
-    candidate groups of a 33-column screen where d + 1 > 32 and
-    tau * (d + 1) < 16 (`_components`). Average linkage then runs on each
-    component of two or more rows, on its own square distance matrix, so
-    memory grows with the edge count and the largest component, not with
-    n**2. A cut so loose that either would need more than `_CLUSTER_BYTES`
-    raises ConfigError before it is allocated. Clusters spanning at least
-    ceil(gamma * n_students) distinct students are accepted. Deterministic:
-    clusters are numbered by their lowest member row.
+    edges are the pairs with 1 - cos <= tau. Where d + 1 > 32 and
+    tau * (d + 1) < 16, a screen of 33 float32 values per neuron cuts the rows
+    into candidate groups that no edge crosses (`_components`); elsewhere the
+    components come from row blocks of the upper-triangle Gram matrix, as
+    they do inside each candidate group of more than 512 rows. Average
+    linkage then runs on each component or smaller candidate group of two or
+    more rows, on its own square distance matrix; it splits a group as it
+    splits the components inside it. So memory grows with the edge count and
+    the largest group, not with n**2. A cut so loose that either would need
+    more than `_CLUSTER_BYTES` raises ConfigError before it is allocated.
+    Clusters spanning at least ceil(gamma * n_students) distinct students are
+    accepted. Deterministic: clusters are numbered by their lowest member row.
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0, 1]")
@@ -419,7 +453,7 @@ def cluster_neurons(neurons: Neurons, n_students: int,
         raise ValueError("beta must be finite")
     tau = 10.0 ** (-beta)
     dirs = neurons.directions
-    # each row's lowest fellow row: first of its component, then of its cluster
+    # each row's lowest fellow row: first of its group, then of its cluster
     labels = _components(dirs, tau, beta)
     for rows in _groups(labels):
         # 8 bytes a pair for the square matrix and 4 for the condensed

@@ -346,7 +346,8 @@ class TestClusterNeurons:
         # 8,192 random directions of d + 1 = 785 at beta 1.7: the screen admits
         # about 0.7% of the pairs, which chain 95% of the rows into one
         # candidate group, and no two rows lie within the cut. The peak stays
-        # within one float64 Gram block, the screen table and the edge lists
+        # within one float64 Gram block, the screen table and the edge lists;
+        # the smaller groups' square matrices fit in the Gram block's room
         neurons = random_pool(np.random.default_rng(15), n_students=16, width=512, dim=785)
         n, beta = len(neurons), 1.7
         group = reconstruct._screen(neurons.directions, 1.0 - 10.0 ** -beta * (1.0 + 1e-6))
@@ -360,7 +361,7 @@ class TestClusterNeurons:
 
         monkeypatch.setattr(reconstruct, "_edges", counted)
         result, peak = peak_while(cluster_neurons, neurons, 16, 0.75, beta)
-        assert len(result.accepted) == n  # no component of two rows, so no square matrix
+        assert len(result.accepted) == n  # every cluster is one row
         assert peak <= (8 * reconstruct._GRAM_ROWS * n + 8 * (reconstruct._SCREEN_K + 1) * n
                         + reconstruct._EDGE_BYTES * max(counts))
 
@@ -621,13 +622,19 @@ class TestScreen:
         rows += [rows[1], rows[13], rows[40], rows[41]]
         dirs = np.vstack([rows, random_pool(rng, 1, 1100 - len(rows), self.WIDTH).directions])
         dirs = dirs[rng.permutation(len(dirs))]
-        gram = dirs @ dirs.T
-        assert np.count_nonzero(np.triu(gram >= min_gram, 1)) >= 30
+        head, tail = np.nonzero(np.triu(dirs @ dirs.T >= min_gram, 1))
+        assert len(head) >= 30
         group = reconstruct._screen(dirs, min_gram)
         assert group is not None and len(np.unique(group)) > len(dirs) // 2
-        screened = reconstruct._components(dirs, tau, self.BETA)
+        component = reconstruct._components(dirs, tau, self.BETA)
+        assert np.array_equal(component[head], component[tail])
+        # the linkage then splits the candidate groups as the exact pass would
+        neurons = pool(dirs, 1)
+        screened = cluster_neurons(neurons, 1, 1.0, self.BETA)
         monkeypatch.setattr(reconstruct, "_screen", lambda dirs, min_gram: None)
-        assert np.array_equal(screened, reconstruct._components(dirs, tau, self.BETA))
+        exact = cluster_neurons(neurons, 1, 1.0, self.BETA)
+        assert np.array_equal(screened.labels, exact.labels)
+        assert np.array_equal(screened.accepted, exact.accepted)
 
     def test_tight_bounds_within_ulps_of_the_cut(self):
         # pairs sharing their part outside P's span, so the screen's bound
@@ -654,6 +661,60 @@ class TestScreen:
         group = reconstruct._screen(dirs, min_gram)
         assert group is not None
         assert np.array_equal(group[head], group[tail])
+
+    @staticmethod
+    def edge_calls(monkeypatch):
+        """Record the table dtype and the node count of each `_edges` call, None for all rows."""
+        calls, edges = [], reconstruct._edges
+
+        def recorded(table, rows, *args):
+            calls.append((table.dtype, None if rows is None else len(rows)))
+            return edges(table, rows, *args)
+
+        monkeypatch.setattr(reconstruct, "_edges", recorded)
+        return calls
+
+    def test_one_block_groups_skip_the_exact_pass(self, monkeypatch):
+        # 1,024 bundle neurons at beta 3: no candidate group reaches
+        # `_GRAM_ROWS` rows, so edges are listed once, on the float32 screen
+        # table, and the linkage alone splits each group
+        neurons = extract_neurons(bundle_students(np.random.default_rng(29), n=16, r=16, rho=4,
+                                                  d=784, c=10))
+        calls = self.edge_calls(monkeypatch)
+        result = cluster_neurons(neurons, 16, 0.75, self.BETA)
+        assert calls == [(np.float32, None)]
+        labels, accepted = dense_clusters(neurons, 16, 0.75, self.BETA)
+        assert np.array_equal(result.labels, labels)
+        assert np.array_equal(result.accepted, accepted)
+        assert accepted.sum() == 16
+
+    def test_group_over_one_block_takes_the_exact_pass(self, monkeypatch):
+        # two tight clusters of 300 rows whose centers differ only outside P's
+        # span, at cosine distance 0.5: the screen's bound joins every pair
+        # across them into one candidate group of 600 rows, which the exact
+        # pass splits. 2,400 random rows keep each screen block's share of
+        # admitted pairs near 4%, below the give-up share
+        rng = np.random.default_rng(30)
+        P = screen_projection(self.WIDTH)
+        inside = P @ unit(rng.normal(size=reconstruct._SCREEN_K))
+        x, y = rng.normal(size=(2, self.WIDTH))
+        x = unit(x - P @ (P.T @ x))
+        y = unit(rotated(x, y - P @ (P.T @ y), 0.0))
+        dirs = np.vstack([center + 1e-6 * rng.normal(size=(300, self.WIDTH))
+                          for center in (inside + x, inside + y)])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs = np.vstack([dirs, random_pool(rng, 1, 2400, self.WIDTH).directions])
+        dirs = dirs[rng.permutation(3000)]
+        assert np.bincount(reconstruct._screen(dirs, 1.0 - 10.0 ** -self.BETA * (1.0 + 1e-6))
+                           ).max() == 600
+        neurons = pool(dirs, 4)
+        calls = self.edge_calls(monkeypatch)
+        result = cluster_neurons(neurons, 4, 0.5, self.BETA)
+        assert calls == [(np.float32, None), (np.float64, 600)]
+        labels, accepted = dense_clusters(neurons, 4, 0.5, self.BETA)
+        assert np.array_equal(result.labels, labels)
+        assert np.array_equal(result.accepted, accepted)
+        assert accepted.sum() == 2
 
 
 class TestCollapse:

@@ -27,25 +27,34 @@ import numpy as np
 from .data import QuerySet
 from .errors import ConfigError, EmptyReconstructionError
 from .network import Mlp
-from .train import HistoryPoint, TrainConfig, fit_lm, fit_mse
+from .train import HistoryPoint, TrainConfig, _one_blas_thread, fit_lm, fit_mse
 
 
 # rows of each upper-triangle Gram block, compared with every later row
 _GRAM_ROWS = 512
-# columns of a Gram block formed at once, as a 512 x 2,048 float64 product
-# into the block's bool mask; on 6,144 bundle neurons the exact pass took
-# 0.35 s in 2,048-column products and 0.40 s in 512-column ones
-_GRAM_COLS = 2048
-# rows of a Gram block whose edges are listed, and later joined, at once: the
-# int64 indices of 64 x n pairs take at most the room of a 512 x n float64 block
+# columns of a Gram block formed and listed at once: one 512 x 1,024 product
+# (4 MB in float64, 2 MB in float32) and its 0.5 MB bool mask, reused for
+# every chunk. The exact pass on 6,144 random rows of d + 1 = 785 (beta 1.6,
+# 15 interleaved rounds) took 373 ms in the median in 1,024-column chunks and
+# 361 ms in 2,048-column ones, with a 4.6 against 9.1 MB tracemalloc peak,
+# and 378 ms with a bool mask per Gram block. With every pair of 2,048
+# skewed rows an edge, the peak rose 5.5 MB above the edge lists' 8 bytes an
+# edge at 1,024 columns and 10.0 MB at 2,048
+_GRAM_COLS = 1024
+# rows whose edges are listed, and later joined, at once from a chunk that
+# holds more edges than this many of its full rows, so the int64 indices stay
+# within those of 64 x 1,024 pairs; a sparser chunk is listed whole. On 4,096
+# rows of d = 785 with every pair an edge, 32-, 64-, 128- and 256-row slices
+# peaked at 8.07, 8.12, 8.23 and 8.67 bytes an edge above the chunk buffers,
+# in about the same time
 _EDGE_ROWS = 64
 # bytes clustering may spend on its edge lists or on one component's distance
 # matrices; a cut loose enough to need more is refused. Fixed, not sized to the
 # machine, so the same config is refused everywhere.
 _CLUSTER_BYTES = 1 << 30
-# peak bytes per edge while the components are found, above one Gram block's
-# mask and products: the int32 head and tail lists. tracemalloc measured 6.8
-# and 7.3 on 4,096 and 8,192 rows of d = 785 with every pair an edge
+# peak bytes per edge while the components are found, above the chunk's
+# product and mask: the int32 head and tail lists. tracemalloc measured 8.1
+# and 8.0 on 4,096 and 8,192 rows of d = 785 with every pair an edge
 _EDGE_BYTES = 8
 # columns of the pair screen's projection P (`_screen`): a screen row has K + 1
 # entries against d + 1 = 785 in the exact pass. `_components` with K = 16,
@@ -246,16 +255,21 @@ def _edges(table: np.ndarray, rows: np.ndarray | None, min_gram: float,
     edges come as int32 (head, tail) node positions. Each block of
     `_GRAM_ROWS` nodes meets every later node, `_GRAM_COLS` at a time, so no
     (n, d + 1) gather is formed: `table[rows]` is gathered a head block and a
-    column chunk at a time, into two buffers reused throughout. The products
-    take the table's dtype. A block's pairs are counted before its edges
-    are listed, and listing stops, returning None and the running edge count,
-    once the block admits more than `share` of its pairs or the edges would
-    take more than `share` of the byte budget.
+    column chunk at a time, into two buffers reused throughout. Each chunk's
+    product, in the table's dtype, and its bool mask go into two more
+    buffers of one chunk's size, so the lister's memory does not grow with
+    n. A chunk's pairs are counted before its edges are listed, and listing
+    stops, returning None and the running edge count, once its block has
+    admitted more than `share` of the block's pairs or the edges would take
+    more than `share` of the byte budget. Counts only grow, so that happens
+    in the block where the block's whole count would first cross a limit.
     """
     n = len(table) if rows is None else len(rows)
     head_rows, chunk_rows = (None, None) if rows is None else (
         np.empty((min(n, size), table.shape[1]), dtype=table.dtype)
         for size in (_GRAM_ROWS, _GRAM_COLS))
+    size = min(n, _GRAM_ROWS) * min(n, _GRAM_COLS)
+    product, mask = np.empty(size, dtype=table.dtype), np.empty(size, dtype=bool)
 
     def nodes(lo: int, hi: int, buffer: np.ndarray | None) -> np.ndarray:
         if rows is None:
@@ -267,17 +281,26 @@ def _edges(table: np.ndarray, rows: np.ndarray | None, min_gram: float,
     edges, count = [], 0
     for i in range(0, n, _GRAM_ROWS):
         head = nodes(i, i + _GRAM_ROWS, head_rows)
-        near = np.empty((len(head), n - i), dtype=bool)
+        h, admitted = len(head), 0
         for j in range(i, n, _GRAM_COLS):
-            np.greater_equal(head @ nodes(j, j + _GRAM_COLS, chunk_rows).T, min_gram,
-                             out=near[:, j - i:j - i + _GRAM_COLS])
-        admitted = int(np.count_nonzero(near))
-        count += admitted
-        if admitted > share * near.size or _EDGE_BYTES * count > share * _CLUSTER_BYTES:
-            return None, count
-        for r in range(0, len(near), _EDGE_ROWS):
-            head_at, tail_at = np.divmod(np.flatnonzero(near[r:r + _EDGE_ROWS]), n - i)
-            edges.append(((head_at + (i + r)).astype(np.int32), (tail_at + i).astype(np.int32)))
+            chunk = nodes(j, j + _GRAM_COLS, chunk_rows)
+            w = len(chunk)
+            # C-contiguous views, so matmul writes a narrow last chunk unbuffered
+            near = mask[:h * w].reshape(h, w)
+            np.greater_equal(np.matmul(head, chunk.T, out=product[:h * w].reshape(h, w)),
+                             min_gram, out=near)
+            found = int(np.count_nonzero(near))
+            admitted += found
+            count += found
+            if admitted > share * h * (n - i) or _EDGE_BYTES * count > share * _CLUSTER_BYTES:
+                return None, count
+            if not found:
+                continue
+            step = h if found <= _EDGE_ROWS * w else _EDGE_ROWS
+            for r in range(0, h, step):
+                head_at, tail_at = np.divmod(np.flatnonzero(near[r:r + step]), w)
+                edges.append(((head_at + (i + r)).astype(np.int32),
+                              (tail_at + j).astype(np.int32)))
     return edges, count
 
 
@@ -346,9 +369,10 @@ def _components(dirs: np.ndarray, tau: float, beta: float) -> np.ndarray:
     of the rows and its gathered pass is slower than the sliced one.
 
     Only the exact pass refuses a cut. Its running edge count is held to the
-    byte budget. The screen's count bounds the whole exact pass's at every
-    block, so a cut the exact pass would refuse makes the screen give up
-    first, and the exact pass then refuses it with the same count. A screen
+    byte budget. The screen's running count bounds the exact pass's over all
+    rows at every column chunk, so a cut the exact pass would refuse makes
+    the screen give up first, and the exact pass then refuses it at the same
+    chunk, with the same count as without the screen. A screen
     that finishes admitted at most `_SCREEN_SHARE` of the budget, and a group
     counts each screened pair at most twice, so no group is refused.
     """
@@ -441,16 +465,21 @@ def cluster_neurons(neurons: Neurons, n_students: int,
     they do inside each candidate group of more than 512 rows. Average
     linkage then runs on each component or smaller candidate group of two or
     more rows, on its own square distance matrix; it splits a group as it
-    splits the components inside it. So memory grows with the edge count and
-    the largest group, not with n**2. A cut so loose that either would need
-    more than `_CLUSTER_BYTES` raises ConfigError before it is allocated.
-    Clusters spanning at least ceil(gamma * n_students) distinct students are
-    accepted. Deterministic: clusters are numbered by their lowest member row.
+    splits the components inside it. Each Gram block is formed and its edges
+    listed one 512 x 1,024 chunk at a time, in two buffers of that size
+    whatever n is. So memory grows with the edge count and the largest group,
+    not with n**2. A cut so loose that either would need more than
+    `_CLUSTER_BYTES` raises ConfigError before it is allocated. Clusters spanning at least
+    ceil(gamma * n_students) distinct students are accepted; every student
+    slot must be below n_students. Deterministic: clusters are numbered by
+    their lowest member row.
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must be in (0, 1]")
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
+    if len(neurons) and neurons.student.max() >= n_students:
+        raise ValueError("every neuron's student slot must be below n_students")
     tau = 10.0 ** (-beta)
     dirs = neurons.directions
     # each row's lowest fellow row: first of its group, then of its cluster
@@ -465,8 +494,8 @@ def cluster_neurons(neurons: Neurons, n_students: int,
         np.clip(dist, 0.0, None, out=dist)
         labels[rows] = rows[_average_cut(dist, tau)]
     lowest, labels = np.unique(labels, return_inverse=True)
-    # one row per distinct (cluster, student) pair, so bincount counts students
-    spans = np.unique(np.column_stack([labels, neurons.student]), axis=0)[:, 0]
+    # one key per distinct (cluster, student) pair, so bincount counts students
+    spans = np.unique(labels * n_students + neurons.student) // n_students
     accepted = np.bincount(spans, minlength=len(lowest)) >= ceil(gamma * n_students)
     return ClusterResult(neurons, labels, accepted, gamma, n_students)
 
@@ -590,13 +619,15 @@ def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(nr), col4row
 
 
+@_one_blas_thread()
 def evaluate_reconstruction(recon: Mlp, teacher: Mlp) -> ReconstructionReport:
     """Match reconstructed neurons to teacher neurons and report cosine distances.
 
     Pairs are chosen by exact minimum-cost assignment on the cosine distance
     between [w; b] directions, which makes the report invariant to hidden
     neuron order on either side. With m != r only min(m, r) pairs are matched
-    and m/r records the deficit or surplus.
+    and m/r records the deficit or surplus. Runs with one BLAS thread, so the
+    distances do not depend on the machine's core count.
     """
     if recon.d != teacher.d or recon.c != teacher.c:
         raise ValueError("networks must share input and output dimensions")

@@ -11,7 +11,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import squareform
 
-from netrecon import reconstruct
+from netrecon import reconstruct, train
 from netrecon.data import QuerySet
 from netrecon.errors import ConfigError, EmptyReconstructionError
 from netrecon.network import Mlp, _gauss_newton, forward, init_mlp, mse_loss
@@ -328,6 +328,12 @@ class TestClusterNeurons:
         with pytest.raises(ValueError):
             cluster_neurons([], 4, gamma=0.0, beta=3.0)
 
+    def test_student_slots_below_n_students(self):
+        # students are counted per cluster by the key label * n_students + slot
+        neurons, _ = synthetic_bundles(np.random.default_rng(9), n_dirs=2, n_students=3, dim=4)
+        with pytest.raises(ValueError, match="below n_students"):
+            cluster_neurons(neurons, 2, gamma=0.75, beta=3.0)
+
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_beta_rejected(self, beta):
         neurons, _ = synthetic_bundles(np.random.default_rng(10), n_dirs=2, n_students=3, dim=4)
@@ -587,6 +593,60 @@ class TestScipyOracles:
         assert edges > n**2 // 5
         assert (component.max() == 0) == (beta == 0.5)
         assert peak <= reconstruct._EDGE_BYTES * edges + 9 * rows * n
+
+
+class TestEdges:
+    """`_edges`, the Gram-block lister of both passes, chunk by chunk."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("gathered", [False, True])
+    def test_lists_the_brute_force_pairs(self, gathered, dtype):
+        # a tight cluster of 400 rows among random ones: its first chunk holds
+        # 400**2 edges, more than `_EDGE_ROWS` full rows, so it is listed in
+        # row slices. 2,300 rows, or 2,100 gathered ones, make five Gram
+        # blocks, the first meeting three column chunks, the last one narrow
+        rng = np.random.default_rng(31)
+        center = rng.normal(size=785)
+        table = np.vstack([center + 1e-3 * rng.normal(size=(400, 785)),
+                           rng.normal(size=(1900, 785))])
+        table = (table / np.linalg.norm(table, axis=1, keepdims=True)).astype(dtype)
+        rows = None
+        if gathered:
+            rows = np.concatenate([rng.permutation(400), 400 + rng.permutation(1900)[:1700]])
+        min_gram = dtype(0.9)
+        edges, count = reconstruct._edges(table, rows, min_gram, 1.0)
+        nodes = table if rows is None else table[rows]
+        gram = nodes @ nodes.T
+        block_start = np.arange(len(nodes)) // reconstruct._GRAM_ROWS * reconstruct._GRAM_ROWS
+        head, tail = np.nonzero((gram >= min_gram)
+                                & (np.arange(len(nodes)) >= block_start[:, None]))
+        got = np.concatenate([np.stack(pair) for pair in edges], axis=1)
+        assert count == got.shape[1] == len(head) > 400**2
+        assert np.array_equal(got[:, np.lexsort(got[::-1])], np.stack([head, tail]))
+        assert max(len(h) for h, _ in edges) <= reconstruct._EDGE_ROWS * reconstruct._GRAM_COLS
+
+    @pytest.mark.parametrize("table", ["screen", "exact"])
+    def test_memory_does_not_grow_with_n(self, monkeypatch, table):
+        # random rows of d + 1 = 785 at beta 3 on the float32 screen table
+        # and the float64 rows: the peak less `_EDGE_BYTES` an edge is one
+        # chunk's product and mask at 4,096 and 8,192 rows alike, where a
+        # mask per Gram block would grow by 512 bytes a row
+        min_gram = 1.0 - 1e-3 * (1.0 + 1e-6)
+        calls, edges = [], reconstruct._edges
+        monkeypatch.setattr(reconstruct, "_edges",
+                            lambda *args: calls.append(args) or (None, 0))
+        rest = []
+        for n in (4096, 8192):
+            dirs = random_pool(np.random.default_rng(32), 1, n, 785).directions
+            args = (dirs, None, min_gram, 1.0)
+            if table == "screen":
+                assert reconstruct._screen(dirs, min_gram) is None
+                args = calls.pop()
+                assert args[0].dtype == np.float32
+            (listed, count), peak = peak_while(edges, *args)
+            assert listed is not None and count >= n
+            rest.append(peak - reconstruct._EDGE_BYTES * count)
+        assert abs(rest[1] - rest[0]) <= 0.5 * 2**20
 
 
 class TestScreen:
@@ -965,6 +1025,17 @@ class TestEvaluateReconstruction:
         assert report.m == 4 and report.r == 3
         assert report.m_over_r > 1.0
         assert len(report.pairs) == 3
+
+    def test_independent_of_the_blas_thread_count(self, blas_threads):
+        # at d = 784 OpenBLAS's two-thread Gram product differs from its
+        # one-thread one in the last bits of some matched distances
+        recon, teacher = (init_mlp(96, 784, 10, seed=seed) for seed in (0, 1))
+        report = evaluate_reconstruction(recon, teacher)
+        with train._one_blas_thread():
+            expected = evaluate_reconstruction(recon, teacher)
+        assert report.pairs == expected.pairs
+        assert (report.avg_dw, report.max_dw, report.avg_da, report.max_da) == \
+            (expected.avg_dw, expected.max_dw, expected.avg_da, expected.max_da)
 
     def test_cosine_distance_range(self):
         rng = np.random.default_rng(20)

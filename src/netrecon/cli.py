@@ -126,12 +126,12 @@ def _load_teacher(path: str, qs) -> Mlp:
 def _read_history(path: str) -> list[HistoryPoint]:
     """A student's history file as written by `cmd_train_students`: a header
     and at least one (step, loss, lr) row."""
-    with open(path) as f:
-        lines = f.read().splitlines()
     try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
         history = [(int(step), float(loss), float(lr))
                    for step, loss, lr in (line.split(",") for line in lines[1:])]
-    except ValueError as exc:  # a row of the wrong width or a cell that is no number
+    except (OSError, ValueError) as exc:  # no UTF-8, a row of the wrong width, no number
         raise ConfigError(f"{path}: unreadable training history: {exc}") from exc
     if lines[:1] != [HISTORY_COLUMNS] or not history:
         raise ConfigError(f"{path}: training history needs the header "
@@ -140,12 +140,15 @@ def _read_history(path: str) -> list[HistoryPoint]:
 
 
 def _recorded_crc(path: str) -> str | None:
-    """The query-set CRC32 in a students/queries.crc32 file, None if there is none."""
+    """The query-set CRC32 in a students/queries.crc32 file, None if there is none; bytes
+    that are no UTF-8 are replaced, so a garbled record is refused as a mismatch."""
     try:
-        with open(path) as f:
-            return f.read().strip()
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8", "replace").strip()
     except FileNotFoundError:
         return None
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"{path}: cannot read the query-set record: {exc}") from exc
 
 
 def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
@@ -301,6 +304,9 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
                                                cfg.reconstruct.beta,
                                                cfg.reconstruct.fine_tune)
     except EmptyReconstructionError:
+        for name in ("reconstructed.mlp", "finetune_history.csv"):  # an earlier run's
+            if os.path.exists(path := os.path.join(out_dir, name)):
+                os.remove(path)
         _write_report(out_dir, qs.provenance, teacher.r, n, None, qs.Q)
         print("reconstruction: no accepted clusters (m = 0)", file=sys.stderr)
         return EXIT_EMPTY_RECONSTRUCTION

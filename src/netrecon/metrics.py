@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write_csv
-from .network import (Mlp, _inputs, _outputs, _pass_rows, _preactivations, _row_blocks,
-                      mse_loss)
+from .network import Mlp, _inputs, _outputs, _preactivations, _row_blocks, mse_loss
 from .train import _one_blas_thread
 
 
@@ -54,13 +53,13 @@ def _preactivation_blocks(net: Mlp, X: np.ndarray, lead: int = 0):
     """A function whose every call runs one pass over X, yielding the
     pre-activations W x + b one row block at a time.
 
-    The blocks are `_outputs`', whose products have a whole-set pass's bytes
-    (but see `network._ROWS`). Every pass yields them in one array, sized for
-    the largest: each block as its first `lead` + rows rows, the
-    pre-activations in rows `lead`: and the first `lead` rows left to the
-    caller. No (Q, r) array is formed.
+    The blocks are `_row_blocks`, as in every full-set pass, whose products
+    have a whole-set pass's bytes (but see `network._ROWS`). Every pass
+    yields them in one array, sized for the largest: each block as its first
+    `lead` + rows rows, the pre-activations in rows `lead`: and the first
+    `lead` rows left to the caller. No (Q, r) array is formed.
     """
-    blocks = _row_blocks(X.shape[0], _pass_rows(net.r))
+    blocks = _row_blocks(X.shape[0])
     buf = np.empty((lead + blocks[-1].stop - blocks[-1].start, net.r))
 
     def one_pass():
@@ -79,7 +78,10 @@ def preactivation_variability(net: Mlp, X: np.ndarray) -> VariabilityStats:
     formed. At r >= 2 they have the bytes of `pre.std(axis=0)` on the whole
     matrix wherever `_outputs`' block products equal the whole-set product:
     at widths off OpenBLAS's 8-column unroll (say r = 513 or 700) the two
-    can differ in the last bits (see `network._ROWS` and CHANGES.md).
+    can differ in the last bits (see `network._ROWS` and CHANGES.md). It runs
+    at the caller's BLAS thread count, so at d = 784 the last bits can change
+    with it too; it is left unpinned on purpose: at r = 512 on 6,144 rows a
+    call takes 137-139 ms with two threads and 235-244 ms with one.
     """
     X = _inputs(net, X)
     # two passes sum the pre-activations, then their squared deviations from
@@ -115,7 +117,8 @@ def preactivation_histogram(net: Mlp, X: np.ndarray, bins: int) -> Histogram:
     it. The counts and edges are `np.histogram`'s on the whole (Q, r) matrix
     wherever `_outputs`' block products equal the whole-set product; at
     widths off OpenBLAS's 8-column unroll (say r = 513 or 700) a value's last
-    bits, and so a bin edge or count, can differ (see `network._ROWS`).
+    bits, and so a bin edge or count, can differ (see `network._ROWS`), and at
+    d = 784 they can with the BLAS thread count (see `preactivation_variability`).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")

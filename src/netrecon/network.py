@@ -18,12 +18,12 @@ from .errors import FormatError
 MODEL_MAGIC = b"NRML"
 MODEL_VERSION = 1
 
-# rows per block of a full-set pass (see `_pass_rows`) at r >= 512; narrower
-# nets take proportionally more. Fixed in code, never derived from the machine,
-# and large: OpenBLAS multiplies blocks of 1-64 rows at d=784 with other
-# kernels, whose last bits differ from the whole set's. At widths r off its
-# 8-column unroll (say 513 or 700) the last r % 8 columns of even large
-# blocks can differ from the whole set's in the last bits.
+# rows per block of every full-set pass (see `_row_blocks`), at any width.
+# Fixed in code, never derived from the machine, and large: OpenBLAS
+# multiplies blocks of 1-64 rows at d=784 with other kernels, whose last bits
+# differ from the whole set's. At widths r off its 8-column unroll (say 513 or
+# 700) the last r % 8 columns of even large blocks can differ from the whole
+# set's in the last bits.
 _ROWS = 1024
 
 # elements per tile of the elementwise kernels (`_activate`, `train.adam_step`):
@@ -32,28 +32,26 @@ _ROWS = 1024
 _TILE = 16384
 
 
-def _activate(z: np.ndarray, slope: bool, out: np.ndarray | None = None,
-              g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """softplus(z) + sigmoid(4z) and, if `slope`, its derivative, from one exp.
+def _activate(z: np.ndarray, out: np.ndarray | None = None,
+              g: np.ndarray | None = None) -> np.ndarray:
+    """softplus(z) + sigmoid(4z) and, exactly when `g` is given, its derivative, from one exp.
 
     With e = exp(-|z|), e4 = e**4 and u the unit step (1 for z >= 0, else 0):
     softplus(z) = max(z, 0) + log1p(e), sigmoid(z) = max(e, u) / (1 + e),
     sigmoid(4z) = max(e4, u) / (1 + e4), and the derivative is
     sigmoid(z) + 4 e4 / (1 + e4)**2. No exp(z) is formed for large z and no
     1 - sigmoid is, so both tails are exact; max(., u) selects the numerator
-    without a branch. The results are written into `out` and `g`, C-ordered
-    arrays of z's shape, or into new arrays where they are None; both are
-    returned. `out` may be z itself, so the activation replaces z; `g` must
-    not overlap z. The kernel runs over flat tiles of `_TILE` elements:
-    besides the results only four tile-sized scratch arrays are alive, or
-    five with the slope.
+    without a branch. The activation is written into `out`, or a new array
+    where it is None, and returned; the derivative into `g`. Both are
+    C-ordered arrays of z's shape. `out` may be z itself, so the activation
+    replaces z; `g` must not overlap z. The kernel runs over flat tiles of
+    `_TILE` elements: besides the results only four tile-sized scratch arrays
+    are alive, or five with the derivative.
     """
     out = np.empty(z.shape) if out is None else out
-    if slope and g is None:
-        g = np.empty(z.shape)
     zf, of = z.reshape(-1), out.reshape(-1)
-    gf = g.reshape(-1) if slope else None
-    bufs = np.empty((5 if slope else 4, min(zf.size, _TILE)))
+    gf = None if g is None else g.reshape(-1)
+    bufs = np.empty((4 if g is None else 5, min(zf.size, _TILE)))
     for i in range(0, zf.size, _TILE):
         tile = slice(i, i + _TILE)
         zt, e = zf[tile], of[tile]
@@ -67,7 +65,7 @@ def _activate(z: np.ndarray, slope: bool, out: np.ndarray | None = None,
         np.square(e, out=e4)
         np.square(e4, out=e4)
         np.add(e4, 1.0, out=den4)
-        if slope:
+        if gf is not None:
             (den,) = slope_bufs
             gt = gf[tile]
             np.add(e, 1.0, out=den)
@@ -82,7 +80,7 @@ def _activate(z: np.ndarray, slope: bool, out: np.ndarray | None = None,
         np.divide(u, den4, out=u)  # sigmoid(4z)
         e += relu
         e += u
-    return out, g
+    return out
 
 
 def activation(z):
@@ -93,13 +91,15 @@ def activation(z):
     sign ambiguity. Both tails are exact (see `_activate`).
     """
     z = np.asarray(z, dtype=np.float64)
-    return _activate(np.atleast_1d(z), slope=False)[0].reshape(z.shape)[()]
+    return _activate(np.atleast_1d(z)).reshape(z.shape)[()]
 
 
 def activation_prime(z):
     """Derivative of :func:`activation`: sigmoid(z) + 4 sigmoid(4z)(1 - sigmoid(4z))."""
     z = np.asarray(z, dtype=np.float64)
-    return _activate(np.atleast_1d(z), slope=True)[1].reshape(z.shape)[()]
+    g = np.empty(z.shape)
+    _activate(np.atleast_1d(z), g=np.atleast_1d(g))
+    return g[()]
 
 
 class Mlp:
@@ -192,11 +192,10 @@ def _inputs(net: Mlp, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _preactivations(net: Mlp, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """W x + b for each row x of X, written into `out` when it is given."""
-    pre = np.matmul(_inputs(net, X), net.W.T, out=out)
-    pre += net.b
-    return pre
+def _preactivations(net: Mlp, X: np.ndarray, out: np.ndarray) -> None:
+    """W x + b for each row x of X, written into `out` (n, r)."""
+    np.matmul(_inputs(net, X), net.W.T, out=out)
+    out += net.b
 
 
 def _forward_into(net: Mlp, X: np.ndarray, pre: np.ndarray, hidden: np.ndarray,
@@ -205,7 +204,7 @@ def _forward_into(net: Mlp, X: np.ndarray, pre: np.ndarray, hidden: np.ndarray,
     `hidden` and `slope` (n, r), `out` (n, c); no slope where it is None.
     `hidden` may be `pre`, which the hidden layer then replaces."""
     _preactivations(net, X, pre)
-    _activate(pre, slope is not None, hidden, slope)
+    _activate(pre, hidden, slope)
     np.matmul(hidden, net.A.T, out=out)
     out += net.c_out
 
@@ -219,32 +218,21 @@ def forward(net: Mlp, X: np.ndarray) -> ForwardTrace:
     return ForwardTrace(pre=pre, hidden=hidden, out=out)
 
 
-def _row_blocks(n: int, size: int) -> list[slice]:
-    """Slices of `size` rows covering n rows, any remainder joining the last
-    block: n < 2 * size rows make one block, more make blocks of `size` to
-    2 * size - 1 rows."""
-    blocks = max(n // size, 1)
-    return [slice(i * size, n if i == blocks - 1 else (i + 1) * size) for i in range(blocks)]
-
-
-def _pass_rows(r: int) -> int:
-    """Rows per block of a full-set pass of a net of width r: `_ROWS` at
-    r >= 512, proportionally more for narrower nets, so that a tiny net is
-    not run in many small calls."""
-    return max(_ROWS, (_ROWS * 512) // r)
+def _row_blocks(n: int) -> list[slice]:
+    """The row blocks of every full-set pass: `_ROWS` rows each, any remainder
+    joining the last block, so n < 2 * `_ROWS` rows make one block."""
+    blocks = max(n // _ROWS, 1)
+    return [slice(i * _ROWS, n if i == blocks - 1 else (i + 1) * _ROWS) for i in range(blocks)]
 
 
 def _outputs(net: Mlp, X: np.ndarray) -> np.ndarray:
     """The logits `forward` returns for X, with the same bytes (but see
-    `_ROWS`), in row blocks.
-
-    Blocks are `_row_blocks` of `_pass_rows` rows. They share one
-    hidden-layer array, sized for the last and largest, which holds each
-    block's pre-activations and then its activations: the peak does not grow
-    with Q, apart from the (Q, c) result.
-    """
+    `_ROWS`), in `_row_blocks` that share one hidden-layer array, sized for
+    the last and largest. It holds each block's pre-activations and then its
+    activations, so at any width the peak does not grow with Q, apart from
+    the (Q, c) result."""
     X = _inputs(net, X)
-    blocks = _row_blocks(X.shape[0], _pass_rows(net.r))
+    blocks = _row_blocks(X.shape[0])
     out = np.empty((X.shape[0], net.c))
     hidden = np.empty((blocks[-1].stop - blocks[-1].start, net.r))
     for rows in blocks:
@@ -317,8 +305,8 @@ def _gauss_newton(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, n
     FᵀF scaled by (AᵀA)_jj' for the neurons j, j' of each row and column,
     the A/c_out block is I_c ⊗ HᵀH and the cross block is A_kj (FᵀH)_j, so
     building it costs about c times fewer flops than J. Jᵀe is the
-    backpropagated residual. The sums run over `_row_blocks` of `_ROWS`
-    rows. At most two arrays of JᵀJ's size are alive.
+    backpropagated residual. The sums run over `_row_blocks`, as every
+    full-set pass does. At most two arrays of JᵀJ's size are alive.
     """
     X = _inputs(net, X)
     r, d, c, n = net.r, net.d, net.c, X.shape[0]
@@ -327,7 +315,7 @@ def _gauss_newton(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, n
     FH = np.zeros((wb, r + 1))
     HH = np.zeros((r + 1, r + 1))
     grad = np.zeros(net.n_params)
-    for rows in _row_blocks(n, _ROWS):
+    for rows in _row_blocks(n):
         trace = forward(net, X[rows])
         slope = activation_prime(trace.pre)
         F = np.empty((len(trace.out), wb))

@@ -422,16 +422,17 @@ class TestStudentFiles:
         assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("history,needle", [
-        ("step,loss,lr\n", "at least one row"),
-        ("step,loss,lr\n0,1.0,0.02\n40,garbled\n", "unreadable training history"),
-    ], ids=["header_only", "garbled_row"])
+        (b"step,loss,lr\n", "at least one row"),
+        (b"step,loss,lr\n0,1.0,0.02\n40,garbled\n", "unreadable training history"),
+        (b"step,loss,lr\n0,1.0,0.02\xff\n", "unreadable training history"),
+    ], ids=["header_only", "garbled_row", "not_utf8"])
     def test_unreadable_kept_history_is_a_config_error(self, workdir, queries, capsys,
                                                        monkeypatch, history, needle):
         # found with the kept model files, before slot 2 trains
         out = workdir / f"bad_history_{len(history)}"
         self.copy_queries(queries, out)
         self.write_students(out, [(8, 16, 5), (8, 16, 5)])
-        (out / "students" / "student_01.history.csv").write_text(history)
+        (out / "students" / "student_01.history.csv").write_bytes(history)
         real, calls = train.train_student, []
 
         def counting(*args):
@@ -444,6 +445,31 @@ class TestStudentFiles:
         assert "student_01.history.csv" in err and needle in err
         assert calls == []
         assert not (out / "students" / "student_02.mlp").exists()
+
+    @pytest.mark.parametrize("command,extra,mismatch", [
+        ("reconstruct", [], "the students were fitted"),
+        ("train-students", ["--resume"], "the kept students were fitted"),
+    ], ids=["reconstruct", "resume"])
+    @pytest.mark.parametrize("record", ["not_utf8", "directory"])
+    def test_unreadable_query_set_record_is_a_config_error(self, workdir, queries, capsys,
+                                                           monkeypatch, command, extra,
+                                                           mismatch, record):
+        out = workdir / f"record_{record}_{command}"
+        self.copy_queries(queries, out)
+        self.write_students(out, [(8, 16, 5)] * 3)
+        path = out / "students" / "queries.crc32"
+        if record == "directory":
+            path.mkdir()
+        else:  # the right CRC32 behind one byte that is no UTF-8
+            trailer = (out / "queries.qs").read_bytes()[-4:]
+            path.write_bytes(b"\xff" + f"{struct.unpack('<I', trailer)[0]:08x}\n".encode())
+        students = self.counting_students(monkeypatch)
+        reconstructions = self.counting_reconstructions(monkeypatch)
+        assert run(workdir, command, out, *extra) == EXIT_CONFIG
+        needle = "cannot read the query-set record" if record == "directory" else mismatch
+        assert f"queries.crc32: {needle}" in capsys.readouterr().err
+        assert students == [] and reconstructions == []
+        assert not (out / "report.csv").exists()
 
 
 class TestPipeline:
@@ -553,6 +579,22 @@ class TestPipeline:
         report = (out / "report.csv").read_text().splitlines()
         assert report[1].split(",")[3] == "0.0"  # m/r column
 
+    def test_empty_reconstruction_removes_the_earlier_net(self, workdir):
+        # a net and fine-tune history left by a successful run must not stand
+        # next to the report of a later, empty reconstruction
+        out = workdir / "empty_after_success"
+        assert run(workdir, "pipeline", out) == EXIT_OK
+        assert (out / "reconstructed.mlp").is_file()
+        config = workdir / "empty_after_success.ini"
+        config.write_text((workdir / "run.ini").read_text()
+                          .replace("gamma = 0.6", "gamma = 1.0")
+                          .replace("beta = 3.0", "beta = 12.0"))
+        code = main(["reconstruct", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_EMPTY_RECONSTRUCTION
+        assert (out / "report.csv").read_text().splitlines()[1].split(",")[3] == "0.0"
+        assert not (out / "reconstructed.mlp").exists()
+        assert not (out / "finetune_history.csv").exists()
+
     def test_env_var_sets_output_dir(self, workdir, monkeypatch):
         out = workdir / "env_out"
         monkeypatch.setenv("NETRECON_OUT", str(out))
@@ -561,3 +603,9 @@ class TestPipeline:
 
     def test_unreadable_config(self, workdir):
         assert main(["pipeline", "--config", str(workdir / "none.ini")]) == EXIT_CONFIG
+
+    def test_config_that_is_no_utf8_is_a_config_error(self, workdir, capsys):
+        config = workdir / "latin1.ini"
+        config.write_bytes((workdir / "run.ini").read_bytes().replace(b"[run]", b"[run]\n#\xe9"))
+        assert main(["pipeline", "--config", str(config)]) == EXIT_CONFIG
+        assert f"cannot read config {config}" in capsys.readouterr().err

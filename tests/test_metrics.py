@@ -14,7 +14,7 @@ from netrecon.metrics import (
     write_losses_csv,
     write_variability_csv,
 )
-from netrecon.network import _ROWS, Mlp, _outputs, _pass_rows, forward, init_mlp, mse_loss
+from netrecon.network import _ROWS, Mlp, _outputs, forward, init_mlp, mse_loss
 
 
 def random_net(rng, r=4, d=5, c=3):
@@ -136,7 +136,7 @@ class TestRowBlocks:
         return std, np.histogram(pre.ravel(), bins)
 
     @pytest.mark.parametrize("r,Q", [
-        (16, 2 * _pass_rows(16) + 5),  # narrow: wider blocks, a remainder in the last
+        (16, 2 * _ROWS + 5),  # narrow: a remainder in the last block
         (768, 3 * _ROWS + 17),
         (512, 2 * _ROWS - 1),  # the largest single block
         (7, 1),  # one row

@@ -1,10 +1,13 @@
 """Command-line front end: run the recovery pipeline from a declarative config.
 
-Stages write their artifacts into one output directory so later stages can
-pick them up: teacher.mlp, queries.qs, students/student_NN.mlp, then
-reconstructed.mlp and report.csv. students/queries.crc32 records the CRC32
-of the query set the students there were fitted to. Exit codes: 0 success, 2 config or input
-error, 3 training divergence, 4 empty reconstruction.
+Stages write their artifacts into one output directory so later stages can pick them
+up: teacher.mlp, queries.qs, students/student_NN.mlp, then reconstructed.mlp and
+report.csv. students/queries.crc32 records the CRC32 of the query set the students there
+were fitted to; nothing links queries.qs to its teacher. Each stage removes its earlier
+outputs just before its first write, so a failed stage never leaves old and new artifacts
+side by side. Exit codes: 0 success, 2 config or input error or a file-system error on
+any file a stage reads or writes (permission bits and full disks are untested), 3
+training divergence, 4 empty reconstruction.
 
 The output directory comes from --out, else the NETRECON_OUT environment
 variable, else the config's [run] output_dir.
@@ -45,6 +48,15 @@ def _require_files(*paths: str) -> None:
         raise ConfigError("missing input file(s): " + ", ".join(missing))
 
 
+def _clear(*paths: str) -> None:
+    """Remove what an earlier run left at a stage's output `paths`, just before its first
+    write; a directory at any of them is refused before anything is removed."""
+    for path in filter(os.path.isdir, paths):
+        raise IsADirectoryError(f"{path}: a directory stands where an output file goes")
+    for path in filter(os.path.lexists, paths):
+        os.remove(path)
+
+
 def _subset(ds: ImageDataset, k: int | None, seed: int, key: str) -> ImageDataset:
     """`subset` for the config key `key`; None keeps every sample."""
     if k is None:
@@ -64,9 +76,10 @@ def _teacher_training_set(cfg: ExperimentConfig) -> tuple[ImageDataset, float, f
 def cmd_train_teacher(cfg: ExperimentConfig, out_dir: str) -> int:
     ds, mean, std = _teacher_training_set(cfg)
     teacher, history = train_teacher(ds, cfg.teacher.hidden, cfg.teacher.train)
-    os.makedirs(out_dir, exist_ok=True)
-    save_mlp(teacher, os.path.join(out_dir, "teacher.mlp"))
-    atomic_write_csv(os.path.join(out_dir, "teacher_history.csv"), HISTORY_COLUMNS, history)
+    paths = [os.path.join(out_dir, name) for name in ("teacher.mlp", "teacher_history.csv")]
+    _clear(*paths)
+    save_mlp(teacher, paths[0])
+    atomic_write_csv(paths[1], HISTORY_COLUMNS, history)
     acc = accuracy(teacher, ds)
     print(f"teacher: r={teacher.r} d={teacher.d} c={teacher.c} "
           f"samples={ds.n_samples} mean={mean:.6g} std={std:.6g}")
@@ -94,7 +107,8 @@ def cmd_build_queries(cfg: ExperimentConfig, out_dir: str) -> int:
         qs = query_teacher(teacher, aug)
     except ValueError as exc:  # teacher logits that overflow
         raise ConfigError(f"{teacher_path}: {exc}") from exc
-    save_queryset(qs, os.path.join(out_dir, "queries.qs"))
+    _clear(queries_path := os.path.join(out_dir, "queries.qs"))
+    save_queryset(qs, queries_path)
     print(f"queries: Q={qs.Q} strategy={qs.provenance}")
     return EXIT_OK
 
@@ -131,7 +145,7 @@ def _read_history(path: str) -> list[HistoryPoint]:
             lines = f.read().splitlines()
         history = [(int(step), float(loss), float(lr))
                    for step, loss, lr in (line.split(",") for line in lines[1:])]
-    except (OSError, ValueError) as exc:  # no UTF-8, a row of the wrong width, no number
+    except ValueError as exc:  # no UTF-8, a row of the wrong width, no number
         raise ConfigError(f"{path}: unreadable training history: {exc}") from exc
     if lines[:1] != [HISTORY_COLUMNS] or not history:
         raise ConfigError(f"{path}: training history needs the header "
@@ -157,10 +171,10 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
 
     `resume` skips slots that have both files, after loading and checking both
     before any student trains; they must have been fitted to this
-    queries.qs, as students/queries.crc32 records. The files of every other
-    slot are deleted before the first student trains, so every student file
-    left matches the record. The ensemble CSVs are built from every slot's
-    history, so they do not depend on what was resumed.
+    queries.qs, as students/queries.crc32 records. The files of every other slot,
+    the ensemble CSVs and losses.csv are deleted before the first student trains, so
+    every student file left matches the record. The ensemble CSVs are built from
+    every slot's history, so they do not depend on what was resumed.
     """
     queries_path = os.path.join(out_dir, "queries.qs")
     _require_files(queries_path)
@@ -169,8 +183,6 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     scatter = _scatter_inputs(cfg, out_dir, qs) if cfg.eval_sets else None
     n = cfg.students.n
     r_student = cfg.students.rho * cfg.teacher.hidden
-    os.makedirs(os.path.join(out_dir, "students"), exist_ok=True)
-
     files = [_student_files(out_dir, i) for i in range(n)]
     todo = [i for i in range(n) if not (resume and all(map(os.path.isfile, files[i])))]
     students: list[Mlp | None] = [None] * n
@@ -185,10 +197,9 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         raise ConfigError(f"{record}: the kept students were fitted to the query set with "
                           f"CRC32 {recorded or 'unrecorded'}, but {queries_path} has {crc}; "
                           f"train them again without --resume")
-    # files left by an earlier run must not stand in for a student of this one
-    for i in todo:
-        for path in filter(os.path.exists, files[i]):
-            os.remove(path)
+    tables = [os.path.join(out_dir, *name) for name in (
+        ("students", "losses.csv"), ("students", "ensemble_summary.csv"), ("losses.csv",))]
+    _clear(*(path for i in todo for path in files[i]), *tables)
     atomic_write_text(record, crc + "\n")
     failures: dict[int, str] = {}
     for index, net, history, message in iter_students(qs, r_student, cfg.students.train,
@@ -210,10 +221,8 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         history = histories[i]
         summaries.append((i, final_loss(history), history[-1][0], "trained"))
         history_rows += [(step, loss, lr, i) for step, loss, lr in history]
-    atomic_write_csv(os.path.join(out_dir, "students", "losses.csv"),
-                     HISTORY_COLUMNS + ",student_index", history_rows)
-    atomic_write_csv(os.path.join(out_dir, "students", "ensemble_summary.csv"),
-                     "student_index,final_loss,steps,status", summaries)
+    atomic_write_csv(tables[0], HISTORY_COLUMNS + ",student_index", history_rows)
+    atomic_write_csv(tables[1], "student_index,final_loss,steps,status", summaries)
 
     finals = [loss for _, loss, _, status in summaries if status == "trained"]
     if finals:
@@ -226,7 +235,7 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     if scatter:
         teacher, eval_sets = scatter
         rows = scatter_table(teacher, students, eval_sets)
-        write_losses_csv(rows, os.path.join(out_dir, "losses.csv"))
+        write_losses_csv(rows, tables[2])
         print(f"losses.csv: {len(rows)} rows over {len(eval_sets)} datasets")
     return EXIT_OK
 
@@ -304,9 +313,10 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
                                                cfg.reconstruct.beta,
                                                cfg.reconstruct.fine_tune)
     except EmptyReconstructionError:
-        for name in ("reconstructed.mlp", "finetune_history.csv"):  # an earlier run's
-            if os.path.exists(path := os.path.join(out_dir, name)):
-                os.remove(path)
+        tuned = None
+    _clear(*(os.path.join(out_dir, name) for name in (
+        "reconstructed.mlp", "finetune_history.csv", "report.csv", "report.txt")))
+    if tuned is None:
         _write_report(out_dir, qs.provenance, teacher.r, n, None, qs.Q)
         print("reconstruction: no accepted clusters (m = 0)", file=sys.stderr)
         return EXIT_EMPTY_RECONSTRUCTION
@@ -327,10 +337,8 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                  resume: bool = False) -> int:
     # validate every referenced path up front: a missing input must not leave
     # partial outputs behind
-    paths = [cfg.teacher.train_images, cfg.teacher.train_labels]
-    for _, images_path, labels_path in cfg.eval_sets:
-        paths += [images_path, labels_path]
-    _require_files(*paths)
+    _require_files(cfg.teacher.train_images, cfg.teacher.train_labels,
+                   *(path for _, *pair in cfg.eval_sets for path in pair))
     for stage in (
         lambda: cmd_train_teacher(cfg, out_dir),
         lambda: cmd_build_queries(cfg, out_dir),
@@ -341,10 +349,6 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         if code != EXIT_OK:
             return code
     return EXIT_OK
-
-
-def _resolve_out_dir(args, cfg: ExperimentConfig) -> str:
-    return args.out or os.environ.get("NETRECON_OUT") or cfg.output_dir
 
 
 def main(argv=None) -> int:
@@ -374,23 +378,19 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = load_config(args.config)
-        out_dir = _resolve_out_dir(args, cfg)
-        if args.command == "train-teacher":
-            return cmd_train_teacher(cfg, out_dir)
-        if args.command == "build-queries":
-            return cmd_build_queries(cfg, out_dir)
-        if args.command == "train-students":
-            return cmd_train_students(cfg, out_dir, jobs=args.jobs, resume=args.resume)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, out_dir)
-        return cmd_pipeline(cfg, out_dir, jobs=args.jobs, resume=args.resume)
+        out_dir = args.out or os.environ.get("NETRECON_OUT") or cfg.output_dir
+        stage = {"train-teacher": cmd_train_teacher, "build-queries": cmd_build_queries,
+                 "train-students": cmd_train_students, "reconstruct": cmd_reconstruct,
+                 "pipeline": cmd_pipeline}[args.command]
+        ensemble = dict(jobs=args.jobs, resume=args.resume) if "jobs" in args else {}
+        return stage(cfg, out_dir, **ensemble)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except NetreconError as exc:
+    except (NetreconError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -306,7 +306,8 @@ def _gauss_newton(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, n
     the A/c_out block is I_c ⊗ HᵀH and the cross block is A_kj (FᵀH)_j, so
     building it costs about c times fewer flops than J. Jᵀe is the
     backpropagated residual. The sums run over `_row_blocks`, as every
-    full-set pass does. At most two arrays of JᵀJ's size are alive.
+    full-set pass does, and one activation pass per block gives both the
+    hidden layer and its slope. At most two arrays of JᵀJ's size are alive.
     """
     X = _inputs(net, X)
     r, d, c, n = net.r, net.d, net.c, X.shape[0]
@@ -315,17 +316,21 @@ def _gauss_newton(net: Mlp, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, n
     FH = np.zeros((wb, r + 1))
     HH = np.zeros((r + 1, r + 1))
     grad = np.zeros(net.n_params)
+    block_grad = np.empty(net.n_params)
     for rows in _row_blocks(n):
-        trace = forward(net, X[rows])
-        slope = activation_prime(trace.pre)
-        F = np.empty((len(trace.out), wb))
+        k = rows.stop - rows.start
+        hidden, slope, out = np.empty((k, r)), np.empty((k, r)), np.empty((k, c))
+        _forward_into(net, X[rows], hidden, hidden, out, slope)
+        F = np.empty((k, wb))
         np.multiply(slope[:, :, None], X[rows, None, :], out=F[:, :rd].reshape(-1, r, d))
         F[:, rd:] = slope
-        H = np.hstack([trace.hidden, np.ones((len(trace.out), 1))])
+        H = np.hstack([hidden, np.ones((k, 1))])
         jtj[:wb, :wb] += F.T @ F
         FH += F.T @ H
         HH += H.T @ H
-        grad += backprop_from_dout(net, trace, X[rows], _mse(trace.out, Y[rows])[0])
+        _backprop_into(net, X[rows], hidden, slope, _mse(out, Y[rows])[0], np.empty((k, r)),
+                       block_grad)
+        grad += block_grad
     neuron = np.concatenate([np.repeat(np.arange(r), d), np.arange(r)])  # of each W/b entry
     jtj[:wb, :wb] *= (net.A.T @ net.A)[np.ix_(neuron, neuron)]
     A_of = net.A.T[neuron]  # (wb, c): A_kj of each W/b entry's neuron j

@@ -1,3 +1,4 @@
+import os
 import shutil
 import struct
 import zlib
@@ -327,6 +328,21 @@ class TestStudentFiles:
         assert code == EXIT_CONFIG
         assert "student_01.mlp: student has r=8 d=15 c=5" in capsys.readouterr().err
 
+    def test_rerun_without_eval_leaves_no_earlier_losses_csv(self, workdir, queries):
+        out = workdir / "rerun_no_eval"
+        self.copy_queries(queries, out)
+        with_eval = workdir / "rerun_eval.ini"
+        with_eval.write_text((workdir / "run.ini").read_text().replace(
+            "max_steps = 6000", "max_steps = 20"))
+        without = workdir / "rerun_no_eval.ini"
+        text = with_eval.read_text()
+        without.write_text(text[:text.index("[eval]")])
+        assert main(["train-students", "--config", str(with_eval), "--out", str(out)]) == EXIT_OK
+        assert (out / "losses.csv").is_file()
+        assert main(["train-students", "--config", str(without), "--out", str(out)]) == EXIT_OK
+        assert (out / "students" / "losses.csv").is_file()
+        assert not (out / "losses.csv").exists()
+
     @staticmethod
     def counting_students(monkeypatch):
         real, calls = train.train_student, []
@@ -609,3 +625,164 @@ class TestPipeline:
         config.write_bytes((workdir / "run.ini").read_bytes().replace(b"[run]", b"[run]\n#\xe9"))
         assert main(["pipeline", "--config", str(config)]) == EXIT_CONFIG
         assert f"cannot read config {config}" in capsys.readouterr().err
+
+
+LAYOUT_CONFIG = """
+[run]
+seed = 0
+output_dir = out
+
+[teacher]
+train_images = train_images.idx
+train_labels = train_labels.idx
+hidden = 2
+learning_rate = 0.01
+batch_size = 64
+max_steps = 40
+eval_every = 20
+
+[query]
+strategy = biased_noise
+base_subset = 100
+magnitude = 1.0
+
+[students]
+n = 2
+rho = 4
+learning_rate = 0.02
+batch_size = 64
+max_steps = 20
+eval_every = 10
+
+[reconstruct]
+gamma = 1.0
+beta = 9.0
+learning_rate = 0.003
+batch_size = 256
+max_steps = 20
+eval_every = 10
+
+[eval]
+ood = ood_images.idx, ood_labels.idx
+"""
+
+SLOTS = [[f"out/students/student_{i:02d}{ext}" for ext in (".mlp", ".history.csv")]
+         for i in range(2)]
+RECORD = "out/students/queries.crc32"
+DATA = ["run.ini", "train_images.idx", "train_labels.idx"]
+# the files each stage reads, and the files it writes; paths are relative to a
+# case directory, and the config names its inputs relative to it too
+LAYOUT_STAGES = {
+    "train-teacher": (DATA, ["out/teacher.mlp", "out/teacher_history.csv"]),
+    "build-queries": (DATA + ["out/teacher.mlp"], ["out/queries.qs"]),
+    "train-students": (
+        DATA + ["ood_images.idx", "ood_labels.idx", "out/teacher.mlp", "out/queries.qs"],
+        [*SLOTS[0], *SLOTS[1], "out/students/losses.csv",
+         "out/students/ensemble_summary.csv", "out/losses.csv", RECORD]),
+    "reconstruct": (["run.ini", "out/teacher.mlp", "out/queries.qs", RECORD, SLOTS[0][0],
+                     SLOTS[1][0]],
+                    ["out/reconstructed.mlp", "out/finetune_history.csv", "out/report.csv",
+                     "out/report.txt"]),
+}
+# the mtime every file of a prepared layout gets: a file that still has it after
+# a stage is an earlier run's, one written by the stage does not
+EARLIER = 946_684_800 * 10**9
+
+
+def _layout_cases():
+    for command, layouts in (("train-teacher", ["pipeline"]), ("build-queries", ["pipeline"]),
+                             ("train-students", ["pipeline"]),
+                             ("train-students --resume", ["pipeline"]),
+                             ("reconstruct", ["pipeline", "recovered"])):
+        reads, writes = LAYOUT_STAGES[command.split()[0]]
+        in_students = any(p.startswith("out/students/") for p in reads + writes)
+        dirs = ["out", "out/students"] if in_students else ["out"]
+        cases = [(path, kind) for path in dict.fromkeys(reads + writes)
+                 for kind in ("directory", "empty")] + [(path, "file") for path in dirs]
+        for layout in layouts:
+            for path, kind in cases:
+                yield pytest.param(command.split(), layout, path, kind,
+                                   id=f"{command.replace(' --', '_')}-{layout}-{path}-{kind}")
+
+
+@pytest.fixture(scope="module")
+def layouts(tmp_path_factory):
+    """Two finished output layouts, each with the data and config it was made from:
+    "pipeline" after all four stages, whose reconstruction was empty (exit 4), and
+    "recovered" after a reconstruction from two identical students (exit 0)."""
+    root = tmp_path_factory.mktemp("layouts")
+    pipeline, recovered = root / "pipeline", root / "recovered"
+    pipeline.mkdir()
+    train = make_synthetic_classification(200, height=4, width=4, n_classes=5, seed=0)
+    save_idx(train, str(pipeline / "train_images.idx"), str(pipeline / "train_labels.idx"))
+    ood = make_synthetic_classification(50, height=4, width=4, n_classes=5,
+                                        style="stripes", seed=9)
+    save_idx(ood, str(pipeline / "ood_images.idx"), str(pipeline / "ood_labels.idx"))
+    (pipeline / "run.ini").write_text(LAYOUT_CONFIG)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(pipeline)
+        for command, code in (("train-teacher", EXIT_OK), ("build-queries", EXIT_OK),
+                              ("train-students", EXIT_OK),
+                              ("reconstruct", EXIT_EMPTY_RECONSTRUCTION)):
+            assert main([command, "--config", "run.ini", "--out", "out"]) == code
+        shutil.copytree(pipeline, recovered)
+        mp.chdir(recovered)
+        for model, history in SLOTS:  # identical students: every neuron is a cluster
+            save_mlp(init_mlp(8, 16, 5, seed=0), model)
+            (recovered / history).write_text("step,loss,lr\n0,1.0,0.02\n")
+        for name in ("report.csv", "report.txt"):
+            (recovered / "out" / name).unlink()
+        assert main(["reconstruct", "--config", "run.ini", "--out", "out"]) == EXIT_OK
+    return {"pipeline": pipeline, "recovered": recovered}
+
+
+class TestOutputLayoutFuzz:
+    """Every stage against a hostile output layout: at each path it reads or
+    writes, a directory, an empty file, or a regular file where a directory goes.
+
+    Each run exits 0, 2, 3 or 4 and never raises, an exit 2 prints one error
+    line, and the stage's outputs are either all the earlier run's, unchanged,
+    or none of them is: earlier and new artifacts never stand side by side.
+    Read-only files and directories and a full disk are not covered: a process
+    running as root is not refused by permission bits, and a test cannot fill
+    a disk safely.
+    """
+
+    @staticmethod
+    def put(path, kind):
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.exists():
+            path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"" if kind == "empty" else b"a file where a directory goes\n")
+
+    @pytest.mark.parametrize("command,layout,path,kind", list(_layout_cases()))
+    def test_layout(self, layouts, tmp_path, monkeypatch, capsys, command, layout, path,
+                    kind):
+        case = tmp_path / "case"
+        shutil.copytree(layouts[layout], case)
+        self.put(case / path, kind)
+        for item in [case, *case.rglob("*")]:
+            os.utime(item, ns=(EARLIER, EARLIER))
+        _, writes = LAYOUT_STAGES[command[0]]
+        if "--resume" in command:  # a complete slot is kept, so it is an input
+            writes = [p for p in writes if not any(
+                p in slot and all((case / s).is_file() for s in slot) for slot in SLOTS)]
+        earlier = {p: (case / p).read_bytes() for p in writes if (case / p).is_file()}
+        monkeypatch.chdir(case)
+        code = main([command[0], "--config", "run.ini", "--out", "out", *command[1:]])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_EMPTY_RECONSTRUCTION)
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert err.count("\n") == 1 and err.startswith(("config error: ", "error: ")), err
+            if kind == "directory" and path in writes:
+                assert path in err
+        files = [p for p in writes if (case / p).is_file()]
+        old = {p for p in files if (case / p).stat().st_mtime_ns == EARLIER}
+        new = set(files) - old
+        assert old in (set(), set(earlier)), f"{sorted(old)} of {sorted(earlier)} are left"
+        assert not (old and new), f"earlier {sorted(old)} beside new {sorted(new)}"
+        assert all((case / p).read_bytes() == earlier[p] for p in old)

@@ -339,6 +339,56 @@ class TestGaussNewton:
         grad, _ = backward_mse(net, X, Y)
         assert np.allclose(_gauss_newton(net, X, Y)[1], grad * 40 / 2, rtol=1e-12)
 
+    @staticmethod
+    def reference(net, X, Y):
+        """JᵀJ and Jᵀe built block by block from the public forward pass, slope and
+        backprop, with `_gauss_newton`'s own sums and assembly."""
+        r, d, c = net.r, net.d, net.c
+        rd, wb, ab = r * d, r * (d + 1), r * (d + 1) + c * r
+        jtj, grad = np.zeros((net.n_params, net.n_params)), np.zeros(net.n_params)
+        FH, HH = np.zeros((wb, r + 1)), np.zeros((r + 1, r + 1))
+        for rows in network._row_blocks(len(X)):
+            trace = forward(net, X[rows])
+            slope = activation_prime(trace.pre)
+            F = np.empty((len(slope), wb))
+            np.multiply(slope[:, :, None], X[rows, None, :], out=F[:, :rd].reshape(-1, r, d))
+            F[:, rd:] = slope
+            H = np.hstack([trace.hidden, np.ones((len(slope), 1))])
+            jtj[:wb, :wb] += F.T @ F
+            FH += F.T @ H
+            HH += H.T @ H
+            grad += backprop_from_dout(net, trace, X[rows], trace.out - Y[rows])
+        neuron = np.concatenate([np.repeat(np.arange(r), d), np.arange(r)])
+        jtj[:wb, :wb] *= (net.A.T @ net.A)[np.ix_(neuron, neuron)]
+        A_of = net.A.T[neuron]
+        jtj[:wb, wb:ab] = (A_of[:, :, None] * FH[:, None, :r]).reshape(wb, c * r)
+        jtj[:wb, ab:] = A_of * FH[:, r:]
+        jtj[wb:ab, wb:ab] = np.kron(np.eye(c), HH[:r, :r])
+        jtj[wb:ab, ab:] = np.kron(np.eye(c), HH[:r, r:])
+        jtj[ab:, ab:] = HH[r, r] * np.eye(c)
+        jtj[wb:, :wb] = jtj[:wb, wb:].T
+        jtj[ab:, wb:ab] = jtj[wb:ab, ab:].T
+        return jtj, grad
+
+    @pytest.mark.parametrize("r,d,c,Q", [(3, 16, 2, 500), (4, 25, 10, 2 * _ROWS + 7),
+                                         (2, 784, 10, 3 * _ROWS)])
+    def test_one_activation_pass_per_block_gives_the_reference_bytes(self, monkeypatch,
+                                                                    r, d, c, Q):
+        rng = np.random.default_rng(r * d + c)
+        net = random_net(rng, r, d, c)
+        X, Y = rng.normal(size=(Q, d)), rng.normal(size=(Q, c))
+        want = self.reference(net, X, Y)
+        real, calls = network._activate, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network, "_activate", counting)
+        jtj, jte = _gauss_newton(net, X, Y)
+        assert calls == [(rows.stop - rows.start, r) for rows in network._row_blocks(Q)]
+        assert jtj.tobytes() == want[0].tobytes() and jte.tobytes() == want[1].tobytes()
+
     @pytest.mark.parametrize("c", [1, 3])
     def test_rejects_targets_of_the_wrong_shape(self, c):
         # a (Q, 1) target would broadcast against (Q, 2) logits without the check

@@ -3,11 +3,12 @@
 Stages write their artifacts into one output directory so later stages can pick them
 up: teacher.mlp, queries.qs, students/student_NN.mlp, then reconstructed.mlp and
 report.csv. students/queries.crc32 records the CRC32 of the query set the students there
-were fitted to; nothing links queries.qs to its teacher. Each stage removes its earlier
-outputs just before its first write, so a failed stage never leaves old and new artifacts
-side by side. Exit codes: 0 success, 2 config or input error or a file-system error on
-any file a stage reads or writes (permission bits and full disks are untested), 3
-training divergence, 4 empty reconstruction.
+were fitted to; nothing links queries.qs to its teacher. Each stage refuses a directory at
+an output path before it loads anything, and removes its earlier outputs just before its
+first write, so a failed stage never leaves old and new artifacts side by side. Exit
+codes: 0 success, 2 config or input error or a file-system error on any file a stage
+reads or writes (permission bits and full disks are untested), 3 training divergence,
+4 empty reconstruction.
 
 The output directory comes from --out, else the NETRECON_OUT environment
 variable, else the config's [run] output_dir.
@@ -19,7 +20,6 @@ import argparse
 import os
 import sys
 from math import nan
-from statistics import median
 
 import numpy as np
 
@@ -48,11 +48,17 @@ def _require_files(*paths: str) -> None:
         raise ConfigError("missing input file(s): " + ", ".join(missing))
 
 
+def _refuse_directories(*paths: str) -> None:
+    """Refuse a directory at any of a stage's output `paths`; a stage calls this before it
+    loads or computes anything, and `_clear` again just before its first write."""
+    for path in filter(os.path.isdir, paths):
+        raise IsADirectoryError(f"{path}: a directory stands where an output file goes")
+
+
 def _clear(*paths: str) -> None:
     """Remove what an earlier run left at a stage's output `paths`, just before its first
     write; a directory at any of them is refused before anything is removed."""
-    for path in filter(os.path.isdir, paths):
-        raise IsADirectoryError(f"{path}: a directory stands where an output file goes")
+    _refuse_directories(*paths)
     for path in filter(os.path.lexists, paths):
         os.remove(path)
 
@@ -74,9 +80,10 @@ def _teacher_training_set(cfg: ExperimentConfig) -> tuple[ImageDataset, float, f
 
 
 def cmd_train_teacher(cfg: ExperimentConfig, out_dir: str) -> int:
+    paths = [os.path.join(out_dir, name) for name in ("teacher.mlp", "teacher_history.csv")]
+    _refuse_directories(*paths)
     ds, mean, std = _teacher_training_set(cfg)
     teacher, history = train_teacher(ds, cfg.teacher.hidden, cfg.teacher.train)
-    paths = [os.path.join(out_dir, name) for name in ("teacher.mlp", "teacher_history.csv")]
     _clear(*paths)
     save_mlp(teacher, paths[0])
     atomic_write_csv(paths[1], HISTORY_COLUMNS, history)
@@ -90,6 +97,8 @@ def cmd_train_teacher(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_build_queries(cfg: ExperimentConfig, out_dir: str) -> int:
     teacher_path = os.path.join(out_dir, "teacher.mlp")
+    queries_path = os.path.join(out_dir, "queries.qs")
+    _refuse_directories(queries_path)
     _require_files(teacher_path)
     teacher = load_mlp(teacher_path)
     ds, _, _ = _teacher_training_set(cfg)
@@ -107,7 +116,7 @@ def cmd_build_queries(cfg: ExperimentConfig, out_dir: str) -> int:
         qs = query_teacher(teacher, aug)
     except ValueError as exc:  # teacher logits that overflow
         raise ConfigError(f"{teacher_path}: {exc}") from exc
-    _clear(queries_path := os.path.join(out_dir, "queries.qs"))
+    _clear(queries_path)
     save_queryset(qs, queries_path)
     print(f"queries: Q={qs.Q} strategy={qs.provenance}")
     return EXIT_OK
@@ -227,7 +236,7 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     finals = [loss for _, loss, _, status in summaries if status == "trained"]
     if finals:
         print(f"students: trained={len(finals)} final loss "
-              f"min={min(finals):.3e} median={median(finals):.3e} max={max(finals):.3e}")
+              f"min={min(finals):.3e} median={np.median(finals):.3e} max={max(finals):.3e}")
     if len(finals) < 2:
         print("fewer than two students trained; reconstruction is impossible",
               file=sys.stderr)
@@ -284,7 +293,8 @@ def _write_report(out_dir: str, method: str, r: int, n_students: int, report,
 
 
 def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
-    """Reconstruct from an ensemble of [students] n slots; a missing model file is a None slot.
+    """Reconstruct from an ensemble of [students] n slots; a missing model file is a None slot,
+    anything else at its path that is no regular file an error.
 
     The students must have been fitted to this queries.qs, as
     students/queries.crc32 records; that is checked after their shapes and
@@ -292,12 +302,18 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
     """
     teacher_path = os.path.join(out_dir, "teacher.mlp")
     queries_path = os.path.join(out_dir, "queries.qs")
+    outputs = [os.path.join(out_dir, name) for name in (
+        "reconstructed.mlp", "finetune_history.csv", "report.csv", "report.txt")]
+    _refuse_directories(*outputs)
     _require_files(teacher_path, queries_path)
     qs = load_queryset(queries_path)
     teacher = _load_teacher(teacher_path, qs)
     n = cfg.students.n
     r_student = cfg.students.rho * cfg.teacher.hidden
     paths = [_student_files(out_dir, i)[0] for i in range(n)]
+    for path in paths:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ConfigError(f"{path}: no regular file stands where a student model goes")
     students = [_load_student(p, r_student, qs) if os.path.isfile(p) else None for p in paths]
     if sum(s is not None for s in students) < 2:
         raise ConfigError("need at least two trained students; run train-students first")
@@ -314,8 +330,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
                                                cfg.reconstruct.fine_tune)
     except EmptyReconstructionError:
         tuned = None
-    _clear(*(os.path.join(out_dir, name) for name in (
-        "reconstructed.mlp", "finetune_history.csv", "report.csv", "report.txt")))
+    _clear(*outputs)
     if tuned is None:
         _write_report(out_dir, qs.provenance, teacher.r, n, None, qs.Q)
         print("reconstruction: no accepted clusters (m = 0)", file=sys.stderr)
@@ -324,8 +339,8 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
     # the teacher-free signal: 0 for a perfect imitation, 1 for the zero net
     target_power = float(np.sum(np.square(qs.targets))) / qs.Q
     relative_loss = final_loss(history) / target_power if target_power > 0 else nan
-    save_mlp(tuned, os.path.join(out_dir, "reconstructed.mlp"))
-    atomic_write_csv(os.path.join(out_dir, "finetune_history.csv"), HISTORY_COLUMNS, history)
+    save_mlp(tuned, outputs[0])
+    atomic_write_csv(outputs[1], HISTORY_COLUMNS, history)
     _write_report(out_dir, qs.provenance, teacher.r, n, report, qs.Q, relative_loss)
     print(f"reconstruction: m/r={report.m_over_r:.3f} "
           f"avg_dw={report.avg_dw:.3e} max_dw={report.max_dw:.3e} "

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -505,6 +504,9 @@ def iter_students(qs: QuerySet, r_student: int, cfg: TrainConfig, indices,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1 and len(indices) > 1:
+        # imported here, so that a process that never opens a pool does not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(indices)),
                                  initializer=_init_worker,
                                  initargs=(qs, r_student, cfg)) as pool:

@@ -786,3 +786,36 @@ class TestOutputLayoutFuzz:
         assert old in (set(), set(earlier)), f"{sorted(old)} of {sorted(earlier)} are left"
         assert not (old and new), f"earlier {sorted(old)} beside new {sorted(new)}"
         assert all((case / p).read_bytes() == earlier[p] for p in old)
+
+    @pytest.mark.parametrize("command,path", [
+        (command, path) for command in ("train-teacher", "build-queries", "reconstruct")
+        for path in LAYOUT_STAGES[command][1]])
+    def test_directory_at_an_output_is_refused_before_compute(self, layouts, tmp_path,
+                                                              monkeypatch, capsys, command,
+                                                              path):
+        def compute(*args, **kwargs):
+            raise AssertionError(f"{command} computed before it refused {path}")
+
+        for name in ("train_teacher", "build", "query_teacher", "run_reconstruction"):
+            monkeypatch.setattr(cli, name, compute)
+        case = tmp_path / "case"
+        shutil.copytree(layouts["recovered"], case)
+        self.put(case / path, "directory")
+        monkeypatch.chdir(case)
+        assert main([command, "--config", "run.ini", "--out", "out"]) == EXIT_CONFIG
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_student_model_path_that_is_no_file(self, layouts, tmp_path, monkeypatch,
+                                                capsys, kind):
+        # a directory is named; a missing file is an empty slot, as a diverged student
+        case = tmp_path / "case"
+        shutil.copytree(layouts["recovered"], case)
+        (case / SLOTS[0][0]).unlink()
+        if kind == "directory":
+            (case / SLOTS[0][0]).mkdir()
+        monkeypatch.chdir(case)
+        assert main(["reconstruct", "--config", "run.ini", "--out", "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert (SLOTS[0][0] in err) == (kind == "directory")
+        assert ("need at least two trained students" in err) == (kind == "missing")

@@ -1,5 +1,6 @@
 """Importing, clustering and matching must run on numpy alone, without loading
-scipy; every function the benchmark's tracer wraps must exist."""
+scipy; importing netrecon must not load the process pool, which only a pooled
+`train-students` opens; every function the benchmark's tracer wraps must exist."""
 
 import importlib.util
 import json
@@ -26,13 +27,24 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-def test_clustering_and_matching_load_no_scipy():
+def _printed(script):
+    """What `script` prints as JSON, run in a fresh interpreter with src/ on the path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout)
+
+
+def test_clustering_and_matching_load_no_scipy():
+    assert _printed(SCRIPT) == []
+
+
+def test_import_loads_no_process_pool():
+    assert _printed("import json, sys, netrecon, netrecon.cli; print(json.dumps(sorted("
+                    "m for m in sys.modules if m.split('.')[0] in "
+                    "('concurrent', 'multiprocessing', 'statistics'))))") == []
 
 
 def test_every_traced_name_exists():

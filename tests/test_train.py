@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import os
 import subprocess
@@ -403,13 +404,13 @@ class TestEnsemble:
     def test_pool_no_wider_than_the_students(self, tiny_queries, monkeypatch):
         # a fork pool starts all its workers on the first task, used or not
         widths = []
-        real = train.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def recording(max_workers, **kwargs):
             widths.append(max_workers)
             return real(max_workers=min(max_workers, 2), **kwargs)
 
-        monkeypatch.setattr(train, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
         pooled = list(iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1], jobs=8))
         assert widths == [2]
         alone = list(iter_students(tiny_queries, 4, cfg(max_steps=20), [0, 1]))

@@ -3,8 +3,9 @@
 Stages write their artifacts into one output directory so later stages can pick them
 up: teacher.mlp, queries.qs, students/student_NN.mlp, then reconstructed.mlp and
 report.csv. students/queries.crc32 records the CRC32 of the query set the students there
-were fitted to; nothing links queries.qs to its teacher. Each stage refuses a directory at
-an output path before it loads anything, and removes its earlier outputs just before its
+were fitted to, and a stage that reads teacher.mlp with queries.qs refuses a teacher that
+does not reproduce the targets of its first rows. Each stage refuses a directory at an
+output path before it loads anything, and removes its earlier outputs just before its
 first write, so a failed stage never leaves old and new artifacts side by side. Exit
 codes: 0 success, 2 config or input error or a file-system error on any file a stage
 reads or writes (permission bits and full disks are untested), 3 training divergence,
@@ -29,9 +30,10 @@ from .config import ExperimentConfig, load_config
 from .data import ImageDataset, load_idx, load_queryset, save_queryset, standardize, subset
 from .errors import ConfigError, DivergenceError, EmptyReconstructionError, NetreconError
 from .metrics import scatter_table, write_losses_csv
-from .network import Mlp, load_mlp, save_mlp
+from .network import Mlp, _outputs, _row_blocks, load_mlp, save_mlp
 from .reconstruct import evaluate_reconstruction, run_reconstruction
-from .train import HistoryPoint, accuracy, final_loss, iter_students, query_teacher, train_teacher
+from .train import (HistoryPoint, _one_blas_thread, accuracy, final_loss, iter_students,
+                    query_teacher, train_teacher)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -138,11 +140,21 @@ def _load_student(path: str, r: int, qs) -> Mlp:
 
 
 def _load_teacher(path: str, qs) -> Mlp:
-    """The teacher model file, which must take the query set's d and give its c."""
+    """The teacher model file, which must take the query set's d, give its c and
+    reproduce its targets on the first row block within 1e-9 of the block's
+    largest |target|, a margin that another BLAS build's rounding stays far below."""
     net = load_mlp(path)
     if (net.d, net.c) != (qs.d, qs.c):
         raise ConfigError(f"{path}: teacher has d={net.d} c={net.c}, but the "
                           f"query set has d={qs.d} c={qs.c}")
+    rows = _row_blocks(qs.Q)[0]
+    targets = qs.targets[rows]
+    with _one_blas_thread(), np.errstate(over="ignore"):
+        gap = np.max(np.abs(_outputs(net, qs.inputs[rows]) - targets))
+    if not gap <= 1e-9 * np.max(np.abs(targets)):
+        raise ConfigError(f"{path}: the teacher does not reproduce the query set's targets "
+                          f"(largest gap {gap:.3e} on its first {rows.stop} rows); it did "
+                          f"not label this queries.qs")
     return net
 
 

@@ -149,16 +149,20 @@ def load_idx(images_path: str, labels_path: str, name: str | None = None) -> Ima
 
 def save_idx(ds: ImageDataset, images_path: str, labels_path: str) -> None:
     """Write a raw dataset back to an IDX pair; pixels must be integers in 0..255."""
-    pixels = np.asarray(ds.images)
-    rounded = np.rint(pixels)
-    if not np.array_equal(pixels, rounded) or pixels.min() < 0 or pixels.max() > 255:
+    pixels = ds.images
+    # the range comes first, as a cast of values outside it is undefined, and min
+    # and max propagate nan, which fails both comparisons; integrality is checked
+    # against the one cast, so only the bytes and a boolean per pixel are allocated
+    if not (pixels.min() >= 0 and pixels.max() <= 255
+            and np.array_equal(pixels, as_bytes := pixels.astype(np.uint8))):
         raise ValueError("IDX stores unsigned bytes; pixels must be integers in [0, 255]")
     if ds.labels.min() < 0 or ds.labels.max() > 255:
         raise ValueError("IDX labels must fit in one unsigned byte")
-    header = struct.pack(">IIII", IDX_IMAGES_MAGIC, ds.n_samples, ds.height, ds.width)
-    atomic_write_bytes(images_path, header + rounded.astype(np.uint8).tobytes())
-    header = struct.pack(">II", IDX_LABELS_MAGIC, ds.n_samples)
-    atomic_write_bytes(labels_path, header + ds.labels.astype(np.uint8).tobytes())
+    atomic_write_bytes(images_path,
+                       struct.pack(">IIII", IDX_IMAGES_MAGIC, ds.n_samples, ds.height, ds.width),
+                       as_bytes)
+    atomic_write_bytes(labels_path, struct.pack(">II", IDX_LABELS_MAGIC, ds.n_samples),
+                       ds.labels.astype(np.uint8))
 
 
 def standardize(ds: ImageDataset,
@@ -262,8 +266,12 @@ def make_synthetic_classification(n_samples: int,
         brightness = brightness * rng.uniform(0.97, 1.03, size=(n_samples, 1, 1))
     else:
         brightness = rng.uniform(0.85, 1.1, size=(n_samples, 1, 1))
-    images = protos[labels] * brightness + rng.normal(0.0, 8.0, size=(n_samples, height, width))
-    images = np.clip(np.rint(images), 0.0, 255.0)
+    # in place, so the peak is the result plus one noise draw of its size
+    images = protos[labels]
+    images *= brightness
+    images += rng.normal(0.0, 8.0, size=(n_samples, height, width))
+    np.rint(images, out=images)
+    np.clip(images, 0.0, 255.0, out=images)
     return ImageDataset(
         images=images.reshape(n_samples, height * width),
         labels=labels,

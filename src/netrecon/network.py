@@ -251,7 +251,7 @@ def _backprop_into(net: Mlp, X: np.ndarray, hidden: np.ndarray, slope: np.ndarra
     dout.sum(axis=0, out=dc_out)
     np.matmul(dout, net.A, out=dpre)
     dpre *= slope
-    np.matmul(dpre.T, X, out=dW)
+    np.matmul(X.T, dpre, out=dW.T)  # Xᵀ·dpre into dWᵀ: the bytes of dpre.T @ X
     dpre.sum(axis=0, out=db)
 
 
@@ -262,8 +262,8 @@ def backprop_from_dout(net: Mlp, trace: ForwardTrace, X: np.ndarray,
     `trace` is :func:`forward`'s trace of X.
     """
     grad = np.empty(net.n_params)
-    _backprop_into(net, X, trace.hidden, activation_prime(trace.pre), dout,
-                   np.empty(trace.hidden.shape), grad)
+    _backprop_into(net, np.asarray(X, dtype=np.float64), trace.hidden,
+                   activation_prime(trace.pre), dout, np.empty(trace.hidden.shape), grad)
     return grad
 
 

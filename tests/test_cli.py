@@ -15,10 +15,11 @@ from netrecon.cli import (
     REPORT_COLUMNS,
     main,
 )
+from netrecon._io import container_crc
 from netrecon.config import load_config
-from netrecon.data import load_queryset, make_synthetic_classification, save_idx
-from netrecon.errors import DivergenceError
-from netrecon.network import Mlp, init_mlp, save_mlp
+from netrecon.data import QuerySet, load_queryset, make_synthetic_classification, save_idx
+from netrecon.errors import ConfigError, DivergenceError
+from netrecon.network import Mlp, init_mlp, load_mlp, save_mlp
 
 CONFIG = """
 [run]
@@ -286,6 +287,34 @@ class TestStudentFiles:
         assert "teacher.mlp: teacher has d=16 c=3, but the query set has d=16 c=5" in err
         assert calls == []
         assert not (out / "losses.csv").exists() and not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "train-students"])
+    def test_teacher_that_did_not_label_the_queries_is_refused(self, workdir, queries, capsys,
+                                                               command):
+        out = workdir / f"other_teacher_{command}"
+        self.copy_queries(queries, out)
+        self.write_students(out, [(8, 16, 5)] * 3)
+        record = f"{container_crc(str(out / 'queries.qs')):08x}\n"
+        (out / "students" / "queries.crc32").write_text(record)
+        # the shape of the teacher that labelled queries.qs, with other weights
+        save_mlp(init_mlp(2, 16, 5, seed=1), str(out / "teacher.mlp"))
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert run(workdir, command, out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "teacher.mlp: the teacher does not reproduce the query set's targets" in err
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+    @pytest.mark.parametrize("scale, refused", [(1 + 1e-12, False), (1 + 1e-6, True)])
+    def test_teacher_check_passes_rounding_only(self, queries, scale, refused):
+        qs = load_queryset(str(queries / "queries.qs"))
+        nudged = QuerySet(inputs=qs.inputs, targets=scale * qs.targets)
+        path = str(queries / "teacher.mlp")
+        if refused:
+            with pytest.raises(ConfigError, match="does not reproduce"):
+                cli._load_teacher(path, nudged)
+        else:
+            assert cli._load_teacher(path, nudged).theta.tobytes() == \
+                load_mlp(path).theta.tobytes()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_config_error(self, workdir, queries, capsys, jobs):

@@ -1,8 +1,10 @@
+import hashlib
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from conftest import peak_while
 
 from netrecon.data import (
     ImageDataset,
@@ -128,6 +130,29 @@ class TestIdxRoundTrip:
         ds, _, _ = standardize(make_synthetic_classification(10, seed=0))
         with pytest.raises(ValueError):
             save_idx(ds, str(tmp_path / "i.idx"), str(tmp_path / "l.idx"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, 256.0, 0.5, 254.5])
+    def test_refuses_each_pixel_no_byte_holds(self, tmp_path, value):
+        images = np.full((3, 4), 7.0)
+        images[1, 2] = value
+        ds = ImageDataset(images=images, labels=np.zeros(3), height=2, width=2)
+        with pytest.raises(ValueError, match=r"pixels must be integers in \[0, 255\]"):
+            save_idx(ds, str(tmp_path / "i.idx"), str(tmp_path / "l.idx"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bytes_on_disk(self, tmp_path):
+        ds = ImageDataset(images=[[0.0, 255.0], [-0.0, 17.0]], labels=[3, 255], height=1,
+                          width=2)
+        imgs, labs = tmp_path / "i.idx", tmp_path / "l.idx"
+        save_idx(ds, str(imgs), str(labs))
+        assert imgs.read_bytes() == struct.pack(">IIII", 0x803, 2, 1, 2) + bytes([0, 255, 0, 17])
+        assert labs.read_bytes() == struct.pack(">II", 0x801, 2) + bytes([3, 255])
+
+    def test_peak_is_a_fraction_of_the_float_pixels(self, tmp_path):
+        ds = make_synthetic_classification(20_000, 8, 8)
+        _, peak = peak_while(save_idx, ds, str(tmp_path / "i.idx"), str(tmp_path / "l.idx"))
+        # the uint8 pixels and the integrality check's booleans, an eighth each
+        assert peak < 0.5 * ds.images.nbytes, peak / ds.images.nbytes
 
 
 class TestStandardize:
@@ -271,6 +296,23 @@ class TestSynthetic:
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.images, np.rint(a.images))
         assert a.images.min() >= 0 and a.images.max() <= 255
+
+    @pytest.mark.parametrize("n, side, style, digest", [
+        (600, 4, "blobs", "6fa3531e917ef25f"),
+        (200, 5, "stripes", "5f60c6909da7adb9"),
+    ])
+    def test_golden_bytes(self, n, side, style, digest):
+        # sha256 prefix of the images then the labels, as written before the
+        # generator worked in place
+        ds = make_synthetic_classification(n, side, side, style=style, seed=3)
+        h = hashlib.sha256(ds.images.tobytes())
+        h.update(ds.labels.tobytes())
+        assert h.hexdigest()[:16] == digest
+
+    def test_peak_is_twice_the_result(self):
+        ds, peak = peak_while(make_synthetic_classification, 20_000, 8, 8)
+        # the result and one noise draw of its size
+        assert peak < 2.5 * ds.images.nbytes, peak / ds.images.nbytes
 
     def test_styles_differ(self):
         blobs = make_synthetic_classification(32, seed=1, style="blobs")

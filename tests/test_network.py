@@ -200,6 +200,25 @@ class TestForward:
         grad = backprop_from_dout(net, trace, X, (2.0 / 9) * (trace.out - Y))
         assert grad.tobytes() == backward_mse(net, X, Y)[0].tobytes()
 
+    def test_backprop_takes_inputs_as_nested_lists(self):
+        rng = np.random.default_rng(6)
+        net = random_net(rng, 5, 3, 2)
+        X = rng.normal(size=(4, 3))
+        trace, dout = forward(net, X), rng.normal(size=(4, 2))
+        assert backprop_from_dout(net, trace, X.tolist(), dout).tobytes() == \
+            backprop_from_dout(net, trace, X, dout).tobytes()
+
+    @pytest.mark.parametrize("B, d, r", [(256, 784, 2048), (1024, 784, 512)])
+    def test_weight_gradient_has_the_bytes_of_dpre_t_x(self, blas_threads, B, d, r):
+        # dW is formed as Xᵀ·dpre into dWᵀ; the goldens pin desk shapes only
+        rng = np.random.default_rng(B + r)
+        net = init_mlp(r, d, 10, seed=2)
+        X, dout = rng.normal(size=(B, d)), rng.normal(size=(B, 10))
+        hidden, slope, dpre = rng.normal(size=(B, r)), rng.normal(size=(B, r)), np.empty((B, r))
+        grad = np.empty(net.n_params)
+        network._backprop_into(net, X, hidden, slope, dout, dpre, grad)
+        assert net.blocks(grad)[0].tobytes() == (dpre.T @ X).tobytes()
+
 
 class TestRowBlocks:
     """Full-set passes run in blocks of `_ROWS` rows and keep the one-shot bytes."""

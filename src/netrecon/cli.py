@@ -2,14 +2,17 @@
 
 Stages write their artifacts into one output directory so later stages can pick them
 up: teacher.mlp, queries.qs, students/student_NN.mlp, then reconstructed.mlp and
-report.csv. students/queries.crc32 records the CRC32 of the query set the students there
-were fitted to, and a stage that reads teacher.mlp with queries.qs refuses a teacher that
-does not reproduce the targets of its first rows. Each stage refuses a directory at an
-output path before it loads anything, and removes its earlier outputs just before its
-first write, so a failed stage never leaves old and new artifacts side by side. Exit
-codes: 0 success, 2 config or input error or a file-system error on any file a stage
-reads or writes (permission bits and full disks are untested), 3 training divergence,
-4 empty reconstruction.
+report.csv. students/queries.crc32 records, one a line, the CRC32 of the query set the
+students there were fitted to and their [students] training settings; a stage that reads
+students refuses them under any other record, and one that reads teacher.mlp with
+queries.qs refuses a teacher that does not reproduce the targets of its first rows. Each
+stage refuses a directory at an output path before it loads anything, and removes its
+earlier outputs just before its first write, so a failed stage never leaves old and new
+artifacts side by side. A missing input is refused by its load, whose OSError names the
+path; only `pipeline` checks its datasets up front, before any stage writes. Exit codes:
+0 success, 2 config or input error or a file-system error on any file a stage reads or
+writes (permission bits and full disks are untested), 3 training divergence, 4 empty
+reconstruction.
 
 The output directory comes from --out, else the NETRECON_OUT environment
 variable, else the config's [run] output_dir.
@@ -44,12 +47,6 @@ REPORT_COLUMNS = "method,r,N,m/r,avg_dw,max_dw,avg_da,max_da,Q"
 HISTORY_COLUMNS = "step,loss,lr"
 
 
-def _require_files(*paths: str) -> None:
-    missing = [p for p in paths if not os.path.isfile(p)]
-    if missing:
-        raise ConfigError("missing input file(s): " + ", ".join(missing))
-
-
 def _refuse_directories(*paths: str) -> None:
     """Refuse a directory at any of a stage's output `paths`; a stage calls this before it
     loads or computes anything, and `_clear` again just before its first write."""
@@ -76,7 +73,6 @@ def _subset(ds: ImageDataset, k: int | None, seed: int, key: str) -> ImageDatase
 
 def _teacher_training_set(cfg: ExperimentConfig) -> tuple[ImageDataset, float, float]:
     """Load, optionally subset, and standardize the teacher's training split."""
-    _require_files(cfg.teacher.train_images, cfg.teacher.train_labels)
     ds = load_idx(cfg.teacher.train_images, cfg.teacher.train_labels)
     return standardize(_subset(ds, cfg.teacher.subset, cfg.seed, "[teacher] subset"))
 
@@ -101,7 +97,6 @@ def cmd_build_queries(cfg: ExperimentConfig, out_dir: str) -> int:
     teacher_path = os.path.join(out_dir, "teacher.mlp")
     queries_path = os.path.join(out_dir, "queries.qs")
     _refuse_directories(queries_path)
-    _require_files(teacher_path)
     teacher = load_mlp(teacher_path)
     ds, _, _ = _teacher_training_set(cfg)
     spec = cfg.query.spec
@@ -128,15 +123,6 @@ def _student_files(out_dir: str, index: int) -> tuple[str, str]:
     """Model file and training-history file of the student in slot `index`."""
     stem = os.path.join(out_dir, "students", f"student_{index:02d}")
     return stem + ".mlp", stem + ".history.csv"
-
-
-def _load_student(path: str, r: int, qs) -> Mlp:
-    """A student model file, which must have width `r` and the query set's d and c."""
-    net = load_mlp(path)
-    if (net.r, net.d, net.c) != (r, qs.d, qs.c):
-        raise ConfigError(f"{path}: student has r={net.r} d={net.d} c={net.c}, but the "
-                          f"config and query set need r={r} d={qs.d} c={qs.c}")
-    return net
 
 
 def _load_teacher(path: str, qs) -> Mlp:
@@ -174,57 +160,82 @@ def _read_history(path: str) -> list[HistoryPoint]:
     return history
 
 
-def _recorded_crc(path: str) -> str | None:
-    """The query-set CRC32 in a students/queries.crc32 file, None if there is none; bytes
-    that are no UTF-8 are replaced, so a garbled record is refused as a mismatch."""
+def _record(cfg: ExperimentConfig, out_dir: str) -> tuple[str, list[str]]:
+    """students/queries.crc32 and the lines it holds for this run: the CRC32 of queries.qs
+    and the repr of the [students] training settings. n and rho are left out, so a resume
+    may grow the ensemble, and the students' shape check covers rho."""
+    crc = container_crc(os.path.join(out_dir, "queries.qs"))
+    return (os.path.join(out_dir, "students", "queries.crc32"),
+            [f"{crc:08x}", repr(cfg.students.train)])
+
+
+def _students(cfg: ExperimentConfig, out_dir: str, qs, slots: list[int],
+              resume: bool = False) -> list[Mlp | None]:
+    """The student models of `slots` in `out_dir`, None in every other [students] slot.
+
+    Each must be rho * hidden wide and take the query set's d and c. When any is loaded,
+    students/queries.crc32 must hold what `_record` gives, so the students were fitted to
+    this queries.qs under these settings; `resume` words the refusal for kept students.
+    Bytes that are no UTF-8 are replaced, so a garbled record is refused as a mismatch.
+    """
+    r = cfg.students.rho * cfg.teacher.hidden
+    students: list[Mlp | None] = [None] * cfg.students.n
+    for i in slots:
+        path = _student_files(out_dir, i)[0]
+        net = students[i] = load_mlp(path)
+        if (net.r, net.d, net.c) != (r, qs.d, qs.c):
+            raise ConfigError(f"{path}: student has r={net.r} d={net.d} c={net.c}, but the "
+                              f"config and query set need r={r} d={qs.d} c={qs.c}")
+    if not slots:
+        return students
+    path, (crc, settings) = _record(cfg, out_dir)
     try:
         with open(path, "rb") as f:
-            return f.read().decode("utf-8", "replace").strip()
+            recorded_crc, *recorded = f.read().decode("utf-8", "replace").splitlines() or [""]
     except FileNotFoundError:
-        return None
+        recorded_crc, recorded = "", []
     except OSError as exc:  # a directory, say
         raise ConfigError(f"{path}: cannot read the query-set record: {exc}") from exc
+    who, again = (("the kept students", "train them again without --resume") if resume
+                  else ("the students", "run train-students again"))
+    if recorded_crc != crc:
+        raise ConfigError(f"{path}: {who} were fitted to the query set with CRC32 "
+                          f"{recorded_crc or 'unrecorded'}, but "
+                          f"{os.path.join(out_dir, 'queries.qs')} has {crc}; {again}")
+    if recorded != [settings]:
+        raise ConfigError(f"{path}: {who} were fitted under [students] settings "
+                          f"{' '.join(recorded) or 'unrecorded'}, but the config has "
+                          f"{settings}; {again}")
+    return students
 
 
 def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                        resume: bool = False) -> int:
     """Train the students, saving each one's history file and then its model file.
 
-    `resume` skips slots that have both files, after loading and checking both
-    before any student trains; they must have been fitted to this
-    queries.qs, as students/queries.crc32 records. The files of every other slot,
-    the ensemble CSVs and losses.csv are deleted before the first student trains, so
-    every student file left matches the record. The ensemble CSVs are built from
-    every slot's history, so they do not depend on what was resumed.
+    `resume` keeps slots that have both files, after reading their histories and
+    checking their models with `_students` before any student trains. The files of
+    every other slot, the ensemble CSVs and losses.csv are deleted, and the record
+    rewritten, before the first student trains, so every student file left matches the
+    record. The ensemble CSVs are built from every slot's history, so they do not
+    depend on what was resumed.
     """
-    queries_path = os.path.join(out_dir, "queries.qs")
-    _require_files(queries_path)
-    qs = load_queryset(queries_path)
-    crc = f"{container_crc(queries_path):08x}"
+    qs = load_queryset(os.path.join(out_dir, "queries.qs"))
     scatter = _scatter_inputs(cfg, out_dir, qs) if cfg.eval_sets else None
     n = cfg.students.n
-    r_student = cfg.students.rho * cfg.teacher.hidden
     files = [_student_files(out_dir, i) for i in range(n)]
-    todo = [i for i in range(n) if not (resume and all(map(os.path.isfile, files[i])))]
-    students: list[Mlp | None] = [None] * n
-    histories: dict[int, list[HistoryPoint]] = {}
-    for i in range(n):
-        if i not in todo:
-            students[i] = _load_student(files[i][0], r_student, qs)
-            histories[i] = _read_history(files[i][1])
-    record = os.path.join(out_dir, "students", "queries.crc32")
-    recorded = _recorded_crc(record)
-    if len(todo) < n and recorded != crc:
-        raise ConfigError(f"{record}: the kept students were fitted to the query set with "
-                          f"CRC32 {recorded or 'unrecorded'}, but {queries_path} has {crc}; "
-                          f"train them again without --resume")
+    kept = [i for i in range(n) if resume and all(map(os.path.isfile, files[i]))]
+    histories = {i: _read_history(files[i][1]) for i in kept}
+    students = _students(cfg, out_dir, qs, kept, resume)
+    todo = [i for i in range(n) if i not in kept]
+    record, lines = _record(cfg, out_dir)
     tables = [os.path.join(out_dir, *name) for name in (
         ("students", "losses.csv"), ("students", "ensemble_summary.csv"), ("losses.csv",))]
-    _clear(*(path for i in todo for path in files[i]), *tables)
-    atomic_write_text(record, crc + "\n")
+    _clear(*(path for i in todo for path in files[i]), *tables, record)
+    atomic_write_text(record, "\n".join(lines) + "\n")
     failures: dict[int, str] = {}
-    for index, net, history, message in iter_students(qs, r_student, cfg.students.train,
-                                                      todo, jobs):
+    for index, net, history, message in iter_students(
+            qs, cfg.students.rho * cfg.teacher.hidden, cfg.students.train, todo, jobs):
         if net is None:
             failures[index] = message
             print(f"student {index}: DIVERGED ({message})", file=sys.stderr)
@@ -263,13 +274,10 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
 
 def _scatter_inputs(cfg: ExperimentConfig, out_dir: str, qs) -> tuple[Mlp, list]:
     """The teacher and the (name, standardized inputs) sets that losses.csv scores."""
-    teacher_path = os.path.join(out_dir, "teacher.mlp")
-    _require_files(teacher_path)
-    teacher = _load_teacher(teacher_path, qs)
+    teacher = _load_teacher(os.path.join(out_dir, "teacher.mlp"), qs)
     _, mean, std = _teacher_training_set(cfg)
     eval_sets = [("train", qs.inputs)]
     for name, images_path, labels_path in cfg.eval_sets:
-        _require_files(images_path, labels_path)
         raw = load_idx(images_path, labels_path, name=name)
         if raw.d != teacher.d:
             raise ConfigError(f"[eval] {name}: {raw.height}x{raw.width} images, "
@@ -278,10 +286,11 @@ def _scatter_inputs(cfg: ExperimentConfig, out_dir: str, qs) -> tuple[Mlp, list]
     return teacher, eval_sets
 
 
-def _write_report(out_dir: str, method: str, r: int, n_students: int, report,
-                  Q: int, relative_loss: float = nan) -> None:
-    """report.csv and report.txt; `report` None records an empty reconstruction."""
-    lines = [f"method: {method}", f"students: {n_students}", f"Q: {Q}"]
+def _write_report(out_dir: str, qs, r: int, n_students: int, report,
+                  relative_loss: float = nan) -> None:
+    """report.csv and report.txt of a reconstruction from `qs`; `report` None records an
+    empty reconstruction."""
+    lines = [f"method: {qs.provenance}", f"students: {n_students}", f"Q: {qs.Q}"]
     if report is None:
         scores = (0.0, nan, nan, nan, nan)
         lines.append("no accepted clusters; nothing reconstructed (m = 0)")
@@ -300,41 +309,23 @@ def _write_report(out_dir: str, method: str, r: int, n_students: int, report,
             for p in report.pairs
         ]
     atomic_write_csv(os.path.join(out_dir, "report.csv"), REPORT_COLUMNS,
-                     [(method, r, n_students, *scores, Q)])
+                     [(qs.provenance, r, n_students, *scores, qs.Q)])
     atomic_write_text(os.path.join(out_dir, "report.txt"), "\n".join(lines) + "\n")
 
 
 def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
-    """Reconstruct from an ensemble of [students] n slots; a missing model file is a None slot,
-    anything else at its path that is no regular file an error.
-
-    The students must have been fitted to this queries.qs, as
-    students/queries.crc32 records; that is checked after their shapes and
-    before any clustering.
-    """
-    teacher_path = os.path.join(out_dir, "teacher.mlp")
-    queries_path = os.path.join(out_dir, "queries.qs")
+    """Reconstruct from an ensemble of [students] n slots; a slot with no model file is
+    None. `_students` loads and checks the rest before any clustering."""
     outputs = [os.path.join(out_dir, name) for name in (
         "reconstructed.mlp", "finetune_history.csv", "report.csv", "report.txt")]
     _refuse_directories(*outputs)
-    _require_files(teacher_path, queries_path)
-    qs = load_queryset(queries_path)
-    teacher = _load_teacher(teacher_path, qs)
+    qs = load_queryset(os.path.join(out_dir, "queries.qs"))
+    teacher = _load_teacher(os.path.join(out_dir, "teacher.mlp"), qs)
     n = cfg.students.n
-    r_student = cfg.students.rho * cfg.teacher.hidden
-    paths = [_student_files(out_dir, i)[0] for i in range(n)]
-    for path in paths:
-        if os.path.exists(path) and not os.path.isfile(path):
-            raise ConfigError(f"{path}: no regular file stands where a student model goes")
-    students = [_load_student(p, r_student, qs) if os.path.isfile(p) else None for p in paths]
-    if sum(s is not None for s in students) < 2:
+    slots = [i for i in range(n) if os.path.exists(_student_files(out_dir, i)[0])]
+    students = _students(cfg, out_dir, qs, slots)
+    if len(slots) < 2:
         raise ConfigError("need at least two trained students; run train-students first")
-    record = os.path.join(out_dir, "students", "queries.crc32")
-    recorded, crc = _recorded_crc(record), f"{container_crc(queries_path):08x}"
-    if recorded != crc:
-        raise ConfigError(f"{record}: the students were fitted to the query set with "
-                          f"CRC32 {recorded or 'unrecorded'}, but {queries_path} has {crc}; "
-                          f"run train-students again")
 
     try:
         tuned, _, history = run_reconstruction(students, qs, cfg.reconstruct.gamma,
@@ -344,7 +335,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
         tuned = None
     _clear(*outputs)
     if tuned is None:
-        _write_report(out_dir, qs.provenance, teacher.r, n, None, qs.Q)
+        _write_report(out_dir, qs, teacher.r, n, None)
         print("reconstruction: no accepted clusters (m = 0)", file=sys.stderr)
         return EXIT_EMPTY_RECONSTRUCTION
     report = evaluate_reconstruction(tuned, teacher)
@@ -353,7 +344,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
     relative_loss = final_loss(history) / target_power if target_power > 0 else nan
     save_mlp(tuned, outputs[0])
     atomic_write_csv(outputs[1], HISTORY_COLUMNS, history)
-    _write_report(out_dir, qs.provenance, teacher.r, n, report, qs.Q, relative_loss)
+    _write_report(out_dir, qs, teacher.r, n, report, relative_loss)
     print(f"reconstruction: m/r={report.m_over_r:.3f} "
           f"avg_dw={report.avg_dw:.3e} max_dw={report.max_dw:.3e} "
           f"relative_loss={relative_loss:.3e}")
@@ -362,10 +353,11 @@ def cmd_reconstruct(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_pipeline(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
                  resume: bool = False) -> int:
-    # validate every referenced path up front: a missing input must not leave
-    # partial outputs behind
-    _require_files(cfg.teacher.train_images, cfg.teacher.train_labels,
-                   *(path for _, *pair in cfg.eval_sets for path in pair))
+    # check every dataset up front: a missing input must not leave partial outputs behind
+    inputs = (cfg.teacher.train_images, cfg.teacher.train_labels,
+              *(path for _, *pair in cfg.eval_sets for path in pair))
+    if missing := [path for path in inputs if not os.path.isfile(path)]:
+        raise ConfigError("missing input file(s): " + ", ".join(missing))
     for stage in (
         lambda: cmd_train_teacher(cfg, out_dir),
         lambda: cmd_build_queries(cfg, out_dir),

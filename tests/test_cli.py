@@ -393,7 +393,7 @@ class TestStudentFiles:
         assert main(["train-students", "--config", str(config), "--out", str(out)]) == EXIT_OK
         trailer = (out / "queries.qs").read_bytes()[-4:]
         assert (out / "students" / "queries.crc32").read_text() == \
-            f"{struct.unpack('<I', trailer)[0]:08x}\n"
+            f"{struct.unpack('<I', trailer)[0]:08x}\n{load_config(str(config)).students.train!r}\n"
         # the same run, but its queries are rebuilt with another seed
         other = workdir / "requery_seed.ini"
         other.write_text(config.read_text().replace("[query]\n", "[query]\nseed = 77\n"))
@@ -420,6 +420,45 @@ class TestStudentFiles:
         assert "with CRC32 unrecorded, but" in capsys.readouterr().err
         assert calls == []
         assert not (out / "students" / "student_02.mlp").exists()
+
+    @pytest.mark.parametrize("command", [["train-students", "--resume"], ["reconstruct"]],
+                             ids=["resume", "reconstruct"])
+    def test_students_of_other_settings_are_refused(self, workdir, queries, capsys, monkeypatch,
+                                                    command):
+        out = workdir / f"resettled_{command[0]}"
+        self.copy_queries(queries, out)
+        text = (workdir / "run.ini").read_text()
+        trained, other = workdir / "settings_20.ini", workdir / "settings_400.ini"
+        trained.write_text(text.replace("max_steps = 6000", "max_steps = 20"))
+        other.write_text(text.replace("max_steps = 6000", "max_steps = 400"))
+        assert main(["train-students", "--config", str(trained), "--out", str(out)]) == EXIT_OK
+        if "--resume" in command:
+            (out / "students" / "student_01.mlp").unlink()
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        students = self.counting_students(monkeypatch)
+        reconstructions = self.counting_reconstructions(monkeypatch)
+        assert main([command[0], "--config", str(other), "--out", str(out),
+                     *command[1:]]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "queries.crc32: " in err and "students were fitted under [students] settings" in err
+        assert "max_steps=20," in err and "max_steps=400," in err
+        assert students == [] and reconstructions == []
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+    def test_resume_may_grow_the_ensemble(self, workdir, queries):
+        # n is left out of the record, so a resume under a larger n trains the new slots only
+        out = workdir / "grown"
+        self.copy_queries(queries, out)
+        text = (workdir / "run.ini").read_text().replace("max_steps = 6000", "max_steps = 20")
+        three, four = workdir / "grow_3.ini", workdir / "grow_4.ini"
+        three.write_text(text)
+        four.write_text(text.replace("n = 3\n", "n = 4\n"))
+        assert main(["train-students", "--config", str(three), "--out", str(out)]) == EXIT_OK
+        kept = {path: path.read_bytes() for path in (out / "students").glob("student_*")}
+        assert main(["train-students", "--config", str(four), "--out", str(out),
+                     "--resume"]) == EXIT_OK
+        assert {path: path.read_bytes() for path in kept} == kept
+        assert (out / "students" / "student_03.mlp").is_file()
 
     @staticmethod
     def counting_reconstructions(monkeypatch):
@@ -728,6 +767,7 @@ def _layout_cases():
         dirs = ["out", "out/students"] if in_students else ["out"]
         cases = [(path, kind) for path in dict.fromkeys(reads + writes)
                  for kind in ("directory", "empty")] + [(path, "file") for path in dirs]
+        cases += [(path, "missing") for path in reads]
         for layout in layouts:
             for path, kind in cases:
                 yield pytest.param(command.split(), layout, path, kind,
@@ -767,11 +807,14 @@ def layouts(tmp_path_factory):
 
 class TestOutputLayoutFuzz:
     """Every stage against a hostile output layout: at each path it reads or
-    writes, a directory, an empty file, or a regular file where a directory goes.
+    writes, a directory, an empty file, or a regular file where a directory goes,
+    and at each path it reads, no file at all.
 
     Each run exits 0, 2, 3 or 4 and never raises, an exit 2 prints one error
     line, and the stage's outputs are either all the earlier run's, unchanged,
-    or none of them is: earlier and new artifacts never stand side by side.
+    or none of them is: earlier and new artifacts never stand side by side. A
+    missing input exits 2 naming its path, except a student model: its slot is
+    empty, as a diverged student's, which leaves too few students here.
     Read-only files and directories and a full disk are not covered: a process
     running as root is not refused by permission bits, and a test cannot fill
     a disk safely.
@@ -785,7 +828,7 @@ class TestOutputLayoutFuzz:
             path.unlink()
         if kind == "directory":
             path.mkdir()
-        else:
+        elif kind != "missing":
             path.write_bytes(b"" if kind == "empty" else b"a file where a directory goes\n")
 
     @pytest.mark.parametrize("command,layout,path,kind", list(_layout_cases()))
@@ -809,6 +852,10 @@ class TestOutputLayoutFuzz:
             assert err.count("\n") == 1 and err.startswith(("config error: ", "error: ")), err
             if kind == "directory" and path in writes:
                 assert path in err
+        if kind == "missing":
+            assert code == EXIT_CONFIG
+            assert ("need at least two trained students"
+                    if path in (SLOTS[0][0], SLOTS[1][0]) else path) in err, err
         files = [p for p in writes if (case / p).is_file()]
         old = {p for p in files if (case / p).stat().st_mtime_ns == EARLIER}
         new = set(files) - old
@@ -834,17 +881,25 @@ class TestOutputLayoutFuzz:
         assert main([command, "--config", "run.ini", "--out", "out"]) == EXIT_CONFIG
         assert path in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    @pytest.mark.parametrize("command,kind", [
+        pytest.param(["reconstruct"], "directory", id="directory"),
+        pytest.param(["reconstruct"], "missing", id="missing"),
+        pytest.param(["train-students", "--resume"], "directory", id="resume-directory"),
+    ])
     def test_student_model_path_that_is_no_file(self, layouts, tmp_path, monkeypatch,
-                                                capsys, kind):
+                                                capsys, command, kind):
         # a directory is named; a missing file is an empty slot, as a diverged student
         case = tmp_path / "case"
         shutil.copytree(layouts["recovered"], case)
         (case / SLOTS[0][0]).unlink()
         if kind == "directory":
             (case / SLOTS[0][0]).mkdir()
+        calls = []
+        monkeypatch.setattr(train, "train_student", lambda *args: calls.append(args))
         monkeypatch.chdir(case)
-        assert main(["reconstruct", "--config", "run.ini", "--out", "out"]) == EXIT_CONFIG
+        assert main([command[0], "--config", "run.ini", "--out", "out",
+                     *command[1:]]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert (SLOTS[0][0] in err) == (kind == "directory")
         assert ("need at least two trained students" in err) == (kind == "missing")
+        assert calls == []

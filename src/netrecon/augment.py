@@ -127,12 +127,13 @@ def _band_slices(length: int, k: int) -> list[slice]:
 
 
 # Each strategy takes the base dataset and the spec fields its table row names,
-# and returns its row blocks (originals first; a lone block must be a new array)
-# plus the base-image sources of one block; every block has those same sources.
+# and returns one new array of shape (blocks, n, ...), its copies stacked with the
+# originals first, plus the base-image sources of one block; every block has those
+# same sources. The noisy kinds add their noise to that array in place.
 
 def _identity(ds):
     """The base images themselves, unchanged."""
-    return [ds.images.copy()], np.arange(ds.n_samples)
+    return np.stack([ds.images]), np.arange(ds.n_samples)
 
 
 def _random_rotations(ds, copies, seed):
@@ -144,36 +145,34 @@ def _random_rotations(ds, copies, seed):
     """
     fill = 0.0 if ds.mean is None else (0.0 - ds.mean) / ds.std
     rng = np.random.default_rng(seed)
-    n, h, w = ds.n_samples, ds.height, ds.width
-    stacked = ds.images.reshape(n, h, w)
-    blocks = [ds.images]
-    for _ in range(copies):
-        angles = rng.uniform(0.0, 360.0, size=n)
-        rotated = [rotate_image(img, angle, fill) for img, angle in zip(stacked, angles)]
-        blocks.append(np.reshape(rotated, (n, h * w)))
-    return blocks, np.arange(n)
+    blocks = np.stack([ds.images.reshape(-1, ds.height, ds.width)] * (copies + 1))
+    for block in blocks[1:]:
+        for image, angle in zip(block, rng.uniform(0.0, 360.0, size=ds.n_samples)):
+            image[...] = rotate_image(image, angle, fill)
+    return blocks, np.arange(ds.n_samples)
 
 
 def _hv_flips(ds):
     """Originals plus a horizontally flipped and a vertically flipped copy of each."""
-    n, h, w = ds.n_samples, ds.height, ds.width
-    stacked = ds.images.reshape(n, h, w)
-    return [ds.images, stacked[:, :, ::-1].reshape(n, h * w),
-            stacked[:, ::-1, :].reshape(n, h * w)], np.arange(n)
+    stacked = ds.images.reshape(-1, ds.height, ds.width)
+    return np.stack([stacked, stacked[:, :, ::-1], stacked[:, ::-1, :]]), np.arange(ds.n_samples)
 
 
 def _uniform_noise(ds, copies, lo, hi, seed):
     """Originals plus `copies` versions with independent per-pixel U[lo, hi] noise."""
     rng = np.random.default_rng(seed)
-    noisy = [ds.images + rng.uniform(lo, hi, size=ds.images.shape) for _ in range(copies)]
-    return [ds.images, *noisy], np.arange(ds.n_samples)
+    blocks = np.stack([ds.images] * (copies + 1))
+    for block in blocks[1:]:
+        block += rng.uniform(lo, hi, size=block.shape)
+    return blocks, np.arange(ds.n_samples)
 
 
-def _plus_minus(images, u, rng):
-    """`images` plus one +U[0, u] and one -U[0, u] perturbed copy (positive drawn first)."""
-    positive = images + rng.uniform(0.0, u, size=images.shape)
-    negative = images - rng.uniform(0.0, u, size=images.shape)
-    return [images, positive, negative]
+def _plus_minus(blocks, u, rng):
+    """Three stacked copies of the same images, the second perturbed by +U[0, u]
+    and the third by -U[0, u] in place (positive drawn first)."""
+    blocks[1] += rng.uniform(0.0, u, size=blocks[1].shape)
+    blocks[2] -= rng.uniform(0.0, u, size=blocks[2].shape)
+    return blocks
 
 
 def _biased_noise(ds, magnitude, seed):
@@ -183,32 +182,34 @@ def _biased_noise(ds, magnitude, seed):
     which is what makes these queries informative: they move pre-activations
     instead of averaging out.
     """
-    return _plus_minus(ds.images, magnitude, np.random.default_rng(seed)), np.arange(ds.n_samples)
+    return (_plus_minus(np.stack([ds.images] * 3), magnitude, np.random.default_rng(seed)),
+            np.arange(ds.n_samples))
 
 
-def _grid(ds, grid_x, grid_y, count, seed):
+def _grid(ds, grid_x, grid_y, count, seed, copies=1):
     """Stitch new images from same-location cells of independently drawn bases.
 
     The frame is split into grid_y x grid_x cells; cell (i, j) of each output
     is copied from cell (i, j) of a uniformly sampled base image, recorded in
     reading order per row of the sources. With D distinct bases this can
-    reach D**(grid_x*grid_y) distinct outputs.
+    reach D**(grid_x*grid_y) distinct outputs. Each cell is written into
+    `copies` identical blocks.
     """
     rng = np.random.default_rng(seed)
     n, h, w = ds.n_samples, ds.height, ds.width
     sources = rng.integers(0, n, size=(count, grid_x * grid_y))
     stacked = ds.images.reshape(n, h, w)
-    out = np.empty((count, h, w))
+    blocks = np.empty((copies, count, h, w))
     for iy, rs in enumerate(_band_slices(h, grid_y)):
         for ix, cs in enumerate(_band_slices(w, grid_x)):
-            out[:, rs, cs] = stacked[sources[:, iy * grid_x + ix], rs, cs]
-    return [out.reshape(count, h * w)], sources
+            blocks[:, :, rs, cs] = stacked[sources[:, iy * grid_x + ix], rs, cs]
+    return blocks, sources
 
 
 def _grid_biased_noise(ds, magnitude, grid_x, grid_y, count, seed):
     """Grid-composed images (seed) plus +U[0, u] and -U[0, u] noisy copies (seed + 1)."""
-    (composed,), sources = _grid(ds, grid_x, grid_y, count, seed)
-    return _plus_minus(composed, magnitude, np.random.default_rng(seed + 1)), sources
+    blocks, sources = _grid(ds, grid_x, grid_y, count, seed, copies=3)
+    return _plus_minus(blocks, magnitude, np.random.default_rng(seed + 1)), sources
 
 
 # kind -> (strategy, the spec fields it reads in PARAMS order, then seed if it draws)
@@ -229,7 +230,5 @@ def build(spec: AugmentationSpec, ds: ImageDataset) -> AugmentedSet:
     """Run the strategy a spec describes against a base dataset."""
     strategy, reads = _STRATEGIES[spec.kind]
     blocks, sources = strategy(ds, *(getattr(spec, p) for p in reads))
-    # stacking a lone block would only copy it
-    inputs = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-    return AugmentedSet(inputs=inputs, source_indices=np.concatenate([sources] * len(blocks)),
-                        spec=spec)
+    return AugmentedSet(inputs=blocks.reshape(-1, ds.d),
+                        source_indices=np.concatenate([sources] * len(blocks)), spec=spec)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import nan
+from math import inf, nan
 
 import numpy as np
 
@@ -145,8 +145,9 @@ def _load_teacher(path: str, qs) -> Mlp:
 
 
 def _read_history(path: str) -> list[HistoryPoint]:
-    """A student's history file as written by `cmd_train_students`: a header
-    and at least one (step, loss, lr) row."""
+    """A student's history file as written by `cmd_train_students`: a header and at
+    least one (step, loss, lr) row, its steps starting at 0 and strictly increasing and
+    its losses and lrs finite and >= 0, so its final loss does not depend on row order."""
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -154,9 +155,12 @@ def _read_history(path: str) -> list[HistoryPoint]:
                    for step, loss, lr in (line.split(",") for line in lines[1:])]
     except ValueError as exc:  # no UTF-8, a row of the wrong width, no number
         raise ConfigError(f"{path}: unreadable training history: {exc}") from exc
-    if lines[:1] != [HISTORY_COLUMNS] or not history:
-        raise ConfigError(f"{path}: training history needs the header "
-                          f"'{HISTORY_COLUMNS}' and at least one row")
+    steps = [step for step, _, _ in history]
+    if (lines[:1] != [HISTORY_COLUMNS] or steps[:1] != [0] or sorted(set(steps)) != steps
+            or not all(0.0 <= v < inf for _, loss, lr in history for v in (loss, lr))):
+        raise ConfigError(f"{path}: training history needs the header '{HISTORY_COLUMNS}', "
+                          "at least one row, steps that start at 0 and strictly increase, "
+                          "and finite losses and lrs >= 0")
     return history
 
 

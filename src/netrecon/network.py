@@ -59,8 +59,7 @@ def _activate(z: np.ndarray, out: np.ndarray | None = None,
         # the two reads of z come first, since e may be z's own tile
         np.greater_equal(zt, 0.0, out=u)
         np.maximum(zt, 0.0, out=relu)
-        np.abs(zt, out=e)
-        np.negative(e, out=e)
+        np.copysign(zt, -1.0, out=e)  # -|z|
         np.exp(e, out=e)
         np.square(e, out=e4)
         np.square(e4, out=e4)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import peak_while
 
 from netrecon.augment import PARAMS, AugmentationSpec, build, grid_bands, rotate_image
 from netrecon.data import ImageDataset, make_synthetic_classification, standardize
@@ -351,3 +352,30 @@ class TestOneBuildPath:
                 spec, **{field: _bumped(field, getattr(spec, field))}), base).inputs)
         }
         assert named == changing
+
+
+# each kind's tracemalloc peak during `build` on 1,000 standardized 28x28 bases, as a
+# multiple of the inputs it returns: the stacked copies, plus one block's noise draw
+# for the noisy kinds and one cell's gather for the grid
+PEAKS = [
+    (AugmentationSpec(kind="identity"), 1.05),
+    (AugmentationSpec(kind="random_rotations", copies=2, seed=3), 1.05),
+    (AugmentationSpec(kind="hv_flips"), 1.05),
+    (AugmentationSpec(kind="uniform_noise", lo=-0.5, hi=1.0, copies=2, seed=4), 1.4),
+    (AugmentationSpec(kind="biased_noise", magnitude=1.5, seed=5), 1.4),
+    (AugmentationSpec(kind="grid", grid_x=3, grid_y=3, count=2048, seed=6), 1.2),
+    (AugmentationSpec(kind="grid_biased_noise", grid_x=3, grid_y=3, count=2048,
+                      magnitude=0.75, seed=7), 1.4),
+]
+
+
+class TestBuildMemory:
+    @pytest.fixture(scope="class")
+    def base(self):
+        return standardize(make_synthetic_classification(1000, height=28, width=28, seed=1))[0]
+
+    @pytest.mark.parametrize("spec,bound", PEAKS, ids=[s.kind for s, _ in PEAKS])
+    def test_inputs_are_one_new_array(self, base, spec, bound):
+        out, peak = peak_while(build, spec, base)
+        assert not np.shares_memory(out.inputs, base.images)
+        assert peak <= bound * out.inputs.nbytes, peak / out.inputs.nbytes

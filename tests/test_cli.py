@@ -509,14 +509,26 @@ class TestStudentFiles:
         (b"step,loss,lr\n", "at least one row"),
         (b"step,loss,lr\n0,1.0,0.02\n40,garbled\n", "unreadable training history"),
         (b"step,loss,lr\n0,1.0,0.02\xff\n", "unreadable training history"),
-    ], ids=["header_only", "garbled_row", "not_utf8"])
+        # a nan first row would make the final loss nan; after a number, that number
+        (b"step,loss,lr\n0,nan,0.02\n40,1.0,0.02\n", "finite losses and lrs >= 0"),
+        (b"step,loss,lr\n0,1.0,0.02\n40,inf,0.02\n", "finite losses and lrs >= 0"),
+        (b"step,loss,lr\n0,1.0,-inf\n", "finite losses and lrs >= 0"),
+        (b"step,loss,lr\n0,-1.0,0.02\n", "finite losses and lrs >= 0"),
+        (b"step,loss,lr\n0,1.0,-0.02\n", "finite losses and lrs >= 0"),
+        (b"step,loss,lr\n40,1.0,0.02\n", "steps that start at 0"),
+        (b"step,loss,lr\n0,1.0,0.02\n40,0.5,0.02\n20,0.7,0.02\n", "strictly increase"),
+        (b"step,loss,lr\n0,1.0,0.02\n0,0.5,0.02\n", "strictly increase"),
+    ], ids=["header_only", "garbled_row", "not_utf8", "nan_loss", "inf_loss", "inf_lr",
+            "negative_loss", "negative_lr", "first_step_not_0", "steps_out_of_order",
+            "step_repeated"])
     def test_unreadable_kept_history_is_a_config_error(self, workdir, queries, capsys,
-                                                       monkeypatch, history, needle):
-        # found with the kept model files, before slot 2 trains
-        out = workdir / f"bad_history_{len(history)}"
+                                                       monkeypatch, request, history, needle):
+        # found with the kept model files, before slot 2 trains or any file is cleared
+        out = workdir / f"bad_history_{request.node.callspec.id}"
         self.copy_queries(queries, out)
         self.write_students(out, [(8, 16, 5), (8, 16, 5)])
         (out / "students" / "student_01.history.csv").write_bytes(history)
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
         real, calls = train.train_student, []
 
         def counting(*args):
@@ -528,7 +540,7 @@ class TestStudentFiles:
         err = capsys.readouterr().err
         assert "student_01.history.csv" in err and needle in err
         assert calls == []
-        assert not (out / "students" / "student_02.mlp").exists()
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
     @pytest.mark.parametrize("command,extra,mismatch", [
         ("reconstruct", [], "the students were fitted"),

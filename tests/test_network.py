@@ -99,6 +99,21 @@ class TestActivation:
         assert activation_prime(z) == pytest.approx(math.exp(z) + 4 * math.exp(4 * z),
                                                     rel=1e-14)
 
+    def test_special_values_have_the_bytes_of_abs_then_negative(self):
+        # the kernel forms -|z| with one copysign, `one_call_activate` with np.abs and
+        # np.negative: the special values and random bit patterns, NaN payloads among
+        # them, must give the same bytes both ways
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, tiny, 1e-310, 709.0, 745.0, 1e308, np.inf, np.nan]
+        z = np.concatenate([special, np.negative(special), np.random.default_rng(0).integers(
+            0, 2**64, size=250_000, dtype=np.uint64).view(np.float64)])
+        g = np.empty(z.shape)
+        with np.errstate(all="ignore"):
+            out = network._activate(z, g=g)
+            want, want_g = one_call_activate(z, slope=True)
+        assert out.tobytes() == want.tobytes()
+        assert g.tobytes() == want_g.tobytes()
+
 
 def one_call_activate(z, slope):
     """The activation kernel as one whole-array call, the reference for the tiled one."""

@@ -1,18 +1,20 @@
 """Command-line front end: run the recovery pipeline from a declarative config.
 
-Stages write their artifacts into one output directory so later stages can pick them
-up: teacher.mlp, queries.qs, students/student_NN.mlp, then reconstructed.mlp and
-report.csv. students/queries.crc32 records, one a line, the CRC32 of the query set the
-students there were fitted to and their [students] training settings; a stage that reads
-students refuses them under any other record, and one that reads teacher.mlp with
-queries.qs refuses a teacher that does not reproduce the targets of its first rows. Each
-stage refuses a directory at an output path before it loads anything, and removes its
-earlier outputs just before its first write, so a failed stage never leaves old and new
-artifacts side by side. A missing input is refused by its load, whose OSError names the
-path; only `pipeline` checks its datasets up front, before any stage writes. Exit codes:
-0 success, 2 config or input error or a file-system error on any file a stage reads or
-writes (permission bits and full disks are untested), 3 training divergence, 4 empty
-reconstruction.
+Stages write their artifacts into one output directory so later stages can pick them up:
+teacher.mlp, queries.qs, students/student_NN.mlp, then reconstructed.mlp and report.csv.
+students/queries.crc32 records, one a line, the CRC32 of the query set the students
+there were fitted to and their [students] training settings; train-students, which
+rewrites it, first removes every students/student_* model and history file that it does
+not keep, those of slots >= n included, so every student file there belongs to the
+record. A stage that reads students refuses them under any other record, and one that
+reads teacher.mlp with queries.qs refuses a teacher that does not reproduce the targets
+of its first rows. Each stage refuses a directory at an output path before it loads
+anything, and removes its earlier outputs just before its first write, so a failed stage
+never leaves old and new artifacts side by side. A missing input is refused by its load,
+whose OSError names the path; only `pipeline` checks its datasets up front, before any
+stage writes. Exit codes: 0 success, 2 config or input error or a file-system error on
+any file a stage reads or writes (permission bits and full disks are untested), 3
+training divergence, 4 empty reconstruction.
 
 The output directory comes from --out, else the NETRECON_OUT environment
 variable, else the config's [run] output_dir.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from glob import glob
 from math import inf, nan
 
 import numpy as np
@@ -218,49 +221,52 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
     """Train the students, saving each one's history file and then its model file.
 
     `resume` keeps slots that have both files, after reading their histories and
-    checking their models with `_students` before any student trains. The files of
-    every other slot, the ensemble CSVs and losses.csv are deleted, and the record
-    rewritten, before the first student trains, so every student file left matches the
-    record. The ensemble CSVs are built from every slot's history, so they do not
-    depend on what was resumed.
+    checking their models with `_students` before any student trains. Every other
+    student file in students/, slots >= n included, the ensemble CSVs and losses.csv are
+    deleted, and the record rewritten, before the first student trains, so every student
+    file left matches the record. Every table is written from the slots' histories, so
+    none depends on what was resumed, and a slot's train row in losses.csv is its final
+    loss, not another pass over the query set.
     """
     qs = load_queryset(os.path.join(out_dir, "queries.qs"))
     scatter = _scatter_inputs(cfg, out_dir, qs) if cfg.eval_sets else None
     n = cfg.students.n
     files = [_student_files(out_dir, i) for i in range(n)]
     kept = [i for i in range(n) if resume and all(map(os.path.isfile, files[i]))]
-    histories = {i: _read_history(files[i][1]) for i in kept}
+    # each slot's (history, message): a diverged slot's message, empty for any other
+    slots = {i: (_read_history(files[i][1]), "") for i in kept}
     students = _students(cfg, out_dir, qs, kept, resume)
-    todo = [i for i in range(n) if i not in kept]
     record, lines = _record(cfg, out_dir)
+    folder = os.path.dirname(record)
+    stale = {os.path.join(folder, name) for name in glob("student_*", root_dir=folder)
+             if name.endswith((".mlp", ".history.csv"))}
     tables = [os.path.join(out_dir, *name) for name in (
         ("students", "losses.csv"), ("students", "ensemble_summary.csv"), ("losses.csv",))]
-    _clear(*(path for i in todo for path in files[i]), *tables, record)
+    _clear(*sorted(stale - {path for i in kept for path in files[i]}), *tables, record)
     atomic_write_text(record, "\n".join(lines) + "\n")
-    failures: dict[int, str] = {}
     for index, net, history, message in iter_students(
-            qs, cfg.students.rho * cfg.teacher.hidden, cfg.students.train, todo, jobs):
+            qs, cfg.students.rho * cfg.teacher.hidden, cfg.students.train,
+            [i for i in range(n) if i not in kept], jobs):
+        slots[index] = history, message
         if net is None:
-            failures[index] = message
             print(f"student {index}: DIVERGED ({message})", file=sys.stderr)
             continue
         atomic_write_csv(files[index][1], HISTORY_COLUMNS, history)
         save_mlp(net, files[index][0])
         students[index] = net
-        histories[index] = history
 
-    summaries, history_rows = [], []
-    for i in range(n):
-        if i in failures:
-            summaries.append((i, nan, 0, f"diverged: {failures[i]}"))
+    summaries, history_rows, train_rows = [], [], []
+    for i, (history, message) in sorted(slots.items()):
+        if message:
+            summaries.append((i, nan, 0, f"diverged: {message}"))
             continue
-        history = histories[i]
         summaries.append((i, final_loss(history), history[-1][0], "trained"))
+        train_rows.append((i, "train", qs.Q, final_loss(history)))
         history_rows += [(step, loss, lr, i) for step, loss, lr in history]
     atomic_write_csv(tables[0], HISTORY_COLUMNS + ",student_index", history_rows)
     atomic_write_csv(tables[1], "student_index,final_loss,steps,status", summaries)
 
-    finals = [loss for _, loss, _, status in summaries if status == "trained"]
+    finals = [loss for *_, loss in train_rows]
     if finals:
         print(f"students: trained={len(finals)} final loss "
               f"min={min(finals):.3e} median={np.median(finals):.3e} max={max(finals):.3e}")
@@ -270,17 +276,20 @@ def cmd_train_students(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
         return EXIT_DIVERGED
     if scatter:
         teacher, eval_sets = scatter
-        rows = scatter_table(teacher, students, eval_sets)
+        # a stable sort puts each slot's train row before its [eval] rows
+        rows = sorted(train_rows + scatter_table(teacher, students, eval_sets),
+                      key=lambda row: row[0])
         write_losses_csv(rows, tables[2])
-        print(f"losses.csv: {len(rows)} rows over {len(eval_sets)} datasets")
+        print(f"losses.csv: {len(rows)} rows over {1 + len(eval_sets)} datasets")
     return EXIT_OK
 
 
 def _scatter_inputs(cfg: ExperimentConfig, out_dir: str, qs) -> tuple[Mlp, list]:
-    """The teacher and the (name, standardized inputs) sets that losses.csv scores."""
+    """The teacher and the [eval] (name, standardized inputs) sets that losses.csv scores;
+    its train rows are the students' recorded final losses, so it scores no query set."""
     teacher = _load_teacher(os.path.join(out_dir, "teacher.mlp"), qs)
     _, mean, std = _teacher_training_set(cfg)
-    eval_sets = [("train", qs.inputs)]
+    eval_sets = []
     for name, images_path, labels_path in cfg.eval_sets:
         raw = load_idx(images_path, labels_path, name=name)
         if raw.d != teacher.d:
@@ -362,16 +371,10 @@ def cmd_pipeline(cfg: ExperimentConfig, out_dir: str, jobs: int = 1,
               *(path for _, *pair in cfg.eval_sets for path in pair))
     if missing := [path for path in inputs if not os.path.isfile(path)]:
         raise ConfigError("missing input file(s): " + ", ".join(missing))
-    for stage in (
-        lambda: cmd_train_teacher(cfg, out_dir),
-        lambda: cmd_build_queries(cfg, out_dir),
-        lambda: cmd_train_students(cfg, out_dir, jobs=jobs, resume=resume),
-        lambda: cmd_reconstruct(cfg, out_dir),
-    ):
-        code = stage()
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
+    # EXIT_OK is 0, so the first stage that fails ends the run with its exit code
+    return (cmd_train_teacher(cfg, out_dir) or cmd_build_queries(cfg, out_dir)
+            or cmd_train_students(cfg, out_dir, jobs=jobs, resume=resume)
+            or cmd_reconstruct(cfg, out_dir))
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from netrecon import cli, train
+from netrecon import cli, metrics, train
 from netrecon.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -149,7 +149,8 @@ class TestStages:
     def test_resume_skips_existing_students(self, workdir):
         out = workdir / "stages"
         target = out / "students" / "student_01.mlp"
-        tables = [out / "students" / name for name in ("losses.csv", "ensemble_summary.csv")]
+        tables = [out / "students" / "losses.csv", out / "students" / "ensemble_summary.csv",
+                  out / "losses.csv"]  # the kept slots' train rows come from their histories
         before = [path.read_bytes() for path in [target, *tables]]
         target.unlink()
         marker = out / "students" / "student_00.mlp"
@@ -238,6 +239,63 @@ class TestStudentFiles:
         assert code == EXIT_OK
         rows = (out / "losses.csv").read_text().splitlines()[1:]
         assert {row.split(",")[0] for row in rows} == {"1", "2"}
+
+    def test_losses_csv_train_rows_are_the_final_losses(self, workdir, queries, monkeypatch):
+        # the train rows are read from the histories: no pass over the query set scores them
+        out = workdir / "train_rows"
+        self.copy_queries(queries, out)
+        config = workdir / "train_rows.ini"
+        config.write_text((workdir / "run.ini").read_text().replace(
+            "max_steps = 6000", "max_steps = 20"))
+        Q = load_queryset(str(out / "queries.qs")).Q
+        scored = []
+        for name in ("_outputs", "mse_loss"):
+            def counting(net, X, *args, real=getattr(metrics, name)):
+                scored.append(len(X))
+                return real(net, X, *args)
+
+            monkeypatch.setattr(metrics, name, counting)
+        assert main(["train-students", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert scored and Q not in scored
+        summary = [row.split(",") for row in
+                   (out / "students" / "ensemble_summary.csv").read_text().splitlines()[1:]]
+        rows = [row.split(",") for row in (out / "losses.csv").read_text().splitlines()[1:]]
+        assert [row for row in rows if row[1] == "train"] == \
+            [[slot, "train", str(Q), loss] for slot, loss, _, _ in summary]
+        # each slot's train row comes before its [eval] row
+        assert [row[:2] for row in rows] == [[str(i), name] for i in range(3)
+                                             for name in ("train", "ood")]
+
+    def test_fresh_run_removes_students_beyond_n(self, workdir, queries, monkeypatch):
+        # students of slots >= n, left by an earlier run with a larger n, are removed with
+        # the record they were trained under, so no later stage keeps or clusters them
+        out = workdir / "shrunk"
+        self.copy_queries(queries, out)
+        text = (workdir / "run.ini").read_text()
+        configs = {}
+        for n, steps in ((4, 400), (2, 20), (4, 20)):
+            configs[n, steps] = workdir / f"shrunk_{n}_{steps}.ini"
+            configs[n, steps].write_text(text.replace("n = 3\n", f"n = {n}\n").replace(
+                "max_steps = 6000", f"max_steps = {steps}"))
+
+        def stage(command, n, steps, *extra):
+            return main([command, "--config", str(configs[n, steps]), "--out", str(out),
+                         *extra])
+
+        assert stage("train-students", 4, 400) == EXIT_OK
+        assert stage("train-students", 2, 20) == EXIT_OK
+        assert sorted(path.name for path in (out / "students").glob("student_*")) == \
+            [f"student_{i:02d}{ext}" for i in range(2) for ext in (".history.csv", ".mlp")]
+        reconstructions = self.counting_reconstructions(monkeypatch)
+        assert stage("reconstruct", 4, 20) in (EXIT_OK, EXIT_EMPTY_RECONSTRUCTION)
+        assert [net is not None for net in reconstructions[0][0]] == [True, True, False, False]
+        students = self.counting_students(monkeypatch)
+        assert stage("train-students", 4, 20, "--resume") == EXIT_OK
+        base = load_config(str(configs[4, 20])).students.train.seed
+        assert [cfg.seed - base for _, _, cfg in students] == [2, 3]
+        for i in range(4):
+            history = (out / "students" / f"student_{i:02d}.history.csv").read_text()
+            assert int(history.splitlines()[-1].split(",")[0]) <= 20
 
     def test_eval_set_of_other_image_size_fails_before_training(self, workdir, queries,
                                                                  capsys):
@@ -749,6 +807,8 @@ ood = ood_images.idx, ood_labels.idx
 SLOTS = [[f"out/students/student_{i:02d}{ext}" for ext in (".mlp", ".history.csv")]
          for i in range(2)]
 RECORD = "out/students/queries.crc32"
+# a slot beyond n = 2, as an earlier run with a larger n leaves it: train-students removes it
+BEYOND_N = "out/students/student_02.mlp"
 DATA = ["run.ini", "train_images.idx", "train_labels.idx"]
 # the files each stage reads, and the files it writes; paths are relative to a
 # case directory, and the config names its inputs relative to it too
@@ -758,7 +818,7 @@ LAYOUT_STAGES = {
     "train-students": (
         DATA + ["ood_images.idx", "ood_labels.idx", "out/teacher.mlp", "out/queries.qs"],
         [*SLOTS[0], *SLOTS[1], "out/students/losses.csv",
-         "out/students/ensemble_summary.csv", "out/losses.csv", RECORD]),
+         "out/students/ensemble_summary.csv", "out/losses.csv", RECORD, BEYOND_N]),
     "reconstruct": (["run.ini", "out/teacher.mlp", "out/queries.qs", RECORD, SLOTS[0][0],
                      SLOTS[1][0]],
                     ["out/reconstructed.mlp", "out/finetune_history.csv", "out/report.csv",
@@ -823,7 +883,8 @@ class TestOutputLayoutFuzz:
     and at each path it reads, no file at all.
 
     Each run exits 0, 2, 3 or 4 and never raises, an exit 2 prints one error
-    line, and the stage's outputs are either all the earlier run's, unchanged,
+    line, a directory at a path the stage writes is refused with exit 2 and
+    named, and the stage's outputs are either all the earlier run's, unchanged,
     or none of them is: earlier and new artifacts never stand side by side. A
     missing input exits 2 naming its path, except a student model: its slot is
     empty, as a diverged student's, which leaves too few students here.
@@ -862,8 +923,8 @@ class TestOutputLayoutFuzz:
         err = capsys.readouterr().err
         if code == EXIT_CONFIG:
             assert err.count("\n") == 1 and err.startswith(("config error: ", "error: ")), err
-            if kind == "directory" and path in writes:
-                assert path in err
+        if kind == "directory" and path in writes:  # refused, and named
+            assert code == EXIT_CONFIG and path in err, err
         if kind == "missing":
             assert code == EXIT_CONFIG
             assert ("need at least two trained students"
